@@ -4,7 +4,8 @@ After PRs 1–3 made every operator incremental, the scan is the dominant
 per-message cost: the seed ``ReadOperator`` decompressed **every column
 of every partition** even for a Q6-style query touching 3 of 26 columns
 behind a selective filter.  The pushdown layer
-(:func:`repro.engine.planner.pushdown_plan`) fixes both axes:
+(``repro.engine.planner``'s ``projection_pass`` / ``pruning_pass``)
+fixes both axes:
 
 * **projection** — only downstream-referenced columns are loaded, so
   per-message scan cost is O(selected columns);
@@ -32,7 +33,7 @@ from repro.api.functions import F
 from repro.bench.report import banner, format_table
 from repro.dataframe import DataFrame, col
 from repro.engine.ops import FilterOperator, ReadOperator
-from repro.engine.planner import pushdown_plan
+from repro.engine.planner import projection_pass, pruning_pass
 from repro.engine.graph import QueryGraph
 from repro.storage import Catalog, write_table
 
@@ -88,7 +89,8 @@ def _scan_filter_times(catalog, pushed: bool) -> tuple[list[float], int]:
     graph = QueryGraph()
     output = _plan(ctx).plan.materialize(graph, {})
     if pushed:
-        pushdown_plan(graph, output)
+        pruning_pass(graph, output)
+        projection_pass(graph, output)
     graph.resolve()
     (read_id,) = graph.source_ids()
     read = graph.node(read_id).operator

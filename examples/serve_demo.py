@@ -147,7 +147,8 @@ def main() -> None:
                       f"(t={session['t']:.2f}, "
                       f"{session['snapshots']} snapshots, "
                       f"{session['steps']} partition-steps){tag}")
-            cache, scans = status["cache"], status["scan_share"]
+            report = control.metrics()
+            cache, scans = report["cache"], report["scan_share"]
             print(f"\nresult cache: {cache['hits']} hit(s), "
                   f"{cache['misses']} miss(es); shared scans saved "
                   f"{scans['shared_hits']} of "

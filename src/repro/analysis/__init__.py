@@ -9,7 +9,6 @@ submit time and powers the optimizer's rewrite-soundness checker; layer
 from repro.errors import PlanValidationError
 from repro.analysis.lint import ALL_RULES, LintFinding, lint_file, run_lint
 from repro.analysis.schema_check import (
-    InferredStream,
     infer_plan,
     plan_fingerprint,
     source_labels,
@@ -18,7 +17,6 @@ from repro.analysis.schema_check import (
 
 __all__ = [
     "ALL_RULES",
-    "InferredStream",
     "LintFinding",
     "PlanValidationError",
     "infer_plan",

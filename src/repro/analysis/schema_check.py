@@ -1,17 +1,10 @@
-"""Static schema/type inference over plan graphs (layer 1 of the
+"""Expression typing and the unbound plan walk (layer 1 of the
 static-analysis subsystem).
 
-Every operator already derives its output :class:`StreamInfo` at bind
-time, but bind is lazy (it runs when an executor resolves the graph) and
-per-operator: a plan submitted over the wire with an undefined column or
-a string-vs-number comparison schedules fine and only fails mid-stream.
-This module re-derives the same plan-time properties *without binding* —
-walking the graph output→sources, computing each node's output schema
-(column names + dtypes + attribute kinds), delivery, and clustering from
-the catalog ``TableMeta`` schemas, ``Expr`` trees, join suffix rules,
-and ``AggSpec`` result dtypes — and raises a structured
-:class:`PlanValidationError` for every malformed-plan class *before any
-partition is read*:
+Each operator derives its own output :class:`StreamInfo` — schema,
+dtypes, attribute kinds, keys, clustering, delivery — in
+``Operator._derive_info`` and raises a coded
+:class:`PlanValidationError` for every malformed-plan class:
 
 * ``undefined-column``  — a referenced column no upstream node produces;
 * ``type-mismatch``     — comparing/joining a string against a number,
@@ -24,25 +17,25 @@ partition is read*:
   over non-DELTA or unclustered inputs, grouping by a mutable
   attribute, unions mixing deliveries.
 
-Inference is deliberately side-effect free and numpy-free: unlike
-``bind`` it never mutates operator state and never evaluates expressions
-on probe frames, so the optimizer's rewrite-soundness checker can run it
-after every rule firing within the < 5 ms planning budget
-(``benchmarks/bench_optimizer.py``).
+This module holds the two pieces that are not per-operator:
+:func:`expr_dtype`, the dtype an ``Expr`` tree evaluates to over a
+schema (what the operators call instead of evaluating expressions on
+probe frames), and the graph walk that runs every reachable operator's
+derivation output→sources *without binding*, so a bad plan is rejected
+at submit before any partition is read and the optimizer's
+rewrite-soundness checker can re-run it after every rule firing within
+the < 5 ms planning budget (``benchmarks/bench_optimizer.py``).
 
-Operators this module does not know (user extensions) infer to ``None``
-("unknown stream"); checks are skipped from there down — static
-validation is best-effort-sound, never a false rejection.
+Nothing here imports ``repro.engine``: the operators import
+:func:`expr_dtype`, not the other way round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
-from repro.errors import PlanValidationError, SchemaError
-from repro.core.ci import sigma_column
-from repro.core.properties import Delivery, StreamInfo
+from repro.errors import PlanValidationError
+from repro.core.properties import StreamInfo
 from repro.dataframe.expr import (
     BinaryExpr,
     CaseExpr,
@@ -55,61 +48,10 @@ from repro.dataframe.expr import (
     UnaryExpr,
     YearExpr,
 )
-from repro.dataframe.schema import AttributeKind, DType, Field, Schema
-from repro.engine.graph import QueryGraph
-from repro.engine.ops import (
-    AggregateOperator,
-    CrossJoinOperator,
-    DistinctOperator,
-    ExchangeOperator,
-    FilterOperator,
-    HashJoinOperator,
-    MapPartitionsOperator,
-    MergeJoinOperator,
-    ReadOperator,
-    SelectOperator,
-    SortLimitOperator,
-    UnionOperator,
-)
+from repro.dataframe.schema import DType, Schema
 
-#: Aggregates whose input may be any dtype (they only count rows/values).
-_ANY_DTYPE_AGGS = ("count", "count_distinct")
-
-#: Plan-time dtype of every aggregate output (mirrors
-#: ``repro.engine.ops.aggregate._AGG_DTYPE``: estimates are float64).
-_AGG_RESULT = DType.FLOAT64
-
-
-@dataclass(frozen=True)
-class InferredStream:
-    """Statically inferred plan-time properties of one node's output."""
-
-    schema: Schema
-    delivery: Delivery
-    clustering_key: tuple[str, ...] = ()
-
-    def clustered_on(self, keys: tuple[str, ...]) -> bool:
-        return bool(self.clustering_key) and set(
-            self.clustering_key
-        ) <= set(keys)
-
-
-class _NodeCtx:
-    """Where an error happened, threaded through the expression walker."""
-
-    def __init__(self, node_id: int, operator_name: str) -> None:
-        self.node_id = node_id
-        self.operator_name = operator_name
-
-    def fail(self, code: str, message: str,
-             column: str | None = None) -> PlanValidationError:
-        return PlanValidationError(
-            code,
-            f"{self.operator_name} (node {self.node_id}): {message}",
-            node=self.node_id,
-            operator=self.operator_name,
-            column=column,
-        )
+if TYPE_CHECKING:
+    from repro.engine.graph import QueryGraph
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +93,14 @@ def _promote(left: DType, right: DType) -> DType:
     return DType.INT64
 
 
-def expr_dtype(expr: Expr, schema: Schema, ctx: _NodeCtx) -> DType | None:
+def expr_dtype(expr: Expr, schema: Schema, ctx) -> DType | None:
     """Infer the dtype an expression evaluates to over ``schema``.
 
     Raises :class:`PlanValidationError` for undefined columns and
     type-mismatched operations; returns ``None`` when the dtype cannot
     be determined statically (unknown literal or Expr subclass).
+    ``ctx.fail(code, message, column=...)`` builds the error — the
+    operator that owns the expression passes itself.
     """
     if isinstance(expr, Column):
         if expr.name not in schema:
@@ -182,16 +126,17 @@ def expr_dtype(expr: Expr, schema: Schema, ctx: _NodeCtx) -> DType | None:
                     f"cannot negate (~) string expression {expr.inner!r}",
                 )
             return DType.BOOL
-        # "-" / "abs": numeric only; DATE arithmetic lands in int64.
-        if inner is not None and not _numericish(inner):
+        # "-" / "abs": numeric only (numpy refuses to negate booleans);
+        # DATE arithmetic lands in int64.
+        if inner is DType.STRING or (
+            inner is DType.BOOL and expr.symbol == "-"
+        ):
             raise ctx.fail(
                 "type-mismatch",
                 f"{expr.symbol!r} requires a numeric operand, got "
                 f"{inner.value} from {expr.inner!r}",
             )
-        if inner in (DType.DATE, DType.BOOL):
-            return DType.INT64
-        return inner
+        return DType.INT64 if inner is DType.DATE else inner
     if isinstance(expr, (StringExpr, SubstrExpr)):
         # Runtime coerces any input through ``astype(str)``; inference
         # stays permissive and only pins the result dtype.
@@ -234,7 +179,7 @@ def expr_dtype(expr: Expr, schema: Schema, ctx: _NodeCtx) -> DType | None:
         then = expr_dtype(expr.then, schema, ctx)
         other = expr_dtype(expr.otherwise, schema, ctx)
         if then is None or other is None:
-            return then or other
+            return None
         if (then is DType.STRING) != (other is DType.STRING):
             raise ctx.fail(
                 "type-mismatch",
@@ -246,12 +191,18 @@ def expr_dtype(expr: Expr, schema: Schema, ctx: _NodeCtx) -> DType | None:
         if then is DType.BOOL and other is DType.BOOL:
             return DType.BOOL
         return _promote(then, other)
-    return None  # unknown Expr subclass: stay permissive
+    # Unknown Expr subclass: untypable, but its columns must resolve.
+    for name in sorted(expr.columns() - set(schema.names)):
+        raise ctx.fail(
+            "undefined-column",
+            f"unknown column {name!r}; available: {list(schema.names)}",
+            column=name,
+        )
+    return None
 
 
 def _binary_dtype(
-    expr: BinaryExpr, left: DType | None, right: DType | None,
-    ctx: _NodeCtx,
+    expr: BinaryExpr, left: DType | None, right: DType | None, ctx,
 ) -> DType | None:
     symbol = expr.symbol
     known = [d for d in (left, right) if d is not None]
@@ -286,6 +237,15 @@ def _binary_dtype(
             return DType.FLOAT64
         if len(known) < 2:
             return None
+        if left is DType.BOOL and right is DType.BOOL:
+            # numpy keeps bool + bool / bool * bool boolean (logical
+            # or / and) and refuses bool - bool.
+            if symbol == "-":
+                raise ctx.fail(
+                    "type-mismatch",
+                    f"cannot subtract booleans in {expr!r}",
+                )
+            return DType.BOOL
         if left in (DType.DATE, DType.BOOL) or right in (
             DType.DATE, DType.BOOL
         ):
@@ -296,411 +256,6 @@ def _binary_dtype(
             )
         return _promote(left, right)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Per-operator inference rules
-# ---------------------------------------------------------------------------
-
-_INFERENCE: dict[type, Callable] = {}
-
-
-def _infers(*types: type):
-    def register(fn):
-        for t in types:
-            _INFERENCE[t] = fn
-        return fn
-    return register
-
-
-def _schema_or_duplicate(fields, ctx: _NodeCtx) -> Schema:
-    try:
-        return Schema(fields)
-    except SchemaError as exc:
-        raise ctx.fail("duplicate-output", str(exc)) from exc
-
-
-@_infers(ReadOperator)
-def _infer_read(op: ReadOperator, inputs, ctx) -> InferredStream:
-    schema = op.scan_schema()
-    names = set(schema.names)
-    clustering = (
-        op.meta.clustering_key
-        if set(op.meta.clustering_key) <= names else ()
-    )
-    return InferredStream(schema, Delivery.DELTA, tuple(clustering))
-
-
-@_infers(FilterOperator)
-def _infer_filter(op: FilterOperator, inputs, ctx) -> InferredStream:
-    (info,) = inputs
-    dtype = expr_dtype(op.predicate, info.schema, ctx)
-    if dtype is not None and dtype not in (DType.BOOL,):
-        raise ctx.fail(
-            "type-mismatch",
-            f"filter predicate {op.predicate!r} has dtype "
-            f"{dtype.value}, expected bool",
-        )
-    touches_mutable = bool(
-        op.predicate.columns() & set(info.schema.mutable_names)
-    )
-    recompute = touches_mutable and info.delivery == Delivery.DELTA
-    delivery = (
-        Delivery.REPLACE
-        if (recompute or info.delivery == Delivery.REPLACE)
-        else Delivery.DELTA
-    )
-    return InferredStream(info.schema, delivery, info.clustering_key)
-
-
-@_infers(SelectOperator)
-def _infer_select(op: SelectOperator, inputs, ctx) -> InferredStream:
-    (info,) = inputs
-    schema = info.schema
-    mutable_inputs = set(schema.mutable_names)
-    fields: list[Field] = []
-    for out_name, expr in op.exprs:
-        referenced = expr.columns()
-        dtype = expr_dtype(expr, schema, ctx)
-        is_mutable = bool(referenced & mutable_inputs)
-        if isinstance(expr, Column) and expr.name == out_name:
-            fields.append(schema.field(out_name))
-        else:
-            kind = (AttributeKind.MUTABLE if is_mutable
-                    else AttributeKind.CONSTANT)
-            fields.append(Field(
-                out_name,
-                dtype if dtype is not None else DType.FLOAT64,
-                kind,
-            ))
-        if op.propagate_ci and is_mutable:
-            sigmas = [
-                c for c in referenced & mutable_inputs
-                if sigma_column(c) in schema
-            ]
-            if sigmas:
-                fields.append(Field(
-                    sigma_column(out_name), fields[-1].dtype,
-                    AttributeKind.MUTABLE,
-                ))
-    out_schema = _schema_or_duplicate(fields, ctx)
-    out_names = set(out_schema.names)
-    clustering = (
-        info.clustering_key
-        if set(info.clustering_key) <= out_names else ()
-    )
-    return InferredStream(out_schema, info.delivery, clustering)
-
-
-@_infers(AggregateOperator)
-def _infer_aggregate(op: AggregateOperator, inputs, ctx) -> InferredStream:
-    (info,) = inputs
-    schema = info.schema
-    for key in op.by:
-        if key not in schema:
-            raise ctx.fail(
-                "undefined-column",
-                f"unknown group key {key!r}; available: "
-                f"{list(schema.names)}",
-                column=key,
-            )
-        if schema.kind(key) == AttributeKind.MUTABLE:
-            raise ctx.fail(
-                "delivery-misuse",
-                f"cannot group by mutable attribute {key!r} (grouping "
-                f"by a refining aggregate is the paper's §3.3 blocking "
-                f"case)",
-                column=key,
-            )
-    for spec in op.specs:
-        if spec.column is None:
-            continue
-        if spec.column not in schema:
-            raise ctx.fail(
-                "undefined-column",
-                f"unknown column {spec.column!r} in {spec.agg}",
-                column=spec.column,
-            )
-        if (spec.agg not in _ANY_DTYPE_AGGS
-                and schema.dtype(spec.column) is DType.STRING):
-            raise ctx.fail(
-                "non-numeric-agg",
-                f"{spec.agg}({spec.column!r}) aggregates a string "
-                f"column; only {_ANY_DTYPE_AGGS} accept non-numeric "
-                f"input",
-                column=spec.column,
-            )
-    local_mode = (
-        info.delivery == Delivery.DELTA
-        and bool(op.by)
-        and info.clustered_on(op.by)
-    )
-    fields = [schema.field(k).as_constant() for k in op.by]
-    out_kind = (AttributeKind.CONSTANT if local_mode
-                else AttributeKind.MUTABLE)
-    for spec in op.specs:
-        fields.append(Field(spec.alias, _AGG_RESULT, out_kind))
-        if op.ci is not None and not local_mode:
-            fields.append(Field(
-                sigma_column(spec.alias), DType.FLOAT64,
-                AttributeKind.MUTABLE,
-            ))
-    out_schema = _schema_or_duplicate(fields, ctx)
-    if local_mode:
-        return InferredStream(
-            out_schema, Delivery.DELTA, info.clustering_key
-        )
-    return InferredStream(out_schema, Delivery.REPLACE, ())
-
-
-def _check_join_keys(
-    left: InferredStream, right: InferredStream,
-    left_on, right_on, ctx: _NodeCtx,
-) -> None:
-    for side, info, keys in (
-        ("left", left, left_on), ("right", right, right_on)
-    ):
-        for key in keys:
-            if key not in info.schema:
-                raise ctx.fail(
-                    "undefined-column",
-                    f"{side} key {key!r} not in schema; available: "
-                    f"{list(info.schema.names)}",
-                    column=key,
-                )
-    for l_key, r_key in zip(left_on, right_on):
-        l_dtype = left.schema.dtype(l_key)
-        r_dtype = right.schema.dtype(r_key)
-        # Mirrors the runtime kernel's _check_key_dtypes: int/float/date
-        # inter-compare; bool only with bool; string only with string.
-        l_class = _key_class(l_dtype)
-        r_class = _key_class(r_dtype)
-        if l_class != r_class:
-            raise ctx.fail(
-                "type-mismatch",
-                f"join key dtypes are incompatible: {l_key!r} is "
-                f"{l_dtype.value}, {r_key!r} is {r_dtype.value}",
-                column=l_key,
-            )
-
-
-def _key_class(dtype: DType) -> str:
-    if dtype is DType.STRING:
-        return "string"
-    if dtype is DType.BOOL:
-        return "bool"
-    return "numeric"
-
-
-def _join_output_fields(
-    left: Schema, right: Schema, right_keys, suffix: str,
-    ctx: _NodeCtx, null_filled: bool,
-) -> list[Field]:
-    """Left fields + suffix-renamed right non-key fields (the
-    ``_resolve_output_names`` contract); ``null_filled`` promotes
-    int/date right columns to float64 (left-join NaN fills)."""
-    fields = list(left.fields)
-    taken = set(left.names)
-    for f in right.fields:
-        if f.name in right_keys:
-            continue
-        out = f.name if f.name not in taken else f.name + suffix
-        if out in taken:
-            raise ctx.fail(
-                "duplicate-output",
-                f"column {out!r} collides even after applying suffix "
-                f"{suffix!r}",
-                column=out,
-            )
-        taken.add(out)
-        dtype = f.dtype
-        if null_filled and dtype in (DType.INT64, DType.DATE):
-            dtype = DType.FLOAT64
-        fields.append(Field(out, dtype, f.kind))
-    return fields
-
-
-@_infers(HashJoinOperator)
-def _infer_hash_join(op: HashJoinOperator, inputs, ctx) -> InferredStream:
-    left, right = inputs
-    _check_join_keys(left, right, op.left_on, op.right_on, ctx)
-    if op.how in ("semi", "anti"):
-        out_schema = left.schema
-    else:
-        out_schema = _schema_or_duplicate(
-            _join_output_fields(
-                left.schema, right.schema, set(op.right_on), op.suffix,
-                ctx, null_filled=op.how == "left",
-            ),
-            ctx,
-        )
-    out_names = set(out_schema.names)
-    clustering = (
-        left.clustering_key
-        if set(left.clustering_key) <= out_names else ()
-    )
-    return InferredStream(out_schema, left.delivery, clustering)
-
-
-@_infers(MergeJoinOperator)
-def _infer_merge_join(op: MergeJoinOperator, inputs, ctx) -> InferredStream:
-    left, right = inputs
-    _check_join_keys(
-        left, right, (op.left_on,), (op.right_on,), ctx
-    )
-    for side, info, key in (
-        ("left", left, op.left_on), ("right", right, op.right_on)
-    ):
-        if info.schema.dtype(key) is DType.STRING:
-            raise ctx.fail(
-                "type-mismatch",
-                f"merge join {side} key {key!r} is a string; watermark "
-                f"merging requires a numeric key",
-                column=key,
-            )
-        if info.delivery != Delivery.DELTA:
-            raise ctx.fail(
-                "delivery-misuse",
-                f"{side} input must stream DELTA messages (got "
-                f"{info.delivery.value}); use a hash join for REPLACE "
-                f"inputs",
-            )
-        if not info.clustered_on((key,)):
-            raise ctx.fail(
-                "delivery-misuse",
-                f"{side} input is not clustered on {key!r}; use a hash "
-                f"join instead",
-                column=key,
-            )
-    out_schema = _schema_or_duplicate(
-        _join_output_fields(
-            left.schema, right.schema, {op.right_on}, op.suffix, ctx,
-            null_filled=False,
-        ),
-        ctx,
-    )
-    return InferredStream(out_schema, Delivery.DELTA, left.clustering_key)
-
-
-@_infers(CrossJoinOperator)
-def _infer_cross_join(op: CrossJoinOperator, inputs, ctx) -> InferredStream:
-    left, right = inputs
-    fields = list(left.schema.fields)
-    taken = set(left.schema.names)
-    live = right.delivery == Delivery.REPLACE
-    for f in right.schema:
-        out = f.name if f.name not in taken else f.name + op.suffix
-        if out in taken:
-            raise ctx.fail(
-                "duplicate-output",
-                f"column {out!r} collides",
-                column=out,
-            )
-        taken.add(out)
-        kind = AttributeKind.MUTABLE if live else f.kind
-        fields.append(Field(out, f.dtype, kind))
-    delivery = Delivery.REPLACE if live else left.delivery
-    return InferredStream(_schema_or_duplicate(fields, ctx), delivery, ())
-
-
-@_infers(SortLimitOperator)
-def _infer_sort(op: SortLimitOperator, inputs, ctx) -> InferredStream:
-    (info,) = inputs
-    for key in op.by:
-        if key not in info.schema:
-            raise ctx.fail(
-                "undefined-column",
-                f"unknown sort key {key!r}; available: "
-                f"{list(info.schema.names)}",
-                column=key,
-            )
-    return InferredStream(info.schema, Delivery.REPLACE, op.by)
-
-
-@_infers(DistinctOperator)
-def _infer_distinct(op: DistinctOperator, inputs, ctx) -> InferredStream:
-    (info,) = inputs
-    for key in op.subset or info.schema.names:
-        if key not in info.schema:
-            raise ctx.fail(
-                "undefined-column",
-                f"unknown column {key!r}; available: "
-                f"{list(info.schema.names)}",
-                column=key,
-            )
-    return InferredStream(info.schema, info.delivery, info.clustering_key)
-
-
-@_infers(ExchangeOperator)
-def _infer_exchange(op: ExchangeOperator, inputs, ctx) -> InferredStream:
-    (info,) = inputs
-    for key in op.keys:
-        if key not in info.schema:
-            raise ctx.fail(
-                "undefined-column",
-                f"unknown exchange key {key!r}; available: "
-                f"{list(info.schema.names)}",
-                column=key,
-            )
-    return InferredStream(info.schema, info.delivery, info.clustering_key)
-
-
-@_infers(UnionOperator)
-def _infer_union(op: UnionOperator, inputs, ctx) -> InferredStream:
-    first = inputs[0]
-    for other in inputs[1:]:
-        if not first.schema.same_layout(other.schema):
-            raise ctx.fail(
-                "type-mismatch",
-                f"input schemas differ: {first.schema!r} vs "
-                f"{other.schema!r}",
-            )
-        if other.delivery != first.delivery:
-            raise ctx.fail(
-                "delivery-misuse",
-                f"mixed input deliveries ({first.delivery.value} vs "
-                f"{other.delivery.value})",
-            )
-    override: StreamInfo | None = op._info_override
-    if override is not None:
-        if not first.schema.same_layout(override.schema):
-            raise ctx.fail(
-                "type-mismatch",
-                "pinned info schema does not match the shard schemas",
-            )
-        return InferredStream(
-            override.schema, override.delivery, override.clustering_key
-        )
-    if first.delivery == Delivery.REPLACE:
-        return InferredStream(first.schema, Delivery.REPLACE, ())
-    return InferredStream(
-        first.schema, Delivery.DELTA, first.clustering_key
-    )
-
-
-@_infers(MapPartitionsOperator)
-def _infer_map_partitions(
-    op: MapPartitionsOperator, inputs, ctx
-) -> InferredStream | None:
-    (info,) = inputs
-    if op._declared_schema is not None:
-        out_schema = op._declared_schema
-    else:
-        # Probing an arbitrary callable may fail for reasons bind would
-        # also hit later; validation stays best-effort and backs off.
-        from repro.dataframe.frame import DataFrame
-
-        try:
-            out_schema = op.fn(DataFrame.empty(info.schema)).schema
-        except Exception:
-            return None
-    clustering = (
-        info.clustering_key
-        if op.preserves_clustering
-        and set(info.clustering_key) <= set(out_schema.names)
-        else ()
-    )
-    return InferredStream(out_schema, info.delivery, clustering)
 
 
 # ---------------------------------------------------------------------------
@@ -721,63 +276,51 @@ def reachable_nodes(graph: QueryGraph, output: int) -> list[int]:
     return sorted(seen)
 
 
-def infer_plan(
-    graph: QueryGraph, output: int
-) -> dict[int, InferredStream | None]:
-    """Infer every reachable node's output stream, output→sources.
-
-    Raises :class:`PlanValidationError` on the first malformed node.
-    Nodes whose operator type (or an upstream's) is unknown to the
-    checker infer to ``None`` and are skipped.
-    """
-    streams: dict[int, InferredStream | None] = {}
+def infer_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
+    """Every reachable node's output stream, derived by the operators
+    themselves without binding them.  Raises
+    :class:`PlanValidationError` on the first malformed node, pinned to
+    that node's id."""
+    infos: dict[int, StreamInfo] = {}
     for nid in reachable_nodes(graph, output):
         node = graph.node(nid)
-        rule = _INFERENCE.get(type(node.operator))
-        inputs = tuple(streams[i] for i in node.inputs)
-        if rule is None or any(i is None for i in inputs):
-            streams[nid] = None
-            continue
-        ctx = _NodeCtx(nid, node.operator.name)
-        streams[nid] = rule(node.operator, inputs, ctx)
-    return streams
+        try:
+            infos[nid] = node.operator.derive(
+                tuple(infos[i] for i in node.inputs)
+            )
+        except PlanValidationError as exc:
+            if exc.node is None:
+                exc.node = nid
+                exc.args = (f"node {nid}: {exc}",)
+            raise
+    return infos
 
 
-def validate_plan(
-    graph: QueryGraph, output: int
-) -> dict[int, InferredStream | None]:
+def validate_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
     """Submit-time plan validation: raise :class:`PlanValidationError`
     for any malformed node reachable from ``output``, before any
-    partition is read.  Returns the inferred streams on success (the
+    partition is read.  Returns the derived streams on success (the
     payload ``explain``'s ``types`` mode renders)."""
     return infer_plan(graph, output)
 
 
-def source_labels(
-    graph: QueryGraph, output: int
-) -> frozenset[tuple[str, str]]:
-    """The strict-digest-visible source set: (table, source label) of
-    every scan reachable from ``output``.  Sound rewrites must preserve
-    it — a rewrite that drops or relabels a scan changes which progress
-    counters exist and therefore the snapshot contract."""
-    labels = set()
-    for nid in reachable_nodes(graph, output):
-        op = graph.node(nid).operator
-        if isinstance(op, ReadOperator):
-            labels.add((op.meta.name, op.source_name))
-    return frozenset(labels)
+def source_labels(graph: QueryGraph, output: int) -> frozenset[str]:
+    """The strict-digest-visible source set: the progress label of
+    every source reachable from ``output``.  Sound rewrites must
+    preserve it — a rewrite that drops or relabels a scan changes which
+    progress counters exist and therefore the snapshot contract."""
+    operators = (
+        graph.node(nid).operator for nid in graph.upstream_sources(output)
+    )
+    return frozenset(
+        getattr(op, "source_name", op.name) for op in operators
+    )
 
 
 def plan_fingerprint(graph: QueryGraph, output: int):
-    """The rewrite-soundness invariant: the output node's inferred
-    column names + dtypes, its delivery, and the reachable source set.
-    ``None`` when the output schema cannot be inferred (unknown
-    operators in the plan) — the checker then records the firing as
-    unverified rather than guessing."""
-    streams = infer_plan(graph, output)
-    out = streams[output]
-    if out is None:
-        return None
+    """The rewrite-soundness invariant: the output node's column names
+    + dtypes, its delivery, and the reachable source set."""
+    out = infer_plan(graph, output)[output]
     return (
         tuple((f.name, f.dtype.value) for f in out.schema.fields),
         out.delivery.value,

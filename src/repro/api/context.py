@@ -101,44 +101,6 @@ class WakeContext:
         self.last_profile: OperatorProfiler | None = None
         self._scan_counts: dict[str, int] = {}
 
-    # -- legacy attribute views over the options bundle ----------------------------
-    @property
-    def quantile_mode(self) -> str:
-        """Session default for median/quantile state maintenance
-        (``"exact"`` keeps the full per-group multiset; ``"sketch"``
-        bounds memory with a per-group reservoir)."""
-        return self.options.quantile_mode
-
-    @property
-    def sketch_size(self) -> int:
-        return self.options.sketch_size
-
-    @property
-    def parallelism(self) -> int:
-        """Session default shard count for stateful shuffle subplans
-        (1 = unsharded, byte-identical plans)."""
-        return self.options.parallelism
-
-    @property
-    def pushdown(self) -> bool:
-        """Scan-layer pushdown (projection + zone-map pruning)."""
-        return self.options.pushdown
-
-    @property
-    def optimize(self) -> bool:
-        """Master switch for the plan-rewrite optimizer."""
-        return self.options.optimize
-
-    @property
-    def optimizer_disable(self) -> frozenset[str]:
-        """Individual rule names disabled for this session."""
-        return self.options.optimizer_disable
-
-    @property
-    def validate(self) -> bool:
-        """Static plan validation at submit."""
-        return self.options.validate
-
     @classmethod
     def from_catalog(cls, path: str | Path, **kwargs) -> "WakeContext":
         """Open a context over a saved catalog JSON file."""
@@ -355,10 +317,10 @@ class WakeContext:
         (``columns=[...]``), pushed predicates, and how many partitions
         the zone maps prune (``prune=k/n``).
 
-        ``mode="types"`` renders each node's *statically inferred*
-        schema (column → dtype, ``*`` marking mutable attributes)
-        without binding or executing anything — the plan-debugging view
-        of :mod:`repro.analysis.schema_check`.
+        ``mode="types"`` renders each node's derived schema (column →
+        dtype, ``*`` marking mutable attributes) without binding or
+        executing anything — the plan-debugging view of the operators'
+        own ``_derive_info``.
 
         ``mode="profile"`` *executes* the plan to completion on a
         step executor with an :class:`~repro.obs.OperatorProfiler`
@@ -428,7 +390,7 @@ class WakeContext:
         return profiler.render()
 
     def _explain_types(self, graph: QueryGraph, output: int) -> str:
-        """Render each node's inferred output schema (``explain``'s
+        """Render each node's derived output schema (``explain``'s
         ``types`` mode) without resolving/binding the graph."""
         streams = infer_plan(graph, output)
         lines = []
@@ -439,12 +401,6 @@ class WakeContext:
             inputs = (
                 f" inputs={list(node.inputs)}" if node.inputs else ""
             )
-            if stream is None:
-                lines.append(
-                    f"[{nid}] {node.operator.name}{inputs}{marker}\n"
-                    f"      (schema not statically inferable)"
-                )
-                continue
             cols = ", ".join(
                 f"{f.name}: {f.dtype.value}"
                 + ("*" if f.kind.value == "mutable" else "")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import QueryError
+from repro.analysis.schema_check import infer_plan
 from repro.dataframe.expr import Expr, col as col_
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.schema import Schema
@@ -103,7 +104,7 @@ class EdfFrame:
         """Plan-time stream description (schema, keys, delivery)."""
         graph = QueryGraph()
         node_id = self._plan.materialize(graph, {})
-        return graph.resolve()[node_id]
+        return infer_plan(graph, node_id)[node_id]
 
     @property
     def schema(self) -> Schema:
@@ -302,9 +303,10 @@ class EdfFrame:
         else:
             config = None
         by = tuple(by)
-        mode = (self._context.quantile_mode if quantile_mode is None
+        options = self._context.options
+        mode = (options.quantile_mode if quantile_mode is None
                 else quantile_mode)
-        size = (self._context.sketch_size if sketch_size is None
+        size = (options.sketch_size if sketch_size is None
                 else sketch_size)
         return self._wrap(
             lambda: AggregateOperator(name, specs, by=by, ci=config,

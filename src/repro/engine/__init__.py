@@ -16,7 +16,7 @@ from repro.engine.optimizer import (
     build_optimizer,
 )
 from repro.engine.plan_node import plan_hash
-from repro.engine.planner import pushdown_plan, shard_plan
+from repro.engine.planner import shard_plan
 
 __all__ = [
     "Eof",
@@ -32,6 +32,5 @@ __all__ = [
     "TimelineEvent",
     "build_optimizer",
     "plan_hash",
-    "pushdown_plan",
     "shard_plan",
 ]

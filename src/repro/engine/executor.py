@@ -50,7 +50,8 @@ class _SinkState:
         self.edf = EvolvingDataFrame(name)
         self._delivery = delivery
         self._capture_all = capture_all
-        self._started_at = started_at
+        #: Origin of every snapshot's ``wall_time``.
+        self.started_at = started_at
         self._parts: list[DataFrame] = []
         self._latest: DataFrame | None = None
         self._sequence = 0
@@ -95,7 +96,7 @@ class _SinkState:
                 frame=frame,
                 progress=progress,
                 sequence=self._sequence,
-                wall_time=time.perf_counter() - self._started_at,
+                wall_time=time.perf_counter() - self.started_at,
                 rows_processed=sum(progress.done.values()),
             )
         )
@@ -121,8 +122,7 @@ class _SinkState:
             self._snapshot_from_progress(final_progress)
 
 
-def _append_empty_final(sink: "_SinkState", schema, progress,
-                        started_at: float) -> None:
+def _append_empty_final(sink: "_SinkState", schema, progress) -> None:
     """Queries whose operators never emit (fully filtered inputs) still
     deliver one final, empty, exact snapshot."""
     sink.edf.append(
@@ -130,7 +130,7 @@ def _append_empty_final(sink: "_SinkState", schema, progress,
             frame=DataFrame.empty(schema),
             progress=progress,
             sequence=0,
-            wall_time=time.perf_counter() - started_at,
+            wall_time=time.perf_counter() - sink.started_at,
             rows_processed=sum(progress.done.values()),
         )
     )
@@ -150,10 +150,14 @@ class StepExecutor:
     other queries'.  This is the scheduling quantum of the multi-query
     service (:mod:`repro.service`).
 
-    State is built lazily on the first ``step()`` (submission does not
-    open files); ``close()`` abandons a run mid-flight, closing every
-    open read stream and releasing operator state, while the collected
-    ``edf`` stays readable.
+    Construction binds the plan and creates the output ``edf`` — cheap,
+    no I/O — so the executor is complete before any other thread can
+    see it (the service reads ``edf`` from its wire thread while the
+    scheduler thread steps).  Read streams open on the first ``step()``
+    (submission does not open files), which is also where snapshot
+    ``wall_time`` starts counting; ``close()`` abandons a run
+    mid-flight, closing every open read stream and releasing operator
+    state, while the collected ``edf`` stays readable.
 
     **Fault tolerance contract.**  A ``step()`` that raises falls into
     one of two classes, exposed via :attr:`step_retry_safe`:
@@ -186,7 +190,14 @@ class StepExecutor:
         self.capture_all = capture_all
         self.record_timeline = record_timeline
         self.timeline: list[TimelineEvent] = []
-        self._sink: _SinkState | None = None
+        self._sink = _SinkState(
+            name=graph.node(output).operator.name,
+            delivery=graph.resolve()[output].delivery,
+            capture_all=capture_all,
+            started_at=0.0,  # re-anchored when the streams open
+        )
+        #: The live output edf; snapshots appear as steps execute.
+        self.edf: EvolvingDataFrame = self._sink.edf
         self._subscribers: dict[int, list[tuple[int, int]]] | None = None
         self._streams: dict[int, object] = {}
         self._build: deque[int] = deque()
@@ -222,26 +233,13 @@ class StepExecutor:
         self.profiler = None
 
     # -- lazy setup ---------------------------------------------------------------
-    def _ensure_sink(self) -> None:
-        if self._sink is not None:
-            return
-        assert self.graph is not None
-        infos = self.graph.resolve()
-        self._started_at = time.perf_counter()
-        self._sink = _SinkState(
-            name=self.graph.node(self.output).operator.name,
-            delivery=infos[self.output].delivery,
-            capture_all=self.capture_all,
-            started_at=self._started_at,
-        )
-
     def _open_streams(self) -> None:
         if self._opened:
             return
         self._opened = True
         graph = self.graph
         assert graph is not None
-        self._ensure_sink()
+        self._sink.started_at = time.perf_counter()
         self._subscribers = graph.subscribers()
         # Sources: drain priority-0 (build sides) fully, then round-robin.
         priorities = graph.source_priorities()
@@ -284,13 +282,6 @@ class StepExecutor:
         advanced (the pull raised), so re-stepping retries the same
         partition instead of corrupting operator state."""
         return self._retry_safe
-
-    @property
-    def edf(self) -> EvolvingDataFrame:
-        """The live output edf; snapshots appear as steps execute."""
-        self._ensure_sink()
-        assert self._sink is not None
-        return self._sink.edf
 
     # -- stepping -----------------------------------------------------------------
     def step(self) -> bool:
@@ -373,13 +364,12 @@ class StepExecutor:
     def _finalize(self) -> None:
         self._finished = True
         graph = self.graph
-        assert graph is not None and self._sink is not None
+        assert graph is not None
         self._sink.finish()
         if not len(self._sink.edf):
             _append_empty_final(
                 self._sink, graph.resolve()[self.output].schema,
                 graph.node(self.output).operator.progress,
-                self._started_at,
             )
         self._streams.clear()
 
@@ -397,7 +387,6 @@ class StepExecutor:
         if self._closed:
             return
         self._closed = True
-        self._ensure_sink()
         for stream in self._streams.values():
             close = getattr(stream, "close", None)
             if close is not None:
@@ -415,8 +404,7 @@ class StepExecutor:
         graph = self.graph
         sink = self._sink
         subscribers = self._subscribers
-        assert graph is not None and sink is not None
-        assert subscribers is not None
+        assert graph is not None and subscribers is not None
         pending: deque[tuple[int, int, object]] = deque(
             [(node_id, port, item)]
         )
@@ -455,15 +443,14 @@ class StepExecutor:
                         node.operator.progress)))
 
     def _emit_from_source(self, source_id: int, message: Message) -> None:
-        assert self._sink is not None and self._subscribers is not None
+        assert self._subscribers is not None
         if source_id == self.output:
             self._sink.accept(message)
         for sub_id, sub_port in self._subscribers[source_id]:
             self._dispatch(sub_id, sub_port, message)
 
     def _emit_source_eof(self, source_id: int) -> None:
-        assert self.graph is not None
-        assert self._sink is not None and self._subscribers is not None
+        assert self.graph is not None and self._subscribers is not None
         op = self.graph.node(source_id).operator
         if source_id == self.output:
             self._sink.finish(op.progress)
@@ -697,6 +684,5 @@ class ThreadedExecutor:
                 )
         if not len(sink.edf):
             _append_empty_final(sink, infos[self.output].schema,
-                                graph.node(self.output).operator.progress,
-                                started_at)
+                                graph.node(self.output).operator.progress)
             yield sink.edf.snapshots[0]

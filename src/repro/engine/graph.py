@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from repro.errors import QueryError
 from repro.core.properties import StreamInfo
 from repro.engine.ops.base import Operator, SourceOperator
-from repro.engine.ops.join import CrossJoinOperator, HashJoinOperator
 
 
 @dataclass
@@ -113,33 +112,16 @@ class QueryGraph:
     def source_priorities(self) -> dict[int, int]:
         """0 = drain first (feeds a buffered build side), 1 = stream.
 
-        Must be called after :meth:`resolve` (cross-join liveness is a
-        plan-time property).
+        Resolves first: which ports an operator buffers
+        (``Operator.build_ports``) can depend on its bound inputs.
         """
         self.resolve()
         priorities = {nid: 1 for nid in self.source_ids()}
         for node in self.nodes.values():
-            op = node.operator
-            buffered_port: int | None = None
-            if isinstance(op, HashJoinOperator):
-                buffered_port = 1
-            elif isinstance(op, CrossJoinOperator) and not op._live:
-                buffered_port = 1
-            if buffered_port is None:
-                continue
-            build_input = node.inputs[buffered_port]
-            for source in self.upstream_sources(build_input):
-                priorities[source] = 0
+            for port in node.operator.build_ports:
+                for source in self.upstream_sources(node.inputs[port]):
+                    priorities[source] = 0
         return priorities
-
-    def invalidate(self) -> None:
-        """Drop the cached resolution.
-
-        Planner passes that mutate operators in place (e.g. scan
-        pushdowns) call this so the next :meth:`resolve` re-binds every
-        operator against the updated plan.
-        """
-        self._resolved = None
 
     def validate_output(self, node_id: int) -> None:
         if node_id not in self.nodes:

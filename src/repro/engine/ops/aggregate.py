@@ -55,6 +55,9 @@ _AGG_DTYPE = {
     "quantile": DType.FLOAT64,
 }
 
+#: Aggregates whose input may be any dtype (they only count rows/values).
+_ANY_DTYPE_AGGS = ("count", "count_distinct")
+
 
 class AggregateOperator(Operator):
     """Group-by (or global) aggregation over an edf stream."""
@@ -64,6 +67,8 @@ class AggregateOperator(Operator):
     #: ``uniform`` — classic OLA 1/t scaling (pin w = 1);
     #: ``none``    — raw merged values, no scaling (pin w = 0).
     GROWTH_MODES = ("fitted", "uniform", "none")
+
+    mergeable = True
 
     def __init__(
         self,
@@ -120,48 +125,69 @@ class AggregateOperator(Operator):
         schema: Schema = info.schema
         for key in self.by:
             if key not in schema:
-                raise QueryError(
-                    f"aggregate {self.name!r}: unknown group key {key!r}"
+                raise self.fail(
+                    "undefined-column",
+                    f"unknown group key {key!r}; available: "
+                    f"{list(schema.names)}",
+                    column=key,
                 )
             if schema.kind(key) == AttributeKind.MUTABLE:
-                raise QueryError(
-                    f"aggregate {self.name!r}: cannot group by mutable "
-                    f"attribute {key!r} (paper §3.3: blocking case)"
+                raise self.fail(
+                    "delivery-misuse",
+                    f"cannot group by mutable attribute {key!r} "
+                    f"(grouping by a refining aggregate is the paper's "
+                    f"§3.3 blocking case)",
+                    column=key,
                 )
         for spec in self.specs:
-            if spec.column is not None and spec.column not in schema:
-                raise QueryError(
-                    f"aggregate {self.name!r}: unknown column "
-                    f"{spec.column!r} in {spec.agg}"
+            if spec.column is None:
+                continue
+            if spec.column not in schema:
+                raise self.fail(
+                    "undefined-column",
+                    f"unknown column {spec.column!r} in {spec.agg}",
+                    column=spec.column,
+                )
+            if (spec.agg not in _ANY_DTYPE_AGGS
+                    and schema.dtype(spec.column) is DType.STRING):
+                raise self.fail(
+                    "non-numeric-agg",
+                    f"{spec.agg}({spec.column!r}) aggregates a string "
+                    f"column; only {_ANY_DTYPE_AGGS} accept non-numeric "
+                    f"input",
+                    column=spec.column,
                 )
 
-        self.local_mode = (
+        # Local mode (see the module docstring): clusters never straddle
+        # partials, so outputs are exact, constant and stay DELTA.
+        local_mode = (
             info.delivery == Delivery.DELTA
             and bool(self.by)
             and info.clustered_on(self.by)
         )
-
         fields = [schema.field(k).as_constant() for k in self.by]
         out_kind = (
-            AttributeKind.CONSTANT if self.local_mode
+            AttributeKind.CONSTANT if local_mode
             else AttributeKind.MUTABLE
         )
         for spec in self.specs:
             fields.append(Field(spec.alias, _AGG_DTYPE[spec.agg], out_kind))
-            if self.ci is not None and not self.local_mode:
+            if self.ci is not None and not local_mode:
                 fields.append(
                     Field(sigma_column(spec.alias), DType.FLOAT64,
                           AttributeKind.MUTABLE)
                 )
+        return StreamInfo(
+            schema=self._schema(fields),
+            primary_key=self.by,
+            clustering_key=info.clustering_key if local_mode else (),
+            delivery=Delivery.DELTA if local_mode else Delivery.REPLACE,
+        )
 
+    def _on_bound(self) -> None:
+        self.local_mode = self.output_info.delivery == Delivery.DELTA
         if self.local_mode:
-            return StreamInfo(
-                schema=Schema(fields),
-                primary_key=self.by,
-                clustering_key=info.clustering_key,
-                delivery=Delivery.DELTA,
-            )
-
+            return
         # shuffle mode: configure intrinsic state + inference
         self._state = GroupedAggregateState(
             self.by, self.specs, track_moments=self.ci is not None,
@@ -172,16 +198,37 @@ class AggregateOperator(Operator):
             growth = GrowthModel.pinned(1.0)
         elif self.growth_mode == "none":
             growth = GrowthModel.pinned(0.0)
-        elif info.delivery == Delivery.REPLACE:
+        elif self.input_infos[0].delivery == Delivery.REPLACE:
             growth = GrowthModel(prior_w=0.0)
         else:
             growth = GrowthModel(prior_w=1.0)
         self._inference = AggregateInference(growth, ci=self.ci)
-        return StreamInfo(
-            schema=Schema(fields),
-            primary_key=self.by,
-            clustering_key=(),
-            delivery=Delivery.REPLACE,
+
+    def required_inputs(self, input_schemas, required):
+        needed = set(self.by)
+        for spec in self.specs:
+            if spec.column is not None:
+                needed.add(spec.column)
+        return [needed]
+
+    def signature(self, alpha: bool) -> tuple:
+        specs = tuple(
+            (s.agg, s.column, s.alias, s.param) for s in self.specs
+        )
+        ci = repr(self.ci) if self.ci is not None else None
+        return (specs, self.by, ci, self.growth_mode, self.quantile_mode,
+                self.sketch_size, self.always_emit)
+
+    def clone(self, tag: str) -> "AggregateOperator":
+        # always_emit: a shard replica must report on every message even
+        # while it owns zero groups, so the union can align combined
+        # progress to the slowest shard instead of guessing about ports
+        # that have never spoken.
+        return AggregateOperator(
+            f"{self.name}{tag}", self.specs, by=self.by, ci=self.ci,
+            growth_mode=self.growth_mode,
+            quantile_mode=self.quantile_mode,
+            sketch_size=self.sketch_size, always_emit=True,
         )
 
     # -- run time -----------------------------------------------------------------

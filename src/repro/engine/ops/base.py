@@ -1,27 +1,57 @@
 """Operator base classes: the node logic of the execution graph (§7).
 
-An operator is bound once at plan time (``bind``), deriving its output
-:class:`StreamInfo` from its inputs' — schema, keys, clustering, delivery.
-At run time the executor feeds it messages (``on_message``) and EOF markers
-(``on_eof``); the operator returns output messages.  Operators are
-single-threaded: each lives on one node and is never called concurrently.
+An operator is *one* description of a node, read at plan time and at run
+time.  The plan-time contract is four overridable methods with
+conservative defaults — ``_derive_info`` (output schema / keys /
+clustering / delivery, raising coded :class:`PlanValidationError` errors),
+``required_inputs`` (column demand, default: everything),
+``signature`` (canonical form, default: opaque) and ``clone``
+(shard replica, default: refuses) — so validation, ``explain``,
+projection pushdown, plan hashing, CSE and the shard rewrite all read
+the class and nothing else.  ``bind`` fixes the derived
+:class:`StreamInfo` once per execution and lets ``_on_bound`` pick
+runtime modes from it.  At run time the executor feeds the operator
+messages (``on_message``) and EOF markers (``on_eof``); the operator
+returns output messages.  Operators are single-threaded: each lives on
+one node and is never called concurrently.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import ExecutionError, QueryError
+from repro.errors import (
+    ExecutionError,
+    PlanValidationError,
+    QueryError,
+    SchemaError,
+)
 from repro.core.properties import Progress, StreamInfo
+from repro.dataframe.schema import Schema
 from repro.engine.message import Message
+
+
+def surviving_key(key: tuple[str, ...], schema: Schema) -> tuple[str, ...]:
+    """``key`` if every one of its columns is in ``schema``, else ``()``:
+    a stream only keeps a primary/clustering key it still carries."""
+    return key if all(name in schema for name in key) else ()
 
 
 class Operator:
     """Base operator; subclasses implement ``_derive_info`` and
-    ``_handle_message`` (plus optionally the EOF hooks)."""
+    ``_handle_message`` (plus optionally the rest of the plan-time
+    contract and the EOF hooks)."""
 
     #: number of input ports (0 for sources)
     n_inputs: int = 1
+    #: Common-subplan elimination may merge strict-signature-equal
+    #: siblings of this type.  Only sound for single-input,
+    #: deterministic, message-per-message operators with no state shared
+    #: outside the instance, so it is opt-in.
+    mergeable: bool = False
+    #: Input ports buffered to EOF before the other ports stream; the
+    #: executor drains the sources feeding them first.
+    build_ports: tuple[int, ...] = ()
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -30,22 +60,79 @@ class Operator:
         self._progress = Progress()
         self._eof_ports: set[int] = set()
 
-    # -- plan time ---------------------------------------------------------------
-    def bind(self, input_infos: Sequence[StreamInfo]) -> StreamInfo:
-        """Fix input stream descriptions and derive the output description."""
-        if len(input_infos) != self.n_inputs:
-            raise QueryError(
-                f"operator {self.name!r} expects {self.n_inputs} inputs, "
-                f"got {len(input_infos)}"
-            )
-        self._input_infos = tuple(input_infos)
-        self._output_info = self._derive_info(self._input_infos)
-        return self._output_info
-
+    # -- plan-time contract -------------------------------------------------------
     def _derive_info(
         self, inputs: tuple[StreamInfo, ...]
     ) -> StreamInfo:
+        """The output stream description for these inputs.  Must be
+        pure — no operator state changes — because validation,
+        ``explain(mode="types")`` and the optimizer's rewrite checker
+        call it on plans that never run.  Malformed plans raise
+        :meth:`fail`."""
         raise NotImplementedError
+
+    def required_inputs(
+        self, input_schemas: tuple, required: set[str] | None
+    ) -> list[set[str] | None]:
+        """Columns each input port must supply so this operator can
+        produce the ``required`` output columns (``None`` = all).  The
+        default demands every column of every input: an operator that
+        does not override it blocks projection pushdown below itself
+        but can never be starved of a column."""
+        return [None] * self.n_inputs
+
+    def signature(self, alpha: bool) -> tuple:
+        """Plain hashable values that, with the input subtrees, decide
+        when two nodes are the same.  ``alpha=False`` must keep every
+        byte-relevant detail (CSE merges on it); ``alpha=True`` may drop
+        presentation order (``plan_hash`` uses it).  The default is
+        unique per instance: never merged, never hash-equal."""
+        return ("opaque", self.name, id(self))
+
+    def clone(self, tag: str) -> "Operator":
+        """A fresh, unbound replica named ``name + tag`` for the shard
+        rewrite.  The default refuses, so the rewrite never replicates
+        an operator that did not say how."""
+        raise QueryError(
+            f"cannot replicate operator {self.name!r} for sharding"
+        )
+
+    def fail(self, code: str, message: str,
+             column: str | None = None) -> PlanValidationError:
+        """A coded plan error naming this operator (the graph walk adds
+        the node id)."""
+        return PlanValidationError(
+            code, f"{self.name}: {message}",
+            operator=self.name, column=column,
+        )
+
+    def _schema(self, fields) -> Schema:
+        """``Schema(fields)``, with a name collision reported as a
+        ``duplicate-output`` plan error."""
+        try:
+            return Schema(fields)
+        except SchemaError as exc:
+            raise self.fail("duplicate-output", str(exc)) from exc
+
+    def derive(self, inputs: Sequence[StreamInfo]) -> StreamInfo:
+        """Derive the output description without binding."""
+        if len(inputs) != self.n_inputs:
+            raise QueryError(
+                f"operator {self.name!r} expects {self.n_inputs} inputs, "
+                f"got {len(inputs)}"
+            )
+        return self._derive_info(tuple(inputs))
+
+    def bind(self, input_infos: Sequence[StreamInfo]) -> StreamInfo:
+        """Fix input stream descriptions and the derived output
+        description for one execution."""
+        self._output_info = self.derive(input_infos)
+        self._input_infos = tuple(input_infos)
+        self._on_bound()
+        return self._output_info
+
+    def _on_bound(self) -> None:
+        """Pick runtime modes from ``input_infos`` / ``output_info``."""
 
     @property
     def input_infos(self) -> tuple[StreamInfo, ...]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.errors import QueryError
 from repro.dataframe.groupby import Grouper, distinct_rows
 from repro.core.properties import Delivery, StreamInfo
 from repro.engine.message import Message
@@ -30,10 +29,13 @@ from repro.engine.ops.base import Operator
 class DistinctOperator(Operator):
     """Deduplicate rows on ``subset`` columns (all columns if empty)."""
 
+    mergeable = True
+
     def __init__(self, name: str, subset: Sequence[str] = ()) -> None:
         super().__init__(name)
         self.subset = tuple(subset)
         self._seen: Grouper | None = None
+        self._keys: tuple[str, ...] = ()
         self._incremental = False
 
     def _derive_info(self, inputs: tuple[StreamInfo, ...]) -> StreamInfo:
@@ -41,18 +43,31 @@ class DistinctOperator(Operator):
         keys = self.subset or info.schema.names
         for key in keys:
             if key not in info.schema:
-                raise QueryError(
-                    f"distinct {self.name!r}: unknown column {key!r}"
+                raise self.fail(
+                    "undefined-column",
+                    f"unknown column {key!r}; available: "
+                    f"{list(info.schema.names)}",
+                    column=key,
                 )
-        self._keys = tuple(keys)
-        self._incremental = info.delivery == Delivery.DELTA
-        self._seen = None
         return StreamInfo(
             schema=info.schema,
-            primary_key=self._keys,
+            primary_key=tuple(keys),
             clustering_key=info.clustering_key,
             delivery=info.delivery,
         )
+
+    def _on_bound(self) -> None:
+        self._keys = self.output_info.primary_key
+        self._incremental = self.output_info.delivery == Delivery.DELTA
+
+    def required_inputs(self, input_schemas, required):
+        if required is None:
+            return [None]
+        # An empty subset means "distinct over all columns".
+        return [required | set(self.subset) if self.subset else None]
+
+    def signature(self, alpha: bool) -> tuple:
+        return (self.subset,)
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         if not self._incremental or message.kind == Delivery.REPLACE:

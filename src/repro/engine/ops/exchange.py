@@ -205,15 +205,21 @@ class ExchangeOperator(Operator):
         (info,) = inputs
         for key in self.keys:
             if key not in info.schema:
-                raise QueryError(
-                    f"exchange {self.name!r}: unknown key column {key!r}"
+                raise self.fail(
+                    "undefined-column",
+                    f"unknown key column {key!r}; available: "
+                    f"{list(info.schema.names)}",
+                    column=key,
                 )
-        return StreamInfo(
-            schema=info.schema,
-            primary_key=info.primary_key,
-            clustering_key=info.clustering_key,
-            delivery=info.delivery,
-        )
+        return info
+
+    def required_inputs(self, input_schemas, required):
+        if required is None:
+            return [None]
+        return [required | set(self.keys)]
+
+    def signature(self, alpha: bool) -> tuple:
+        return (self.keys, self.shard, self.n_shards)
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         shards = self._cache.shards_for(message.frame)
@@ -267,26 +273,25 @@ class UnionOperator(Operator):
         first = inputs[0]
         for other in inputs[1:]:
             if not first.schema.same_layout(other.schema):
-                raise QueryError(
-                    f"union {self.name!r}: input schemas differ: "
-                    f"{first.schema!r} vs {other.schema!r}"
+                raise self.fail(
+                    "type-mismatch",
+                    f"input schemas differ: {first.schema!r} vs "
+                    f"{other.schema!r}",
                 )
             if other.delivery != first.delivery:
-                raise QueryError(
-                    f"union {self.name!r}: mixed input deliveries "
-                    f"({first.delivery.value} vs {other.delivery.value})"
+                raise self.fail(
+                    "delivery-misuse",
+                    f"mixed input deliveries ({first.delivery.value} vs "
+                    f"{other.delivery.value})",
                 )
-        self._combine = first.delivery == Delivery.REPLACE
-        self._latest = [None] * self.n_inputs
-        self._emitted_complete = False
         if self._info_override is not None:
             if not first.schema.same_layout(self._info_override.schema):
-                raise QueryError(
-                    f"union {self.name!r}: pinned info schema does not "
-                    f"match the shard schemas"
+                raise self.fail(
+                    "type-mismatch",
+                    "pinned info schema does not match the shard schemas",
                 )
             return self._info_override
-        if self._combine:
+        if first.delivery == Delivery.REPLACE:
             return StreamInfo(
                 schema=first.schema,
                 primary_key=first.primary_key,
@@ -299,6 +304,15 @@ class UnionOperator(Operator):
             clustering_key=first.clustering_key,
             delivery=Delivery.DELTA,
         )
+
+    def _on_bound(self) -> None:
+        self._combine = self.input_infos[0].delivery == Delivery.REPLACE
+
+    def required_inputs(self, input_schemas, required):
+        return [required] * self.n_inputs
+
+    def signature(self, alpha: bool) -> tuple:
+        return (self.n_inputs, self.sort_keys)
 
     # -- REPLACE combine ---------------------------------------------------------
     def _all_ports_accounted(self) -> bool:

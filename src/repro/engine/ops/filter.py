@@ -11,17 +11,21 @@ aggregations in practice).
 
 from __future__ import annotations
 
-from repro.errors import QueryError
+from repro.analysis.schema_check import expr_dtype
 from repro.dataframe.expr import Expr
 from repro.dataframe.frame import DataFrame
+from repro.dataframe.schema import DType
 from repro.core.properties import Delivery, StreamInfo
 from repro.engine.message import Message
 from repro.engine.ops.base import Operator
+from repro.engine.plan_node import canon_expr
 from repro.storage.zonemap import SargablePredicate, sargable_conjuncts
 
 
 class FilterOperator(Operator):
     """Keep rows satisfying ``predicate``."""
+
+    mergeable = True
 
     def __init__(self, name: str, predicate: Expr) -> None:
         super().__init__(name)
@@ -42,27 +46,43 @@ class FilterOperator(Operator):
     def _derive_info(self, inputs: tuple[StreamInfo, ...]) -> StreamInfo:
         (info,) = inputs
         schema = info.schema
-        referenced = self.predicate.columns()
-        missing = referenced - set(schema.names)
-        if missing:
-            raise QueryError(
-                f"filter {self.name!r}: unknown column(s) {sorted(missing)}"
+        dtype = expr_dtype(self.predicate, schema, self)
+        if dtype is not None and dtype is not DType.BOOL:
+            raise self.fail(
+                "type-mismatch",
+                f"filter predicate {self.predicate!r} has dtype "
+                f"{dtype.value}, expected bool",
             )
-        touches_mutable = bool(referenced & set(schema.mutable_names))
-        self._recompute = (
-            touches_mutable and info.delivery == Delivery.DELTA
-        )
-        delivery = (
-            Delivery.REPLACE
-            if (self._recompute or info.delivery == Delivery.REPLACE)
-            else Delivery.DELTA
+        # A predicate over mutable attributes can only be evaluated on
+        # snapshots, so a DELTA input is accumulated and re-emitted.
+        touches_mutable = bool(
+            self.predicate.columns() & set(schema.mutable_names)
         )
         return StreamInfo(
             schema=schema,
             primary_key=info.primary_key,
             clustering_key=info.clustering_key,
-            delivery=delivery,
+            delivery=(
+                Delivery.REPLACE if touches_mutable else info.delivery
+            ),
         )
+
+    def _on_bound(self) -> None:
+        self._recompute = (
+            self.input_infos[0].delivery == Delivery.DELTA
+            and self.output_info.delivery == Delivery.REPLACE
+        )
+
+    def required_inputs(self, input_schemas, required):
+        if required is None:
+            return [None]
+        return [required | set(self.predicate.columns())]
+
+    def signature(self, alpha: bool) -> tuple:
+        return (canon_expr(self.predicate),)
+
+    def clone(self, tag: str) -> "FilterOperator":
+        return FilterOperator(f"{self.name}{tag}", self.predicate)
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         if self._recompute:

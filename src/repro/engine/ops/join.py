@@ -26,23 +26,118 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import QueryError
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.join import JoinIndex, hash_join
-from repro.dataframe.schema import AttributeKind, Field, Schema
+from repro.dataframe.schema import DType, Field, Schema
 from repro.core.properties import Delivery, StreamInfo
 from repro.engine.message import Message
-from repro.engine.ops.base import Operator
+from repro.engine.ops.base import Operator, surviving_key
 
 
-class HashJoinOperator(Operator):
+class _JoinOperator(Operator):
+    """What the three joins share at plan time: the output naming rule
+    (left columns, then right columns minus the dropped keys, collisions
+    suffixed) and the per-side key checks and column demand that follow
+    from it."""
+
+    n_inputs = 2
+    suffix: str
+
+    def _right_renames(self, left, right, dropped=()) -> dict[str, str]:
+        """Right-input column → output name (the
+        ``dataframe.join._resolve_output_names`` contract)."""
+        taken = set(left.names)
+        mapping: dict[str, str] = {}
+        for name in right.names:
+            if name in dropped:
+                continue
+            out = name if name not in taken else name + self.suffix
+            if out in taken:
+                raise self.fail(
+                    "duplicate-output",
+                    f"column {out!r} collides even after applying "
+                    f"suffix {self.suffix!r}",
+                    column=out,
+                )
+            mapping[name] = out
+            taken.add(out)
+        return mapping
+
+    def _joined_schema(self, left, right, dropped=(), retag=None):
+        """Left fields, then the surviving right fields under their
+        output names; ``retag`` adjusts a right field's dtype/kind."""
+        fields = list(left.fields)
+        for name, out in self._right_renames(left, right, dropped).items():
+            field = right.field(name)
+            if retag is not None:
+                field = retag(field)
+            fields.append(field.renamed(out))
+        return Schema(fields)
+
+    def _check_keys(self, left, right, left_on, right_on) -> None:
+        for side, schema, keys in (
+            ("left", left, left_on), ("right", right, right_on)
+        ):
+            for key in keys:
+                if key not in schema:
+                    raise self.fail(
+                        "undefined-column",
+                        f"{side} key {key!r} not in schema; available: "
+                        f"{list(schema.names)}",
+                        column=key,
+                    )
+        for l_key, r_key in zip(left_on, right_on):
+            l_dtype, r_dtype = left.dtype(l_key), right.dtype(r_key)
+            # Mirrors the runtime kernel's _check_key_dtypes:
+            # int/float/date inter-compare; bool only with bool; string
+            # only with string.
+            if _key_class(l_dtype) != _key_class(r_dtype):
+                raise self.fail(
+                    "type-mismatch",
+                    f"join key dtypes are incompatible: {l_key!r} is "
+                    f"{l_dtype.value}, {r_key!r} is {r_dtype.value}",
+                    column=l_key,
+                )
+
+    def _split_required(
+        self, input_schemas, required, left_on=(), right_on=()
+    ) -> list[set[str] | None]:
+        """Per-side demand: each side supplies its keys plus whichever
+        of its columns surface (possibly renamed) in ``required``."""
+        if required is None:
+            return [None, None]
+        left, right = input_schemas
+        renames = self._right_renames(left, right, right_on)
+        return [
+            (required & set(left.names)) | set(left_on),
+            {name for name, out in renames.items() if out in required}
+            | set(right_on),
+        ]
+
+
+def _key_class(dtype: DType) -> str:
+    if dtype is DType.STRING:
+        return "string"
+    if dtype is DType.BOOL:
+        return "bool"
+    return "numeric"
+
+
+def _null_filled(field: Field) -> Field:
+    """Left-join NaN fills promote int/date right columns to float64."""
+    if field.dtype in (DType.INT64, DType.DATE):
+        return Field(field.name, DType.FLOAT64, field.kind)
+    return field
+
+
+class HashJoinOperator(_JoinOperator):
     """Equi-join; port 0 = probe (streamed), port 1 = build (buffered).
 
     ``how`` ∈ {inner, left, semi, anti}.  Output delivery follows the
     probe side; the build side is always consumed to EOF first.
     """
 
-    n_inputs = 2
+    build_ports = (1,)
 
     def __init__(
         self,
@@ -67,38 +162,45 @@ class HashJoinOperator(Operator):
     # -- plan time ---------------------------------------------------------------
     def _derive_info(self, inputs: tuple[StreamInfo, ...]) -> StreamInfo:
         left, right = inputs
-        for key in self.left_on:
-            if key not in left.schema:
-                raise QueryError(
-                    f"join {self.name!r}: left key {key!r} not in schema"
-                )
-        for key in self.right_on:
-            if key not in right.schema:
-                raise QueryError(
-                    f"join {self.name!r}: right key {key!r} not in schema"
-                )
-        probe = hash_join(
-            DataFrame.empty(left.schema),
-            DataFrame.empty(right.schema),
-            list(self.left_on),
-            list(self.right_on),
-            how=self.how,
-            suffix=self.suffix,
+        self._check_keys(
+            left.schema, right.schema, self.left_on, self.right_on
         )
-        out_names = set(probe.schema.names)
+        if self.how in ("semi", "anti"):
+            schema = left.schema
+        else:
+            schema = self._joined_schema(
+                left.schema, right.schema, self.right_on,
+                _null_filled if self.how == "left" else None,
+            )
         return StreamInfo(
-            schema=probe.schema,
-            primary_key=(
-                left.primary_key
-                if set(left.primary_key) <= out_names
-                else ()
-            ),
-            clustering_key=(
-                left.clustering_key
-                if set(left.clustering_key) <= out_names
-                else ()
-            ),
+            schema=schema,
+            primary_key=surviving_key(left.primary_key, schema),
+            clustering_key=surviving_key(left.clustering_key, schema),
             delivery=left.delivery,
+        )
+
+    def required_inputs(self, input_schemas, required):
+        if self.how in ("semi", "anti"):
+            left = input_schemas[0]
+            left_req = (
+                None if required is None
+                else (required & set(left.names)) | set(self.left_on)
+            )
+            return [left_req, set(self.right_on)]
+        return self._split_required(
+            input_schemas, required, self.left_on, self.right_on
+        )
+
+    def signature(self, alpha: bool) -> tuple:
+        pairs = tuple(zip(self.left_on, self.right_on))
+        if alpha:
+            pairs = tuple(sorted(pairs))
+        return (pairs, self.how, self.suffix)
+
+    def clone(self, tag: str) -> "HashJoinOperator":
+        return HashJoinOperator(
+            f"{self.name}{tag}", self.left_on, self.right_on,
+            how=self.how, suffix=self.suffix,
         )
 
     # -- run time -----------------------------------------------------------------
@@ -164,11 +266,9 @@ class HashJoinOperator(Operator):
         return out
 
 
-class MergeJoinOperator(Operator):
+class MergeJoinOperator(_JoinOperator):
     """Progressive merge join on one numeric key; both inputs DELTA and
     clustered/sorted on their respective keys."""
-
-    n_inputs = 2
 
     def __init__(
         self,
@@ -188,42 +288,51 @@ class MergeJoinOperator(Operator):
 
     def _derive_info(self, inputs: tuple[StreamInfo, ...]) -> StreamInfo:
         left, right = inputs
+        self._check_keys(
+            left.schema, right.schema, (self.left_on,), (self.right_on,)
+        )
         for info, key, side in (
             (left, self.left_on, "left"),
             (right, self.right_on, "right"),
         ):
-            if key not in info.schema:
-                raise QueryError(
-                    f"merge join {self.name!r}: {side} key {key!r} missing"
-                )
             if info.delivery != Delivery.DELTA:
-                raise QueryError(
-                    f"merge join {self.name!r}: {side} input must stream "
-                    f"DELTA messages (got {info.delivery.value})"
+                raise self.fail(
+                    "delivery-misuse",
+                    f"{side} input must stream DELTA messages (got "
+                    f"{info.delivery.value}); use a hash join for "
+                    f"REPLACE inputs",
                 )
             if not info.clustered_on((key,)):
-                raise QueryError(
-                    f"merge join {self.name!r}: {side} input is not "
-                    f"clustered on {key!r}; use a hash join instead"
+                raise self.fail(
+                    "delivery-misuse",
+                    f"{side} input is not clustered on {key!r}; use a "
+                    f"hash join instead",
+                    column=key,
                 )
-        probe = hash_join(
-            DataFrame.empty(left.schema),
-            DataFrame.empty(right.schema),
-            [self.left_on],
-            [self.right_on],
-            how="inner",
-            suffix=self.suffix,
+            if info.schema.dtype(key) is DType.STRING:
+                raise self.fail(
+                    "type-mismatch",
+                    f"{side} key {key!r} is a string; watermark merging "
+                    f"requires a numeric key",
+                    column=key,
+                )
+        schema = self._joined_schema(
+            left.schema, right.schema, (self.right_on,)
         )
         return StreamInfo(
-            schema=probe.schema,
-            primary_key=(
-                left.primary_key
-                if set(left.primary_key) <= set(probe.schema.names)
-                else ()
-            ),
+            schema=schema,
+            primary_key=surviving_key(left.primary_key, schema),
             clustering_key=left.clustering_key,
             delivery=Delivery.DELTA,
         )
+
+    def required_inputs(self, input_schemas, required):
+        return self._split_required(
+            input_schemas, required, (self.left_on,), (self.right_on,)
+        )
+
+    def signature(self, alpha: bool) -> tuple:
+        return (self.left_on, self.right_on, self.suffix)
 
     def _key(self, port: int) -> str:
         return self.left_on if port == 0 else self.right_on
@@ -299,7 +408,7 @@ class MergeJoinOperator(Operator):
         return self._emitable(force=all(self._closed))
 
 
-class CrossJoinOperator(Operator):
+class CrossJoinOperator(_JoinOperator):
     """Cartesian product with a small right side (scalar subqueries).
 
     With a REPLACE right input ("live" mode) the operator accumulates the
@@ -308,12 +417,11 @@ class CrossJoinOperator(Operator):
     messages then stream through.
     """
 
-    n_inputs = 2
-
     def __init__(self, name: str, suffix: str = "_right") -> None:
         super().__init__(name)
         self.suffix = suffix
         self._live = False
+        self._rename: dict[str, str] = {}
         self._left_parts: list[DataFrame] = []
         self._left_snapshot: DataFrame | None = None
         self._right_parts: list[DataFrame] = []
@@ -323,33 +431,33 @@ class CrossJoinOperator(Operator):
 
     def _derive_info(self, inputs: tuple[StreamInfo, ...]) -> StreamInfo:
         left, right = inputs
-        fields = list(left.schema.fields)
-        taken = set(left.schema.names)
-        self._rename: dict[str, str] = {}
-        for f in right.schema:
-            out = f.name if f.name not in taken else f.name + self.suffix
-            if out in taken:
-                raise QueryError(
-                    f"cross join {self.name!r}: column {out!r} collides"
-                )
-            self._rename[f.name] = out
-            taken.add(out)
-            kind = (
-                AttributeKind.MUTABLE
-                if right.delivery == Delivery.REPLACE
-                else f.kind
-            )
-            fields.append(Field(out, f.dtype, kind))
-        self._live = right.delivery == Delivery.REPLACE
-        delivery = (
-            Delivery.REPLACE if self._live else left.delivery
-        )
+        live = right.delivery == Delivery.REPLACE
         return StreamInfo(
-            schema=Schema(fields),
+            schema=self._joined_schema(
+                left.schema, right.schema,
+                retag=Field.as_mutable if live else None,
+            ),
             primary_key=(),
             clustering_key=(),
-            delivery=delivery,
+            delivery=Delivery.REPLACE if live else left.delivery,
         )
+
+    def _on_bound(self) -> None:
+        left, right = self.input_infos
+        self._rename = self._right_renames(left.schema, right.schema)
+        self._live = right.delivery == Delivery.REPLACE
+
+    @property
+    def build_ports(self) -> tuple[int, ...]:
+        """A DELTA right side is buffered to its EOF; a live (REPLACE)
+        one streams alongside the left."""
+        return () if self._live else (1,)
+
+    def required_inputs(self, input_schemas, required):
+        return self._split_required(input_schemas, required)
+
+    def signature(self, alpha: bool) -> tuple:
+        return (self.suffix,)
 
     def _product(self, left: DataFrame, right: DataFrame) -> DataFrame:
         n, m = left.n_rows, right.n_rows

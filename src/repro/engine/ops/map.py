@@ -20,10 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import QueryError
+from repro.analysis.schema_check import expr_dtype
 from repro.dataframe.expr import Column, Expr
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.schema import (
     AttributeKind,
+    DType,
     Field,
     Schema,
     dtype_of,
@@ -31,7 +33,8 @@ from repro.dataframe.schema import (
 from repro.core.ci import propagate_map_variance, sigma_column
 from repro.core.properties import StreamInfo
 from repro.engine.message import Message
-from repro.engine.ops.base import Operator
+from repro.engine.ops.base import Operator, surviving_key
+from repro.engine.plan_node import canon_expr
 
 
 class SelectOperator(Operator):
@@ -42,6 +45,8 @@ class SelectOperator(Operator):
     mutable inputs with ``<col>__sigma`` companions get their own sigma
     columns via the delta method (§6 "Variance Propagation").
     """
+
+    mergeable = True
 
     def __init__(
         self,
@@ -64,59 +69,81 @@ class SelectOperator(Operator):
         """True for a bare ``col(name)`` projection of the same name."""
         return isinstance(expr, Column) and expr.name == name
 
+    def _sigma_sources(self, expr: Expr, schema: Schema) -> dict[str, str]:
+        """Mutable inputs of ``expr`` that carry a sigma companion."""
+        return {
+            c: sigma_column(c)
+            for c in expr.columns() & set(schema.mutable_names)
+            if sigma_column(c) in schema
+        }
+
     def _derive_info(self, inputs: tuple[StreamInfo, ...]) -> StreamInfo:
         (info,) = inputs
         schema: Schema = info.schema
         fields: list[Field] = []
         mutable_inputs = set(schema.mutable_names)
-        probe = DataFrame.empty(schema)
         for out_name, expr in self.exprs:
-            referenced = expr.columns()
-            missing = referenced - set(schema.names)
-            if missing:
-                raise QueryError(
-                    f"select {self.name!r}: unknown column(s) "
-                    f"{sorted(missing)}"
-                )
-            is_mutable = bool(referenced & mutable_inputs)
+            dtype = expr_dtype(expr, schema, self)
+            is_mutable = bool(expr.columns() & mutable_inputs)
             if self._is_passthrough(expr, out_name):
                 fields.append(schema.field(out_name))
             else:
-                values = np.asarray(expr.evaluate(probe))
-                if values.ndim == 0:  # pure literal: broadcast scalar
-                    values = np.full(0, values)
+                if dtype is None:
+                    # Not statically typable (numpy-scalar literal,
+                    # user Expr subclass): ask numpy on an empty frame.
+                    values = np.asarray(
+                        expr.evaluate(DataFrame.empty(schema))
+                    )
+                    dtype = dtype_of(values)
+                elif dtype is DType.DATE:
+                    # A computed column is what ``dtype_of`` will call
+                    # it at run time: dates are physically int64.
+                    dtype = DType.INT64
                 kind = (
                     AttributeKind.MUTABLE if is_mutable
                     else AttributeKind.CONSTANT
                 )
-                fields.append(Field(out_name, dtype_of(values), kind))
-            if self.propagate_ci and is_mutable:
-                sigmas = {
-                    c: sigma_column(c)
-                    for c in referenced & mutable_inputs
-                    if sigma_column(c) in schema
-                }
-                if sigmas:
-                    self._ci_sources[out_name] = sigmas
-                    fields.append(
-                        Field(sigma_column(out_name), fields[-1].dtype,
-                              AttributeKind.MUTABLE)
-                    )
-        out_schema = Schema(fields)
-        out_names = set(out_schema.names)
-        clustering = (
-            info.clustering_key
-            if set(info.clustering_key) <= out_names
-            else ()
-        )
-        primary = (
-            info.primary_key if set(info.primary_key) <= out_names else ()
-        )
+                fields.append(Field(out_name, dtype, kind))
+            if self.propagate_ci and self._sigma_sources(expr, schema):
+                fields.append(
+                    Field(sigma_column(out_name), fields[-1].dtype,
+                          AttributeKind.MUTABLE)
+                )
+        out_schema = self._schema(fields)
         return StreamInfo(
             schema=out_schema,
-            primary_key=primary,
-            clustering_key=clustering,
+            primary_key=surviving_key(info.primary_key, out_schema),
+            clustering_key=surviving_key(info.clustering_key, out_schema),
             delivery=info.delivery,
+        )
+
+    def _on_bound(self) -> None:
+        if self.propagate_ci:
+            schema = self.input_infos[0].schema
+            sources = {
+                out_name: self._sigma_sources(expr, schema)
+                for out_name, expr in self.exprs
+            }
+            self._ci_sources = {n: s for n, s in sources.items() if s}
+
+    def required_inputs(self, input_schemas, required):
+        # A select *evaluates* every expression regardless of what is
+        # consumed downstream, so its demand is exactly what the
+        # expressions reference — it never passes columns through.
+        needed: set[str] = set()
+        for _out, expr in self.exprs:
+            needed |= set(expr.columns())
+        return [needed]
+
+    def signature(self, alpha: bool) -> tuple:
+        exprs = [(name, canon_expr(expr)) for name, expr in self.exprs]
+        if alpha:
+            exprs = sorted(exprs)
+        return (tuple(exprs), self.propagate_ci)
+
+    def clone(self, tag: str) -> "SelectOperator":
+        return SelectOperator(
+            f"{self.name}{tag}", self.exprs, propagate_ci=self.propagate_ci
         )
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
@@ -185,18 +212,22 @@ class MapPartitionsOperator(Operator):
         else:
             probe = self.fn(DataFrame.empty(info.schema))
             out_schema = probe.schema
-        clustering = (
-            info.clustering_key
-            if self.preserves_clustering
-            and set(info.clustering_key) <= set(out_schema.names)
-            else ()
-        )
         return StreamInfo(
             schema=out_schema,
             primary_key=(),
-            clustering_key=clustering,
+            clustering_key=(
+                surviving_key(info.clustering_key, out_schema)
+                if self.preserves_clustering else ()
+            ),
             delivery=info.delivery,
         )
+
+    def signature(self, alpha: bool) -> tuple:
+        # An arbitrary callable's behaviour is opaque: identity is the
+        # only sound equality, so two *different* function objects never
+        # compare equal (and never hash together).
+        fn = self.fn
+        return (getattr(fn, "__qualname__", repr(fn)), id(fn))
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         return [message.replaced_frame(self.fn(message.frame))]

@@ -5,7 +5,8 @@ counters that the whole pipeline inherits (§4.4: the only metadata needed
 is the file list, per-file tuple counts, and key attributes).
 
 The scan layer accepts two pushdowns from the planner
-(:func:`repro.engine.planner.pushdown_plan`):
+(:func:`repro.engine.planner.projection_pass` /
+:func:`~repro.engine.planner.pruning_pass`):
 
 * ``columns`` — projection: only the selected columns are decompressed
   per partition, so per-message scan cost is O(selected columns), not
@@ -29,7 +30,7 @@ from repro.errors import QueryError
 from repro.dataframe import DataFrame, Schema
 from repro.core.properties import Delivery, Progress, StreamInfo
 from repro.engine.message import Message
-from repro.engine.ops.base import SourceOperator
+from repro.engine.ops.base import SourceOperator, surviving_key
 from repro.storage.catalog import TableMeta
 from repro.storage.zonemap import SargablePredicate, prunable_partitions
 
@@ -242,21 +243,24 @@ class ReadOperator(SourceOperator):
 
     def _derive_info(self, inputs) -> StreamInfo:
         schema = self.scan_schema()
-        names = set(schema.names)
         return StreamInfo(
             schema=schema,
-            primary_key=(
-                self.meta.primary_key
-                if set(self.meta.primary_key) <= names
-                else ()
-            ),
-            clustering_key=(
-                self.meta.clustering_key
-                if set(self.meta.clustering_key) <= names
-                else ()
+            primary_key=surviving_key(self.meta.primary_key, schema),
+            clustering_key=surviving_key(
+                self.meta.clustering_key, schema
             ),
             delivery=Delivery.DELTA,
         )
+
+    def signature(self, alpha: bool) -> tuple:
+        preds = tuple(sorted(repr(p) for p in self.predicates))
+        order = tuple(self.order) if self.order is not None else None
+        # The source label carries a per-context scan counter;
+        # α-equivalent plans reading the same table must hash together,
+        # but strict equality keeps it (progress counters are keyed by
+        # it).
+        label = self.meta.name if alpha else self.source_name
+        return (self.meta.name, label, order, self.columns, preds)
 
     def stream(self) -> Iterator[Message]:
         """A fresh retry-safe cursor over the table's partitions (see

@@ -35,6 +35,8 @@ class SortLimitOperator(Operator):
     """Sort by keys (optional) and keep the first ``limit`` rows
     (optional).  At least one of the two must be requested."""
 
+    mergeable = True
+
     def __init__(
         self,
         name: str,
@@ -60,18 +62,29 @@ class SortLimitOperator(Operator):
         (info,) = inputs
         for key in self.by:
             if key not in info.schema:
-                raise QueryError(
-                    f"sort {self.name!r}: unknown key {key!r}"
+                raise self.fail(
+                    "undefined-column",
+                    f"unknown sort key {key!r}; available: "
+                    f"{list(info.schema.names)}",
+                    column=key,
                 )
-        self._parts = []
-        self._cached = None
-        self._topk = None
         return StreamInfo(
             schema=info.schema,
             primary_key=info.primary_key,
             clustering_key=self.by,  # output is physically ordered by keys
             delivery=Delivery.REPLACE,
         )
+
+    def required_inputs(self, input_schemas, required):
+        if required is None:
+            return [None]
+        return [required | set(self.by)]
+
+    def signature(self, alpha: bool) -> tuple:
+        ascending = self.ascending
+        if not isinstance(ascending, bool):
+            ascending = tuple(bool(a) for a in ascending)
+        return (self.by, ascending, self.limit)
 
     def _emit(self, frame: DataFrame) -> list[Message]:
         return [

@@ -1,8 +1,8 @@
 """Algebraic plan-rewrite engine: composable optimizer rules.
 
-The planner used to be two hard-coded passes (``pushdown_plan`` +
-``shard_plan``) welded together; every new rewrite meant more bespoke
-graph surgery.  This module re-expresses planning as a small fixed-point
+The planner used to be two hard-coded passes (scan pushdown + shard
+rewrite) welded together; every new rewrite meant more bespoke graph
+surgery.  This module re-expresses planning as a small fixed-point
 rule engine over the :class:`~repro.engine.graph.QueryGraph` algebra —
 the shape dask-expr's ``.simplify()`` converges on, and the property the
 paper's deep-OLA engine assumes (§4: logical plans can be freely
@@ -18,11 +18,11 @@ Two rule tiers:
   unoptimized plan's (the engine's parity contract, enforced over all
   22 TPC-H queries by ``tests/tpch/test_optimizer_parity.py``).
 * **Physical rules** run exactly once, after the logical fixed point:
-  :class:`ProjectionPushdown` and :class:`PredicatePushdown` (the former
-  ``pushdown_plan`` passes) and :class:`ExchangeRewrite` (the former
-  ``shard_plan``).  They are one-shot because they are not idempotent
-  under re-application (re-sharding a sharded plan would shard the
-  replicas).
+  :class:`ProjectionPushdown` and :class:`PredicatePushdown`
+  (``planner.projection_pass`` / ``pruning_pass``) and
+  :class:`ExchangeRewrite` (``planner.shard_plan``).  They are
+  one-shot because they are not idempotent under re-application
+  (re-sharding a sharded plan would shard the replicas).
 
 Every rule reports how many nodes it rewrote into an
 :class:`OptimizerTrace`, which ``explain`` renders together with the
@@ -68,6 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import PlanValidationError, QueryError, ReproError
+from repro.analysis.schema_check import plan_fingerprint
 from repro.dataframe.expr import (
     BinaryExpr,
     CaseExpr,
@@ -83,10 +84,8 @@ from repro.dataframe.expr import (
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import (
     AggregateOperator,
-    DistinctOperator,
     FilterOperator,
     SelectOperator,
-    SortLimitOperator,
     UnionOperator,
 )
 from repro.engine.planner import (
@@ -407,24 +406,16 @@ class AggregateProjectionPrune(Rule):
         return graph, output, rewrites
 
 
-#: Operator types CSE may merge: single-input, deterministic, and
-#: message-per-message (their event interleaving is what the order proof
-#: below reasons about).  Sources are excluded (progress counters are
-#: per-source), exchanges are excluded (siblings share a hash cache with
-#: a reads-remaining count), MapPartitions is excluded (arbitrary
-#: callables may be stateful).
-_CSE_TYPES = (
-    FilterOperator,
-    SelectOperator,
-    DistinctOperator,
-    SortLimitOperator,
-    AggregateOperator,
-)
-
-
 class CommonSubplanElimination(Rule):
     """Merge structurally identical subtrees into one operator with
     fan-out.
+
+    Candidates are operators that declare themselves ``mergeable``:
+    single-input, deterministic and message-per-message (their event
+    interleaving is what the order proof reasons about).  Sources
+    (progress counters are per-source), exchanges (siblings share a
+    hash cache with a reads-remaining count) and MapPartitions
+    (arbitrary callables may be stateful) do not.
 
     A duplicate group merges only when doing so provably preserves the
     executor's FIFO event order (see module docstring): same input node,
@@ -436,7 +427,7 @@ class CommonSubplanElimination(Rule):
     name = "common-subplan"
 
     def apply(self, graph, output):
-        groups = duplicate_groups(graph, _CSE_TYPES)
+        groups = duplicate_groups(graph)
         if not groups:
             return graph, output, 0
         subs = graph.subscribers()
@@ -494,7 +485,7 @@ class CommonSubplanElimination(Rule):
 
 class PredicatePushdown(Rule):
     """Thread sargable filter conjuncts into the scans for zone-map
-    partition pruning (the former ``pushdown_plan`` pruning half)."""
+    partition pruning."""
 
     name = "predicate-pushdown"
 
@@ -503,8 +494,7 @@ class PredicatePushdown(Rule):
 
 
 class ProjectionPushdown(Rule):
-    """Narrow scans to downstream-referenced columns (the former
-    ``pushdown_plan`` projection half)."""
+    """Narrow scans to downstream-referenced columns."""
 
     name = "projection-pushdown"
 
@@ -514,7 +504,7 @@ class ProjectionPushdown(Rule):
 
 class ExchangeRewrite(Rule):
     """K-way shard rewrite of shuffle aggregates and aligned join chains
-    (the former ``shard_plan``).  One-shot: re-running would shard the
+    (``planner.shard_plan``).  One-shot: re-running would shard the
     replicas."""
 
     name = "exchange"
@@ -555,8 +545,8 @@ class Optimizer:
     :attr:`OptimizerTrace.checks`; with ``strict`` (or the
     ``REPRO_CHECK_REWRITES`` environment variable) set, drift raises
     :class:`PlanValidationError` instead of merely being recorded.
-    Plans whose output schema cannot be inferred (unknown operator
-    types) skip checking rather than guessing.
+    Plans the derivation itself rejects skip checking (submit-time
+    validation owns that failure).
     """
 
     def __init__(
@@ -600,17 +590,11 @@ class Optimizer:
 
     @staticmethod
     def _fingerprint(graph: QueryGraph, output: int):
-        # Imported here: repro.analysis imports repro.engine.ops, so a
-        # module-level import would tie this module's load order to the
-        # whole analysis package; deferring keeps the engine importable
-        # on its own.
-        from repro.analysis.schema_check import plan_fingerprint
-
         try:
             return plan_fingerprint(graph, output)
         except ReproError:
-            # A plan the checker itself rejects (or cannot infer) is not
-            # checkable; submit-time validation owns that failure.
+            # A plan the derivation itself rejects is not checkable;
+            # submit-time validation owns that failure.
             return None
 
     def _check(

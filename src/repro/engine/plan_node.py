@@ -15,12 +15,14 @@ The optimizer (``repro.engine.optimizer``) needs two related notions of
   α-equivalent plans answer the same query, so the hash is a sound cache
   key for shared-scan / snapshot caching (ROADMAP item 1).
 
-Both are built from one registry of per-operator signature functions
-(:func:`register_signature`), mirroring the planner's required-columns
-registry: an operator type the registry does not know gets a globally
-*unique* opaque signature, so unknown operators can never be merged by
-CSE and two plans containing them can never collide to one hash —
-conservative by construction.
+Both are built from each operator's own ``signature(alpha)`` method
+(:class:`repro.engine.ops.base.Operator`): an operator class that does
+not define one gets a globally *unique* opaque signature, so unknown
+operators can never be merged by CSE and two plans containing them can
+never collide to one hash — conservative by construction.
+
+Nothing here imports the operators: they import :func:`canon_expr`
+for their signatures, not the other way round.
 
 Canonicalization of expressions is bit-exactness-preserving: only
 transforms that cannot change a single output byte are applied (operand
@@ -31,7 +33,7 @@ comparison flips).  Floating-point *re-association* is never performed.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING
 
 from repro.dataframe.expr import (
     BinaryExpr,
@@ -45,22 +47,9 @@ from repro.dataframe.expr import (
     UnaryExpr,
     YearExpr,
 )
-from repro.engine.graph import QueryGraph
-from repro.engine.ops import (
-    AggregateOperator,
-    CrossJoinOperator,
-    DistinctOperator,
-    ExchangeOperator,
-    FilterOperator,
-    HashJoinOperator,
-    MapPartitionsOperator,
-    MergeJoinOperator,
-    ReadOperator,
-    SelectOperator,
-    SortLimitOperator,
-    UnionOperator,
-)
-from repro.engine.ops.base import Operator
+
+if TYPE_CHECKING:
+    from repro.engine.graph import QueryGraph
 
 #: Binary symbols whose numpy kernels are elementwise-commutative, so
 #: swapping operands is bitwise invisible (IEEE-754 + and * commute
@@ -135,141 +124,22 @@ def _flatten(expr: Expr, symbol: str) -> list[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Operator signatures (registry)
-# ---------------------------------------------------------------------------
-
-_SIGNATURES: dict[type, Callable[[Operator, bool], tuple]] = {}
-
-
-def register_signature(*op_types: type):
-    """Register a signature function for one or more operator types.
-
-    The function receives ``(op, alpha)`` and returns a tuple of plain
-    hashable values.  ``alpha=True`` asks for the order-insensitive
-    α-form; ``alpha=False`` must keep every byte-relevant detail.
-    """
-
-    def decorate(fn: Callable[[Operator, bool], tuple]):
-        for op_type in op_types:
-            _SIGNATURES[op_type] = fn
-        return fn
-
-    return decorate
-
-
-def operator_signature(op: Operator, alpha: bool = False) -> tuple:
-    """Canonical signature of one operator (excluding its inputs).
-
-    Unknown operator types yield a unique opaque signature — never equal
-    to any other operator's, so CSE cannot merge them and plan hashes
-    cannot collide through them.
-    """
-    fn = _SIGNATURES.get(type(op))
-    if fn is None:
-        return ("opaque", type(op).__name__, op.name, id(op))
-    return (type(op).__name__,) + tuple(fn(op, alpha))
-
-
-@register_signature(ReadOperator)
-def _sig_read(op: ReadOperator, alpha: bool) -> tuple:
-    preds = tuple(sorted(repr(p) for p in op.predicates))
-    order = tuple(op.order) if op.order is not None else None
-    # The source label carries a per-context scan counter; α-equivalent
-    # plans reading the same table must hash together, but strict
-    # equality keeps it (progress counters are keyed by it).
-    label = op.meta.name if alpha else op.source_name
-    return (op.meta.name, label, order, op.columns, preds)
-
-
-@register_signature(FilterOperator)
-def _sig_filter(op: FilterOperator, alpha: bool) -> tuple:
-    return (canon_expr(op.predicate),)
-
-
-@register_signature(SelectOperator)
-def _sig_select(op: SelectOperator, alpha: bool) -> tuple:
-    exprs = [(name, canon_expr(expr)) for name, expr in op.exprs]
-    if alpha:
-        exprs = sorted(exprs)
-    return (tuple(exprs), op.propagate_ci)
-
-
-@register_signature(AggregateOperator)
-def _sig_aggregate(op: AggregateOperator, alpha: bool) -> tuple:
-    specs = tuple(
-        (s.agg, s.column, s.alias, s.param) for s in op.specs
-    )
-    ci = repr(op.ci) if op.ci is not None else None
-    return (specs, op.by, ci, op.growth_mode, op.quantile_mode,
-            op.sketch_size, op.always_emit)
-
-
-@register_signature(SortLimitOperator)
-def _sig_sort(op: SortLimitOperator, alpha: bool) -> tuple:
-    ascending = op.ascending
-    if not isinstance(ascending, bool):
-        ascending = tuple(bool(a) for a in ascending)
-    return (op.by, ascending, op.limit)
-
-
-@register_signature(DistinctOperator)
-def _sig_distinct(op: DistinctOperator, alpha: bool) -> tuple:
-    return (op.subset,)
-
-
-@register_signature(HashJoinOperator)
-def _sig_hash_join(op: HashJoinOperator, alpha: bool) -> tuple:
-    pairs = tuple(zip(op.left_on, op.right_on))
-    if alpha:
-        pairs = tuple(sorted(pairs))
-    return (pairs, op.how, op.suffix)
-
-
-@register_signature(MergeJoinOperator)
-def _sig_merge_join(op: MergeJoinOperator, alpha: bool) -> tuple:
-    return (op.left_on, op.right_on, op.suffix)
-
-
-@register_signature(CrossJoinOperator)
-def _sig_cross_join(op: CrossJoinOperator, alpha: bool) -> tuple:
-    return (op.suffix,)
-
-
-@register_signature(ExchangeOperator)
-def _sig_exchange(op: ExchangeOperator, alpha: bool) -> tuple:
-    return (op.keys, op.shard, op.n_shards)
-
-
-@register_signature(UnionOperator)
-def _sig_union(op: UnionOperator, alpha: bool) -> tuple:
-    return (op.n_inputs, op.sort_keys)
-
-
-@register_signature(MapPartitionsOperator)
-def _sig_map(op: MapPartitionsOperator, alpha: bool) -> tuple:
-    # An arbitrary callable's behaviour is opaque: identity is the only
-    # sound equality, so two *different* function objects never compare
-    # equal (and never hash together).
-    fn = op.fn
-    return (getattr(fn, "__qualname__", repr(fn)), id(fn))
-
-
-# ---------------------------------------------------------------------------
 # Whole-plan digests
 # ---------------------------------------------------------------------------
 
 def node_digests(graph: QueryGraph, alpha: bool = False) -> dict[int, str]:
     """Per-node digest of the subtree rooted at each node.
 
-    Two nodes share a digest iff their operator signatures and their
-    whole input subtrees match (port order preserved — joins are not
-    symmetric).  Insertion order is topological, so one forward sweep
+    Two nodes share a digest iff their operator signatures (type name
+    plus the operator's own ``signature(alpha)``) and their whole input
+    subtrees match (port order preserved — joins are not symmetric).  Insertion order is topological, so one forward sweep
     suffices.
     """
     digests: dict[int, str] = {}
     for nid in sorted(graph.nodes):
         node = graph.node(nid)
-        signature = operator_signature(node.operator, alpha=alpha)
+        op = node.operator
+        signature = (type(op).__name__,) + tuple(op.signature(alpha))
         payload = repr(
             (signature, tuple(digests[i] for i in node.inputs))
         )
@@ -301,15 +171,13 @@ def plans_alpha_equal(
     )
 
 
-def duplicate_groups(
-    graph: QueryGraph, mergeable: Sequence[type]
-) -> dict[str, list[int]]:
+def duplicate_groups(graph: QueryGraph) -> dict[str, list[int]]:
     """Strict-digest groups with more than one node, restricted to
-    ``mergeable`` operator types (the CSE candidates), keyed by digest,
-    node ids ascending."""
+    operators that declare themselves ``mergeable`` (the CSE
+    candidates), keyed by digest, node ids ascending."""
     digests = node_digests(graph, alpha=False)
     groups: dict[str, list[int]] = {}
     for nid in sorted(graph.nodes):
-        if isinstance(graph.node(nid).operator, tuple(mergeable)):
+        if graph.node(nid).operator.mergeable:
             groups.setdefault(digests[nid], []).append(nid)
     return {d: ids for d, ids in groups.items() if len(ids) > 1}

@@ -1,19 +1,20 @@
 """Plan rewriting: scan pushdowns and sharded data parallelism.
 
-``pushdown_plan`` runs first (before any shard rewrite): it walks the
+The pushdown passes run first (before any shard rewrite): they walk the
 graph from the output back to the sources collecting, per
 :class:`ReadOperator`, (1) the set of columns any downstream operator can
-ever reference — threaded into the scan as a *projection* so npz
-partitions decompress only the needed arrays — and (2) the sargable
-conjuncts of downstream single-subscriber filters, evaluated against the
-catalog's per-partition zone maps to *skip* partitions entirely
-(predicate pushdown; see :mod:`repro.storage.zonemap`).  Both pushdowns
+ever reference (each operator's own ``required_inputs``) — threaded into
+the scan as a *projection* so npz partitions decompress only the needed
+arrays (:func:`projection_pass`) — and (2) the sargable conjuncts of
+downstream single-subscriber filters, evaluated against the catalog's
+per-partition zone maps to *skip* partitions entirely
+(:func:`pruning_pass`; see :mod:`repro.storage.zonemap`).  Both pushdowns
 are semantically invisible: projection only removes columns nothing
 reads, and a pruned partition still advances progress by its tuple count
 via an empty partial, so snapshot cadence, growth-inference ``t``, and
 exact finals are byte-identical to the unpushed plan.
 
-``shard_plan`` rewrites a resolved (already pushed-down)
+``shard_plan`` rewrites an (already pushed-down)
 :class:`QueryGraph` so that stateful shuffle subplans run as K parallel
 replicas, each owning a disjoint hash range of the keys:
 
@@ -43,29 +44,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import QueryError
+from repro.analysis.schema_check import infer_plan
+from repro.core.properties import Delivery
 from repro.dataframe.expr import Column
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import (
     AggregateOperator,
-    CrossJoinOperator,
-    DistinctOperator,
     ExchangeOperator,
     FilterOperator,
     HashJoinOperator,
-    MergeJoinOperator,
     ReadOperator,
     SelectOperator,
-    SortLimitOperator,
     UnionOperator,
 )
-from repro.engine.ops.base import Operator
 from repro.engine.ops.exchange import ShardHashCache
 from repro.storage.zonemap import SargablePredicate
-
-#: Row-local operators a fused shard chain may pass through (their output
-#: for a masked message equals the mask of their output — Case 1 ops).
-_CHAIN_TYPES = (FilterOperator, SelectOperator)
 
 
 @dataclass(frozen=True)
@@ -86,7 +79,8 @@ def _trace_chain(
     graph: QueryGraph, subs: dict[int, list[tuple[int, int]]], agg_id: int
 ) -> tuple[list[int], int, set[str]]:
     """Walk from the aggregate's input through single-subscriber
-    Filter/Select nodes, tracking which base-side column each group key
+    Filter/Select nodes (row-local: their output for a masked message
+    equals the mask of their output), tracking which base-side column each group key
     is a bare rename of.  Returns (chain ids top-down, base id, surviving
     key names at the base node's output)."""
     agg = graph.node(agg_id)
@@ -96,7 +90,8 @@ def _trace_chain(
     while True:
         node = graph.node(cur)
         op = node.operator
-        if not isinstance(op, _CHAIN_TYPES) or len(subs[cur]) != 1:
+        if (not isinstance(op, (FilterOperator, SelectOperator))
+                or len(subs[cur]) != 1):
             break
         if isinstance(op, SelectOperator):
             mapped: set[str] = set()
@@ -109,45 +104,20 @@ def _trace_chain(
     return chain, cur, names
 
 
-def _clone(op: Operator, tag: str) -> Operator:
-    """A fresh, unbound replica of a shardable operator."""
-    name = f"{op.name}{tag}"
-    if isinstance(op, AggregateOperator):
-        # always_emit: a shard replica must report on every message even
-        # while it owns zero groups, so the union can align combined
-        # progress to the slowest shard instead of guessing about ports
-        # that have never spoken.
-        return AggregateOperator(
-            name, op.specs, by=op.by, ci=op.ci,
-            growth_mode=op.growth_mode, quantile_mode=op.quantile_mode,
-            sketch_size=op.sketch_size, always_emit=True,
-        )
-    if isinstance(op, HashJoinOperator):
-        return HashJoinOperator(
-            name, op.left_on, op.right_on, how=op.how, suffix=op.suffix
-        )
-    if isinstance(op, FilterOperator):
-        return FilterOperator(name, op.predicate)
-    if isinstance(op, SelectOperator):
-        return SelectOperator(name, op.exprs, propagate_ci=op.propagate_ci)
-    raise QueryError(
-        f"cannot replicate operator {op.name!r} for sharding"
-    )
-
-
 def _plan_groups(
-    graph: QueryGraph, subs: dict[int, list[tuple[int, int]]]
+    graph: QueryGraph, infos: dict,
+    subs: dict[int, list[tuple[int, int]]],
 ) -> tuple[dict[int, _ShardGroup], set[int]]:
     """Pick the shardable subplans: shuffle-mode grouped aggregates, each
     optionally fused with the hash join feeding it."""
     groups: dict[int, _ShardGroup] = {}
     claimed: set[int] = set()
-    for nid in sorted(graph.nodes):
+    for nid in sorted(infos):
         op = graph.node(nid).operator
-        if not isinstance(op, AggregateOperator):
+        if not isinstance(op, AggregateOperator) or not op.by:
             continue
-        if op.local_mode or not op.by:
-            continue
+        if infos[nid].delivery == Delivery.DELTA:
+            continue  # local mode: already partition-parallel
         chain, base_id, names = _trace_chain(graph, subs, nid)
         base_op = graph.node(base_id).operator
         group: _ShardGroup | None = None
@@ -219,7 +189,7 @@ def _build_group(
         )
         for shard, port in enumerate(ports):
             tag = f"[s{shard}/{parallelism}]"
-            shard_tops.append(new.add(_clone(agg_op, tag), (port,)))
+            shard_tops.append(new.add(agg_op.clone(tag), (port,)))
     else:
         join_node = graph.node(group.join_id)
         join_op = join_node.operator
@@ -237,12 +207,12 @@ def _build_group(
         for shard in range(parallelism):
             tag = f"[s{shard}/{parallelism}]"
             cur = new.add(
-                _clone(join_op, tag),
+                join_op.clone(tag),
                 (probe_ports[shard], build_ports[shard]),
             )
             for chain_op in chain_ops:
-                cur = new.add(_clone(chain_op, tag), (cur,))
-            shard_tops.append(new.add(_clone(agg_op, tag), (cur,)))
+                cur = new.add(chain_op.clone(tag), (cur,))
+            shard_tops.append(new.add(agg_op.clone(tag), (cur,)))
     return new.add(
         UnionOperator(
             f"union({agg_op.name})", len(shard_tops),
@@ -253,171 +223,6 @@ def _build_group(
 
 
 # -- scan pushdowns -----------------------------------------------------------
-
-def _join_output_renames(
-    left_names: tuple[str, ...],
-    right_names: tuple[str, ...],
-    dropped_right: tuple[str, ...],
-    suffix: str,
-) -> dict[str, str]:
-    """Right-input column → output name, mirroring the join assembly rule:
-    ``dropped_right`` columns vanish (they duplicate the left keys for
-    equi-joins; empty for cross joins), collisions get ``suffix``."""
-    taken = set(left_names)
-    mapping: dict[str, str] = {}
-    for name in right_names:
-        if name in dropped_right:
-            continue
-        out = name if name not in taken else name + suffix
-        mapping[name] = out
-        taken.add(out)
-    return mapping
-
-
-def _two_sided_required(
-    required: set[str] | None,
-    left_names: tuple[str, ...],
-    right_names: tuple[str, ...],
-    left_keys: tuple[str, ...],
-    right_keys: tuple[str, ...],
-    dropped_right: tuple[str, ...],
-    suffix: str,
-) -> list[set[str] | None]:
-    """Per-side required columns for a binary (join-shaped) operator."""
-    if required is None:
-        return [None, None]
-    renames = _join_output_renames(
-        left_names, right_names, dropped_right, suffix
-    )
-    left_req = (required & set(left_names)) | set(left_keys)
-    right_req = {
-        name for name, out in renames.items() if out in required
-    } | set(right_keys)
-    return [left_req, right_req]
-
-
-#: Per-operator-type column-demand functions.  Each takes
-#: ``(op, input_schemas, required)`` and returns the columns each input
-#: port must supply (``None`` = everything).  A registry — rather than an
-#: isinstance chain — so a *missing* entry is an explicit, visible state
-#: that falls back to the conservative default instead of silently
-#: hitting the bottom of a chain: new operator types cannot break
-#: projection pushdown, they can only fail to benefit from it.
-_REQUIRED_INPUTS: dict[type, object] = {}
-
-
-def register_required_inputs(*op_types: type):
-    """Register the column-demand function for one or more operator
-    types (see :data:`_REQUIRED_INPUTS`)."""
-
-    def decorate(fn):
-        for op_type in op_types:
-            _REQUIRED_INPUTS[op_type] = fn
-        return fn
-
-    return decorate
-
-
-def _required_inputs(
-    op: Operator,
-    input_schemas: tuple,
-    required: set[str] | None,
-) -> list[set[str] | None]:
-    """Columns each input port must supply so that ``op`` can produce the
-    ``required`` output columns — a single registry lookup.  Unregistered
-    types (MapPartitionsOperator, anything new) get the conservative
-    default: every input port may be read in full."""
-    fn = _REQUIRED_INPUTS.get(type(op))
-    if fn is None:
-        return [None] * op.n_inputs
-    return fn(op, input_schemas, required)
-
-
-@register_required_inputs(FilterOperator)
-def _req_filter(op, input_schemas, required):
-    if required is None:
-        return [None]
-    return [required | set(op.predicate.columns())]
-
-
-@register_required_inputs(SelectOperator)
-def _req_select(op, input_schemas, required):
-    # A select *evaluates* every expression regardless of what is
-    # consumed downstream, so its demand is exactly what the
-    # expressions reference — it never passes columns through.
-    needed: set[str] = set()
-    for _out, expr in op.exprs:
-        needed |= set(expr.columns())
-    return [needed]
-
-
-@register_required_inputs(AggregateOperator)
-def _req_aggregate(op, input_schemas, required):
-    needed = set(op.by)
-    for spec in op.specs:
-        if spec.column is not None:
-            needed.add(spec.column)
-    return [needed]
-
-
-@register_required_inputs(SortLimitOperator)
-def _req_sort(op, input_schemas, required):
-    if required is None:
-        return [None]
-    return [required | set(op.by)]
-
-
-@register_required_inputs(DistinctOperator)
-def _req_distinct(op, input_schemas, required):
-    if required is None:
-        return [None]
-    # An empty subset means "distinct over all columns".
-    return [required | set(op.subset) if op.subset else None]
-
-
-@register_required_inputs(HashJoinOperator)
-def _req_hash_join(op, input_schemas, required):
-    left, right = input_schemas
-    if op.how in ("semi", "anti"):
-        left_req = (
-            None if required is None
-            else (required & set(left.names)) | set(op.left_on)
-        )
-        return [left_req, set(op.right_on)]
-    return _two_sided_required(
-        required, left.names, right.names,
-        op.left_on, op.right_on, op.right_on, op.suffix,
-    )
-
-
-@register_required_inputs(MergeJoinOperator)
-def _req_merge_join(op, input_schemas, required):
-    left, right = input_schemas
-    return _two_sided_required(
-        required, left.names, right.names,
-        (op.left_on,), (op.right_on,), (op.right_on,), op.suffix,
-    )
-
-
-@register_required_inputs(CrossJoinOperator)
-def _req_cross_join(op, input_schemas, required):
-    left, right = input_schemas
-    return _two_sided_required(
-        required, left.names, right.names, (), (), (), op.suffix,
-    )
-
-
-@register_required_inputs(ExchangeOperator)
-def _req_exchange(op, input_schemas, required):
-    if required is None:
-        return [None]
-    return [required | set(op.keys)]
-
-
-@register_required_inputs(UnionOperator)
-def _req_union(op, input_schemas, required):
-    return [required] * op.n_inputs
-
 
 def _collect_scan_predicates(
     graph: QueryGraph,
@@ -468,13 +273,11 @@ def projection_pass(graph: QueryGraph, output: int) -> int:
     """Narrow each scan to the columns anything downstream can read.
 
     Mutates :class:`ReadOperator` instances in place (each execution
-    materializes fresh operators, so no plan state leaks across runs)
-    and invalidates the graph's cached resolution.  Returns the number
-    of scans narrowed.
+    materializes fresh operators, so no plan state leaks across runs);
+    runs before anything binds the graph.  Returns the number of scans
+    narrowed.
     """
-    graph.validate_output(output)
-    infos = graph.resolve()
-    subs = graph.subscribers()
+    infos = infer_plan(graph, output)
     required: dict[int, set[str] | None] = {
         nid: set() for nid in graph.nodes
     }
@@ -483,13 +286,13 @@ def projection_pass(graph: QueryGraph, output: int) -> int:
     # consumer before its producers.
     for nid in sorted(graph.nodes, reverse=True):
         node = graph.node(nid)
-        if nid != output and not subs[nid]:
-            required[nid] = None  # dangling node: demand unknown
-        reqs = _required_inputs(
-            node.operator,
-            tuple(infos[i].schema for i in node.inputs),
-            required[nid],
-        )
+        if nid in infos:
+            reqs = node.operator.required_inputs(
+                tuple(infos[i].schema for i in node.inputs), required[nid]
+            )
+        else:
+            # Not reachable from the output: demand unknown.
+            reqs = [None] * len(node.inputs)
         for input_id, req in zip(node.inputs, reqs):
             if req is None:
                 required[input_id] = None
@@ -516,8 +319,6 @@ def projection_pass(graph: QueryGraph, output: int) -> int:
                 }
             op.set_columns(wanted)
             narrowed += 1
-    if narrowed:
-        graph.invalidate()
     return narrowed
 
 
@@ -526,7 +327,6 @@ def pruning_pass(graph: QueryGraph, output: int) -> int:
     partition pruning.  Returns the number of scans that received
     predicates."""
     graph.validate_output(output)
-    graph.resolve()
     subs = graph.subscribers()
     pushed = 0
     for nid in graph.source_ids():
@@ -537,29 +337,7 @@ def pruning_pass(graph: QueryGraph, output: int) -> int:
         if predicates:
             op.set_predicates(predicates)
             pushed += 1
-    if pushed:
-        graph.invalidate()
     return pushed
-
-
-def pushdown_plan(
-    graph: QueryGraph,
-    output: int,
-    projection: bool = True,
-    pruning: bool = True,
-) -> tuple[QueryGraph, int]:
-    """Push projections and sargable predicates into the base scans.
-
-    Back-compat façade over :func:`pruning_pass` + :func:`projection_pass`
-    (the optimizer invokes the passes as individual rules).  Must run
-    *before* :func:`shard_plan` so the shard rewrite replicates the
-    already-narrowed scans.
-    """
-    if pruning:
-        pruning_pass(graph, output)
-    if projection:
-        projection_pass(graph, output)
-    return graph, output
 
 
 def shard_plan(
@@ -572,10 +350,9 @@ def shard_plan(
     """
     if parallelism <= 1:
         return graph, output
-    graph.validate_output(output)
-    infos = graph.resolve()
+    infos = infer_plan(graph, output)
     subs = graph.subscribers()
-    groups, claimed = _plan_groups(graph, subs)
+    groups, claimed = _plan_groups(graph, infos, subs)
     if not groups:
         return graph, output
     new = QueryGraph()

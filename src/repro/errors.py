@@ -73,11 +73,14 @@ class QueryError(ReproError):
 class PlanValidationError(QueryError):
     """Static plan validation rejected a plan before execution.
 
-    Raised by :mod:`repro.analysis.schema_check` at submit time (and by
-    the optimizer's rewrite-soundness checker in strict mode).  Carries
-    enough structure for the snapshot server to return a machine-readable
-    error reply: the validation ``code``, the offending graph ``node`` id
-    and ``operator`` name, and the ``column`` involved (when one is).
+    Raised by an operator's own ``_derive_info`` — at submit time from
+    the unbound walk in :mod:`repro.analysis.schema_check`, which adds
+    the ``node`` id, or when an executor binds an unvalidated plan —
+    and by the optimizer's rewrite-soundness checker in strict mode.
+    Carries enough structure for the snapshot server to return a
+    machine-readable error reply: the validation ``code``, the offending
+    graph ``node`` id and ``operator`` name, and the ``column`` involved
+    (when one is).
 
     Codes: ``undefined-column``, ``type-mismatch``, ``non-numeric-agg``,
     ``duplicate-output``, ``delivery-misuse``, ``unsound-rewrite``.

@@ -165,7 +165,7 @@ class QueryService:
         """Expose counters whose single source of truth lives elsewhere
         (scan-share pool, result cache, scheduler, per-session buffers)
         as collection-time registry views — no shadow counters, so the
-        ``status`` aliases and the metrics surface cannot drift."""
+        report's headline fields and its series cannot drift."""
         registry = self.registry
         assert registry is not None
         share = self.scan_share
@@ -413,7 +413,7 @@ class QueryService:
         return attached
 
     def cache_stats(self) -> dict:
-        """Result-cache counters for the ``status`` report."""
+        """Result-cache counters for the ``metrics`` report."""
         with self._cache_lock:
             return {
                 "hits": self._cache_hits,
@@ -613,18 +613,12 @@ class SnapshotServer:
                 session = scheduler.get(str(request["session"]))
                 writer.write(_encode({"ok": True, **session.status()}))
             else:
-                # ``cache``/``scan_share`` are deprecated aliases kept
-                # for wire compatibility: the authoritative surface is
-                # the ``metrics`` op (both are views over the same
-                # underlying counters, so they can never drift).
+                # Cache and scan-share counters live on the ``metrics``
+                # op, not here.
                 writer.write(_encode({
                     "ok": True,
                     "sessions": [s.status()
                                  for s in scheduler.sessions()],
-                    "cache": self.service.cache_stats(),
-                    "scan_share": dict(
-                        self.service.scan_share.stats()
-                    ),
                 }))
         elif op == "metrics":
             fmt = request.get("format", "json")

@@ -1,7 +1,6 @@
 """Submit-time plan validation: every malformed-plan class raises a
 structured :class:`PlanValidationError` before any partition is read,
-and the static inference agrees with the engine's own bind on
-well-formed plans."""
+from the same per-operator derivation ``bind`` uses."""
 
 import json
 import socket
@@ -9,7 +8,7 @@ import socket
 import pytest
 
 from repro import F, WakeContext, col
-from repro.analysis import infer_plan, plan_fingerprint, validate_plan
+from repro.analysis import plan_fingerprint, validate_plan
 from repro.engine.graph import QueryGraph
 from repro.errors import PlanValidationError, QueryError
 from repro.service import QueryService, ServiceClient, SnapshotServer
@@ -133,7 +132,7 @@ class TestValidationErrors:
             ctx.run(frame)
 
 
-class TestInferenceMatchesBind:
+class TestUnboundWalk:
     def _plans(self, ctx):
         sales = ctx.table("sales")
         customers = ctx.table("customers")
@@ -148,28 +147,6 @@ class TestInferenceMatchesBind:
             sales.sort("qty", desc=True).limit(5),
             sales.distinct("cust"),
         ]
-
-    def test_schemas_deliveries_and_clustering_agree(self, ctx):
-        for frame in self._plans(ctx):
-            graph = QueryGraph()
-            output = frame.plan.materialize(graph, {})
-            inferred = infer_plan(graph, output)
-            bound = graph.resolve()
-            for node_id, stream in inferred.items():
-                if stream is None:
-                    continue
-                info = bound[node_id]
-                assert [
-                    (f.name, f.dtype, f.kind)
-                    for f in stream.schema.fields
-                ] == [
-                    (f.name, f.dtype, f.kind)
-                    for f in info.schema.fields
-                ], f"node {node_id} schema drift"
-                assert stream.delivery == info.delivery
-                assert stream.clustering_key == tuple(
-                    info.clustering_key
-                )
 
     def test_fingerprint_is_deterministic(self, ctx):
         frame = self._plans(ctx)[2]

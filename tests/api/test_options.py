@@ -96,22 +96,19 @@ class TestWakeContextIntegration:
     def test_legacy_kwargs_still_work(self, catalog):
         ctx = WakeContext(catalog, parallelism=2, pushdown=False,
                           quantile_mode="sketch", sketch_size=16)
-        assert ctx.parallelism == 2
-        assert ctx.pushdown is False
-        assert ctx.quantile_mode == "sketch"
-        assert ctx.sketch_size == 16
+        assert ctx.options.parallelism == 2
+        assert ctx.options.pushdown is False
+        assert ctx.options.quantile_mode == "sketch"
+        assert ctx.options.sketch_size == 16
 
     def test_options_bundle(self, catalog):
         opts = ExecutionOptions(parallelism=3, optimize=False)
         ctx = WakeContext(catalog, options=opts)
         assert ctx.options is opts
-        assert ctx.parallelism == 3
-        assert ctx.optimize is False
 
     def test_kwargs_override_bundle(self, catalog):
         opts = ExecutionOptions(parallelism=3)
         ctx = WakeContext(catalog, options=opts, parallelism=5)
-        assert ctx.parallelism == 5
         assert ctx.options.parallelism == 5
 
     def test_legacy_error_messages_preserved(self, catalog):

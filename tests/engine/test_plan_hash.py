@@ -30,7 +30,6 @@ from repro.engine.plan_node import (
     plan_hash,
     plans_alpha_equal,
 )
-from repro.engine.ops import FilterOperator
 
 
 def _graph(frame):
@@ -104,7 +103,7 @@ def test_hash_invariant_under_scan_label(ctx):
     assert _hash(a) == _hash(b)
     # …but the strict digests must differ (CSE may not merge them).
     ga, oa = _graph(a.cross_join(b))
-    assert not duplicate_groups(ga, (FilterOperator,))
+    assert not duplicate_groups(ga)
 
 
 def test_hash_invariant_under_commuted_operands(ctx):
@@ -184,7 +183,7 @@ def test_strict_digests_find_separately_built_duplicates(ctx):
     left = t.filter(col("qty") > 10.0)
     right = t.filter(col("qty") > 10.0)
     graph, _out = _graph(left.cross_join(right))
-    groups = duplicate_groups(graph, (FilterOperator,))
+    groups = duplicate_groups(graph)
     assert len(groups) == 1
     (ids,) = groups.values()
     assert len(ids) == 2

@@ -20,7 +20,7 @@ from repro import F, WakeContext, col
 from repro.dataframe import DataFrame
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import ReadOperator
-from repro.engine.planner import pushdown_plan
+from repro.engine.planner import projection_pass, pruning_pass
 from repro.storage import Catalog, write_table
 from repro.storage.zonemap import (
     SargablePredicate,
@@ -33,7 +33,8 @@ def _pushed_reads(plan):
     """Materialize a plan, run the pushdown pass, return its scans."""
     graph = QueryGraph()
     output = plan.plan.materialize(graph, {})
-    pushdown_plan(graph, output)
+    pruning_pass(graph, output)
+    projection_pass(graph, output)
     return {
         graph.node(nid).operator.meta.name: graph.node(nid).operator
         for nid in graph.source_ids()
@@ -90,7 +91,7 @@ class TestProjectionCollection:
         plan = ctx.table("sales").agg(F.sum("qty").alias("s"))
         graph = QueryGraph()
         output = plan.plan.materialize(graph, {})
-        pushdown_plan(graph, output)
+        projection_pass(graph, output)
         infos = graph.resolve()
         read_id = graph.source_ids()[0]
         # okey (the clustering+primary key) is not read, so the scan

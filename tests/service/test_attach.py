@@ -309,15 +309,16 @@ class TestWire:
             assert second.cache_hit is False
             assert second != first
 
-    def test_status_reports_cache_and_scan_share(self, server):
+    def test_metrics_report_cache_and_scan_share(self, server):
         with ServiceClient(port=server.port, timeout=30) as client:
             first = client.submit("sum_by_cust")
             list(first.subscribe())
             client.submit("sum_by_cust")
-            listing = client.status()
-            assert listing["cache"]["hits"] == 1
-            assert set(listing["scan_share"]) >= {
+            report = client.metrics()
+            assert report["cache"]["hits"] == 1
+            assert set(report["scan_share"]) >= {
                 "physical_reads", "shared_hits",
             }
+            listing = client.status()
             by_id = {s["session"]: s for s in listing["sessions"]}
             assert by_id[str(first)]["cache_hit"] is False

@@ -1,12 +1,12 @@
 """Optimizer-on vs pre-refactor planner parity over the TPC-H suite.
 
 The rule engine re-expresses the old monolithic planner passes
-(``pushdown_plan`` + ``shard_plan``) as rules and adds new logical
+(scan pushdown + ``shard_plan``) as rules and adds new logical
 rewrites (combine-filters, aggregate-projection, common-subplan).  None
 of that may perturb a single byte of any snapshot: for every query the
 optimized context run must match a hand-assembled legacy pipeline —
-materialize, pushdown_plan, shard_plan, SyncExecutor — snapshot for
-snapshot, solo and at ``parallelism=4``.
+materialize, pruning_pass, projection_pass, shard_plan, SyncExecutor —
+snapshot for snapshot, solo and at ``parallelism=4``.
 """
 
 import pytest
@@ -14,7 +14,7 @@ import pytest
 from repro import WakeContext
 from repro.engine.executor import SyncExecutor
 from repro.engine.graph import QueryGraph
-from repro.engine.planner import pushdown_plan, shard_plan
+from repro.engine.planner import projection_pass, pruning_pass, shard_plan
 from repro.tpch.queries import QUERIES
 
 from tests.tpch.utils import assert_sequences_byte_identical
@@ -34,7 +34,8 @@ def _legacy_run(catalog, number, parallelism=1):
     _ctx, frame = _build(catalog, number)
     graph = QueryGraph()
     output = frame.plan.materialize(graph, {})
-    graph, output = pushdown_plan(graph, output)
+    pruning_pass(graph, output)
+    projection_pass(graph, output)
     if parallelism > 1:
         graph, output = shard_plan(graph, output, parallelism)
     return SyncExecutor(graph, output, capture_all=True).run()
