@@ -31,7 +31,12 @@ quietly return:
   ``step()``, or ``__next__`` bodies: hot-path telemetry must use
   instruments pre-bound at construction (see :mod:`repro.obs`), so the
   per-message cost is one attribute call, not a dict build plus a
-  registry dictionary lookup.
+  registry dictionary lookup;
+* ``row-loop`` — ``iter_rows()``, ``to_records()`` or a loop over
+  ``.tolist()`` in operator hot paths (``engine/ops/``, ``dataframe/``,
+  ``core/``): a Python iteration per row or per group turns a
+  vectorised per-message cost into interpreter time that grows with the
+  data (the multi-key ``Grouper`` spent 71 % of a depth-8 chain there).
 
 A finding on a line containing ``lint: allow(<rule>)`` is suppressed —
 the escape hatch for deliberate exceptions (optional-dependency gating,
@@ -47,8 +52,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-#: Hot-path directories for the ``local-import`` rule (posix fragments
-#: matched against the file's path).
+#: Hot-path directories for the ``local-import`` and ``row-loop`` rules
+#: (posix fragments matched against the file's path).
 _HOT_PATH_FRAGMENTS = ("/engine/ops/", "/dataframe/", "/core/")
 
 #: Replay-critical modules for the ``unseeded-random`` rule.
@@ -407,6 +412,40 @@ class MetricHotLookupRule(LintRule):
                         )
 
 
+class RowLoopRule(LintRule):
+    """Flag per-row Python iteration in operator hot-path modules."""
+
+    name = "row-loop"
+
+    _ROW_METHODS = ("iter_rows", "to_records")
+
+    def check(self, ctx: _FileContext) -> Iterator[LintFinding]:
+        if not ctx.in_hot_path():
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Call):
+                called = _is_call_to(node, self._ROW_METHODS)
+                if called is not None:
+                    yield self._finding(
+                        ctx, node,
+                        f"{called}() materialises python tuples per row "
+                        f"on an operator hot path; use column kernels",
+                    )
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                if any(
+                    isinstance(call, ast.Call)
+                    and _is_call_to(call, ("tolist",))
+                    for call in ast.walk(node.iter)
+                ):
+                    where = node if isinstance(node, ast.For) else node.iter
+                    yield self._finding(
+                        ctx, where,
+                        "python loop over .tolist() on an operator hot "
+                        "path: per-element interpreter cost; vectorise "
+                        "(searchsorted / reduceat / bisect_batch)",
+                    )
+
+
 ALL_RULES: tuple[LintRule, ...] = (
     HistoryConcatRule(),
     LockSleepRule(),
@@ -414,6 +453,7 @@ ALL_RULES: tuple[LintRule, ...] = (
     UnseededRandomRule(),
     LocalImportRule(),
     MetricHotLookupRule(),
+    RowLoopRule(),
 )
 
 

@@ -178,7 +178,8 @@ def _add_lint(sub: argparse._SubParsersAction) -> None:
         "lint",
         help="run the AST-based invariant linter "
              "(history-concat, lock-sleep, bare-bench-assert, "
-             "unseeded-random, local-import, metric-hot-lookup)",
+             "unseeded-random, local-import, metric-hot-lookup, "
+             "row-loop)",
     )
     p.add_argument("paths", type=Path, nargs="*",
                    help="files or directories to lint (default: "

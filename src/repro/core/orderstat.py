@@ -15,9 +15,10 @@ keyed by the aggregate state's persistent
 * ``consume`` is O(|partial|): the incoming slot codes and values are
   recorded as a pending run — no touch of history, no key re-encoding.
 * reads merge pending runs into a cached slot-sorted buffer.  Each pending
-  run is sorted once — O(|partial| log |partial|) — and folded in with a
-  per-touched-slot ``searchsorted`` + one linear gather, so the only term
-  that grows with history is a memcpy-speed copy of the merged buffer.
+  run is sorted once — O(|partial| log |partial|) — and folded in with
+  one batched binary search (every new value searches its own slot's
+  segment, all at once) + one linear gather, so the only term that grows
+  with history is a memcpy-speed copy of the merged buffer.
   Between snapshots with no new data the read is O(groups).
 * quantiles come straight from the merged buffer through
   :func:`~repro.dataframe.groupby.slot_quantile` (the same interpolation
@@ -40,7 +41,11 @@ import zlib
 import numpy as np
 
 from repro.errors import QueryError
-from repro.dataframe.groupby import slot_quantile
+from repro.dataframe.groupby import (
+    bisect_batch,
+    slot_quantile,
+    sorts_before,
+)
 
 #: Accepted order-statistic maintenance modes.
 QUANTILE_MODES = ("exact", "sketch")
@@ -154,15 +159,13 @@ class OrderStatState:
             offsets = np.concatenate(
                 ([0], np.cumsum(old_counts))
             )
-            positions = np.empty(len(p_vals), dtype=np.int64)
-            starts, ends = _slot_segments(p_slots)
             merged = self._merged
-            for s0, e0 in zip(starts.tolist(), ends.tolist()):
-                slot = int(p_slots[s0])
-                lo, hi = offsets[slot], offsets[slot + 1]
-                positions[s0:e0] = lo + np.searchsorted(
-                    merged[lo:hi], p_vals[s0:e0], side="left"
-                )
+            # Every new value binary-searches its own slot's segment of
+            # the merged buffer, all of them at once.
+            positions = bisect_batch(
+                offsets[p_slots], offsets[p_slots + 1],
+                lambda at, new: sorts_before(merged[at], p_vals[new])[0],
+            )
             # Linear two-way merge: scatter the new run into its gap
             # positions, fill the rest with the old buffer in order.
             target = positions + np.arange(len(p_vals), dtype=np.int64)
@@ -193,8 +196,11 @@ class OrderStatState:
         )
 
     def _consume_sketch(self, slots: np.ndarray, values: np.ndarray) -> None:
-        """Algorithm-R reservoir update per touched slot (stream order
-        preserved by the stable sort)."""
+        """Algorithm-R reservoir update of every touched slot at once
+        (stream order preserved by the stable sort): row ``t`` of a
+        slot's stream fills cell ``t - 1`` while the reservoir has room,
+        afterwards it replaces a uniformly drawn cell with probability
+        ``k / t``."""
         self._sketch_sorted = None
         self._grow_sketch(int(slots.max()) + 1)
         order = np.argsort(slots, kind="stable")
@@ -202,25 +208,25 @@ class OrderStatState:
         values = values[order]
         k = self.sketch_size
         starts, ends = _slot_segments(slots)
-        for s0, e0 in zip(starts.tolist(), ends.tolist()):
-            slot = int(slots[s0])
-            vals = values[s0:e0]
-            fill = int(self._fill[slot])
-            seen = int(self._seen[slot])
-            take = min(k - fill, len(vals))
-            if take:
-                self._reservoir[slot, fill:fill + take] = vals[:take]
-                fill += take
-            rest = vals[take:]
-            if len(rest):
-                # 1-based stream index of each remaining element
-                t = seen + take + 1 + np.arange(len(rest))
-                accept = np.flatnonzero(self._rng.random(len(rest)) * t < k)
-                if len(accept):
-                    cells = self._rng.integers(0, k, size=len(accept))
-                    self._reservoir[slot, cells] = rest[accept]
-            self._fill[slot] = fill
-            self._seen[slot] = seen + len(vals)
+        lengths = ends - starts
+        touched = slots[starts]
+        stream = (self._seen[slots] + 1 + np.arange(len(slots))
+                  - np.repeat(starts, lengths))
+        cells = stream - 1
+        late = np.flatnonzero(stream > k)
+        accept = self._rng.random(len(late)) * stream[late] < k
+        cells[late] = np.where(
+            accept, self._rng.integers(0, k, size=len(late)), -1
+        )
+        writes = np.flatnonzero(cells >= 0)
+        # Assignment order over repeated indices is unspecified, so keep
+        # only the last write (in stream order) to each reservoir cell.
+        flat = slots[writes] * k + cells[writes]
+        _, last = np.unique(flat[::-1], return_index=True)
+        writes = writes[len(writes) - 1 - last]
+        self._reservoir[slots[writes], cells[writes]] = values[writes]
+        self._seen[touched] += lengths
+        self._fill[touched] = np.minimum(self._seen[touched], k)
 
     # -- reads -----------------------------------------------------------------
     def quantiles(self, q: float, n_slots: int) -> np.ndarray:

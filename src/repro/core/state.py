@@ -11,17 +11,30 @@ Two structures live here:
   exact distinct-pair counters for count-distinct and slot-aligned
   :class:`~repro.core.orderstat.OrderStatState` for order statistics.
   It supports both update styles: ``consume_delta`` merges a partial in
-  (Case 2 input), ``begin_version`` resets for a full snapshot (Case 3 /
-  REPLACE input).
+  (Case 2 input), ``consume_snapshot`` refreshes from a full snapshot
+  (Case 3 / REPLACE input).
 
-``consume_delta`` is deliberately O(|partial| + new groups): incoming rows
-are slot-encoded once, per-slot partial aggregates are computed with dense
-bincount/segment kernels, and the accumulator arrays are updated in place
-(extending only when new groups appear).  The previous implementation
-concatenated the accumulated state with every partial and re-ran
-``np.unique`` over all groups per message, making per-message cost grow
-with total data consumed — exactly the failure mode online aggregation
-exists to avoid (arXiv:2303.04103 §7.2).
+Per-message cost (arXiv:2303.04103 §7.2: it must track the partition,
+never the data consumed so far):
+
+* ``consume_delta`` is O(|partial| + new groups) plus a few vectorised
+  passes over the slot arrays: incoming rows are slot-encoded once,
+  per-slot partial aggregates are computed with dense bincount/segment
+  kernels, and the accumulators — views over capacity-doubling buffers —
+  are updated in place.
+* ``consume_snapshot`` resets the accumulators and nothing else.  Group
+  identity — slot space, key frame, key-sorted slot permutation — is
+  computed once and kept across versions, so a cascade of aggregates
+  (paper §8.6) does not re-derive every group on every message at every
+  level.  A snapshot whose key columns equal the previous snapshot's
+  costs one memcpy-speed comparison per key column and reuses the
+  previous slot codes; one whose keys changed is encoded against the
+  persistent ``Grouper`` (O(|snapshot|) vectorised, only unseen keys
+  register).  Readers emit only slots with cardinality > 0 in the
+  current version, so the output is byte-identical to a state rebuilt
+  from that snapshot alone.  The slot space is never compacted: it holds
+  every key any version has shown.
+* A global aggregate (no ``by``) has one slot and encodes nothing.
 """
 
 from __future__ import annotations
@@ -40,7 +53,8 @@ from repro.core.mergeable import (
 )
 from repro.core.orderstat import DEFAULT_SKETCH_SIZE, OrderStatState
 
-#: Synthetic key column injected for global (ungrouped) aggregates.
+#: Constant key column a global (ungrouped) aggregate's ``state_frame()``
+#: carries in place of group keys; it is never encoded.
 SYNTHETIC_KEY = "__group__"
 
 
@@ -97,13 +111,13 @@ class IntrinsicStore:
         return self.latest.frame()
 
 
-def _identity_fill(merge: str, n: int) -> np.ndarray:
-    """Merge-identity values for freshly-allocated state slots."""
-    if merge == "sum":
-        return np.zeros(n)
-    if merge == "prod":
-        return np.ones(n)
-    return np.full(n, np.nan)  # min/max/first/last: no value seen yet
+#: Merge-identity value of a freshly-allocated (or reset) state slot;
+#: min/max/first/last start at NaN, "no value seen yet".
+_IDENTITY = {"sum": 0.0, "prod": 1.0}
+
+
+def _distinct_column(alias: str) -> str:
+    return f"__{alias}__distinct"
 
 
 class GroupedAggregateState:
@@ -121,6 +135,15 @@ class GroupedAggregateState:
       ="exact"``, the default), or a bounded-memory reservoir sketch
       (``"sketch"``).
 
+    Group identity outlives versions.  The slot space, the key frame and
+    the key-sorted slot permutation belong to the ``Grouper`` and are
+    never rebuilt; :meth:`begin_version` only returns the accumulators
+    to their merge identities.  A slot whose cardinality is zero in the
+    current version is *dead*: it keeps its place but no reader emits
+    it, so a snapshot that shrinks or goes empty reads exactly like a
+    fresh state fed only that snapshot.  A global aggregate (``by=()``)
+    has one slot and never encodes a key.
+
     ``version`` counts complete refreshes; ``rows_consumed`` counts input
     tuples folded into the *current* version (the basis of growth fitting).
     """
@@ -136,36 +159,57 @@ class GroupedAggregateState:
         if not specs:
             raise QueryError("aggregate state requires at least one AggSpec")
         # quantile_mode validation is owned by OrderStatState (built in
-        # _reset_slots whenever an order-statistic spec is present).
+        # begin_version whenever an order-statistic spec is present).
         self.by = tuple(by)
         self.specs = tuple(specs)
         self.quantile_mode = quantile_mode
         self.sketch_size = sketch_size
-        self._synthetic_key = not self.by
-        self._keys = self.by if self.by else (SYNTHETIC_KEY,)
         self.mergeables = tuple(
             MergeableAggregate(spec, track_moments) for spec in specs
         )
-        self._reset_slots()
-        self.rows_consumed = 0
-        self.version = 1
-
-    def _reset_slots(self) -> None:
-        self._grouper = Grouper(self._keys)
-        self._card = np.empty(0, dtype=np.float64)
-        self._state: dict[str, np.ndarray] = {}
-        self._merge_of: dict[str, str] = {}
+        self._grouper = Grouper(self.by) if self.by else None
+        # Accumulators are views over capacity-doubling buffers whose
+        # unused tail always holds the merge identity.
+        self._fill: dict[str, float] = {CARDINALITY_COLUMN: 0.0}
         for mergeable in self.mergeables:
             for column in mergeable.state_columns:
-                self._state[column.name] = np.empty(0, dtype=np.float64)
-                self._merge_of[column.name] = column.merge
-        # count_distinct: one pair Grouper (dedup index) + per-slot counts.
-        self._pairs: dict[str, Grouper] = {}
-        self._distinct_counts: dict[str, np.ndarray] = {
-            m.spec.alias: np.empty(0, dtype=np.float64)
-            for m in self.mergeables
-            if m.needs_distinct_pairs
+                self._fill[column.name] = _IDENTITY.get(
+                    column.merge, np.nan
+                )
+            if mergeable.needs_distinct_pairs:
+                self._fill[_distinct_column(mergeable.spec.alias)] = 0.0
+        self._buffers = {
+            name: np.full(0, fill) for name, fill in self._fill.items()
         }
+        self._n_slots = 0
+        # Key columns and slot codes of the last REPLACE snapshot.
+        self._snapshot_keys: list[np.ndarray] = []
+        self._snapshot_codes: np.ndarray | None = None
+        self._sorted_keys: DataFrame | None = None
+        self._sorted_keys_perm: np.ndarray | None = None
+        self.version = 0
+        self.begin_version()
+
+    # -- bookkeeping -----------------------------------------------------------
+    @property
+    def n_groups(self) -> int:
+        """Groups holding at least one row of the current version."""
+        return self._live
+
+    @property
+    def mean_cardinality(self) -> float:
+        if self.n_groups == 0:
+            return 0.0
+        return self.rows_consumed / self.n_groups
+
+    def begin_version(self) -> None:
+        """Complete refresh: return every accumulator to its merge
+        identity and bump the version counter.  Slots, keys and their
+        sort order stay."""
+        for name, buffer in self._buffers.items():
+            buffer[:self._n_slots] = self._fill[name]
+        # count_distinct: one pair Grouper (dedup index) per spec.
+        self._pairs: dict[str, Grouper] = {}
         # median/quantile: per-spec incremental order-statistic state,
         # slot-aligned with the main Grouper (no key re-encoding on read).
         self._orderstats: dict[str, OrderStatState] = {}
@@ -175,67 +219,82 @@ class GroupedAggregateState:
             )
             if stats is not None:
                 self._orderstats[mergeable.spec.alias] = stats
+        self._live = 0
+        # Key dtypes a reader must present: a REPLACE version shows its
+        # snapshot's (the persistent key frame may hold wider strings
+        # from keys of earlier versions that are dead now).
+        self._key_dtypes: list[np.dtype] | None = None
         self._frame_cache: DataFrame | None = None
         self._perm: np.ndarray | None = None
-
-    # -- bookkeeping -----------------------------------------------------------
-    @property
-    def n_groups(self) -> int:
-        return self._grouper.n_groups
-
-    @property
-    def mean_cardinality(self) -> float:
-        if self.n_groups == 0:
-            return 0.0
-        return self.rows_consumed / self.n_groups
-
-    def begin_version(self) -> None:
-        """Complete refresh: drop accumulated state, bump version counter."""
-        self._reset_slots()
         self.rows_consumed = 0
         self.version += 1
 
+    def _column(self, name: str) -> np.ndarray:
+        return self._buffers[name][:self._n_slots]
+
+    def _grow(self, n_slots: int) -> None:
+        """Make room for ``n_slots`` slots: amortised O(new slots)."""
+        allocated = len(self._buffers[CARDINALITY_COLUMN])
+        if n_slots > allocated:
+            capacity = max(n_slots, 2 * allocated)
+            for name, buffer in self._buffers.items():
+                grown = np.full(capacity, self._fill[name])
+                grown[:self._n_slots] = buffer[:self._n_slots]
+                self._buffers[name] = grown
+        self._n_slots = n_slots
+
     # -- updates ----------------------------------------------------------------
-    def _with_key(self, frame: DataFrame) -> DataFrame:
-        if not self._synthetic_key:
-            return frame
-        return frame.with_column(
-            SYNTHETIC_KEY, np.zeros(frame.n_rows, dtype=np.int64)
-        )
+    def _encode(self, frame: DataFrame) -> np.ndarray:
+        if self._grouper is None:
+            return np.zeros(frame.n_rows, dtype=np.int64)
+        return self._grouper.encode(frame)
 
     def consume_delta(self, frame: DataFrame) -> None:
         """Fold one partial into the current version (incremental merge).
 
-        Cost is O(|partial| + new groups): existing slots are updated in
-        place; only previously-unseen group keys allocate new slots.
+        Cost is O(|partial| + new groups) plus a few vectorised passes
+        over the slot arrays: existing slots are updated in place; only
+        previously-unseen group keys allocate new slots.
         """
+        if frame.n_rows:
+            self._accumulate(frame, self._encode(frame))
+
+    def consume_snapshot(self, frame: DataFrame) -> None:
+        """Complete refresh from a full snapshot (REPLACE input).
+
+        A snapshot whose key columns equal the previous snapshot's
+        reuses that snapshot's slot codes outright (one memcpy-speed
+        comparison per key column); otherwise its keys go through the
+        persistent ``Grouper``, which registers only the unseen ones."""
+        self.begin_version()
         if frame.n_rows == 0:
             return
-        frame = self._with_key(frame)
-        codes = self._grouper.encode(frame)
-        n_slots = self._grouper.n_groups
-        old_n = len(self._card)
-        if n_slots > old_n:
-            grow = n_slots - old_n
-            self._card = np.concatenate([self._card, np.zeros(grow)])
-            for name, acc in self._state.items():
-                self._state[name] = np.concatenate(
-                    [acc, _identity_fill(self._merge_of[name], grow)]
-                )
-            for alias, counts in self._distinct_counts.items():
-                self._distinct_counts[alias] = np.concatenate(
-                    [counts, np.zeros(grow)]
-                )
-            self._perm = None
+        keys = [frame.column(k) for k in self.by]
+        codes = self._snapshot_codes
+        if codes is None or len(codes) != frame.n_rows or not all(
+            new is old or np.array_equal(new, old)
+            for new, old in zip(keys, self._snapshot_keys)
+        ):
+            codes = self._snapshot_codes = self._encode(frame)
+        self._snapshot_keys = keys
+        self._key_dtypes = [column.dtype for column in keys]
+        self._accumulate(frame, codes)
+
+    def _accumulate(self, frame: DataFrame, codes: np.ndarray) -> None:
+        n_slots = self._grouper.n_groups if self._grouper else 1
+        self._grow(n_slots)
+        card = self._column(CARDINALITY_COLUMN)
+        seen = card > 0  # slots already holding rows of this version
         partial_card = np.bincount(codes, minlength=n_slots).astype(
             np.float64
         )
-        self._card += partial_card
-        present = partial_card[:old_n] > 0
+        card += partial_card
+        self._live = int(np.count_nonzero(card))
+        present = seen & (partial_card > 0)
         for mergeable in self.mergeables:
             partial = mergeable.partial_state(frame, codes, n_slots)
             for column in mergeable.state_columns:
-                self._merge_column(column, partial[column.name], old_n,
+                self._merge_column(column, partial[column.name], seen,
                                    present)
         for mergeable in self.mergeables:
             if mergeable.needs_distinct_pairs:
@@ -247,48 +306,45 @@ class GroupedAggregateState:
                 )
         self.rows_consumed += frame.n_rows
         self._frame_cache = None
+        self._perm = None
 
     def _merge_column(
         self,
         column: StateColumn,
         part: np.ndarray,
-        old_n: int,
+        seen: np.ndarray,
         present: np.ndarray,
     ) -> None:
         """Fold one per-slot partial array into the accumulator in place.
 
         ``sum``/``prod`` columns combine elementwise (absent slots carry
-        the identity 0 / 1); ``min``/``max`` columns reduce only over
-        slots present in this partial (NaN from genuine NaN input values
-        still propagates, as the concat-and-regroup strategy did);
+        the identity 0 / 1); ``min``/``max`` columns take the partial's
+        value on slots with no rows yet in this version (``~seen``) and
+        reduce only over slots ``present`` on both sides (NaN from
+        genuine NaN input values still propagates, as the
+        concat-and-regroup strategy did);
         ``first`` keeps the accumulator once it holds a non-NaN value,
         ``last`` overwrites with the partial's value wherever the partial
         saw one — both in message-arrival order, matching pandas
         first/last over rows in encounter order."""
-        acc = self._state[column.name]
+        acc = self._column(column.name)
         if column.merge == "sum":
             acc += part
             return
         if column.merge == "prod":
             acc *= part
             return
-        acc[old_n:] = part[old_n:]  # new slots: first observation wins
-        head = acc[:old_n]
         if column.merge == "first":
-            take = np.isnan(head) & ~np.isnan(part[:old_n])
-            head[take] = part[:old_n][take]
+            take = np.isnan(acc) & ~np.isnan(part)
+            acc[take] = part[take]
             return
         if column.merge == "last":
-            take = ~np.isnan(part[:old_n])
-            head[take] = part[:old_n][take]
+            take = ~np.isnan(part)
+            acc[take] = part[take]
             return
         reducer = np.minimum if column.merge == "min" else np.maximum
-        head[present] = reducer(head[present], part[:old_n][present])
-
-    def consume_snapshot(self, frame: DataFrame) -> None:
-        """Complete refresh from a full snapshot (REPLACE input)."""
-        self.begin_version()
-        self.consume_delta(frame)
+        np.copyto(acc, part, where=~seen)
+        acc[present] = reducer(acc[present], part[present])
 
     def _consume_pairs(self, spec: AggSpec, frame: DataFrame) -> None:
         """Register this partial's (key, value) pairs, counting only pairs
@@ -297,7 +353,7 @@ class GroupedAggregateState:
         assert spec.column is not None
         grouper = self._pairs.get(spec.alias)
         if grouper is None:
-            grouper = Grouper((*self._keys, spec.column))
+            grouper = Grouper((*self.by, spec.column))
             self._pairs[spec.alias] = grouper
         before = grouper.n_groups
         grouper.encode(frame)
@@ -307,47 +363,59 @@ class GroupedAggregateState:
         new_pairs = grouper.key_frame().slice(before, after)
         # Every key of a new pair was registered with the main grouper when
         # this partial was encoded, so this lookup allocates no slots.
-        slots = self._grouper.encode(new_pairs)
-        np.add.at(self._distinct_counts[spec.alias], slots, 1.0)
+        slots = self._encode(new_pairs)
+        counts = self._column(_distinct_column(spec.alias))
+        counts += np.bincount(slots, minlength=len(counts))
 
     # -- readers ----------------------------------------------------------------
     def _sort_perm(self) -> np.ndarray:
-        """Slot permutation yielding key-sorted output rows (matching the
-        ordering the np.unique-based merge used to produce)."""
-        if self._perm is None or len(self._perm) != self.n_groups:
-            keys = self._grouper.key_frame()
-            self._perm = np.lexsort(
-                [keys.column(k) for k in reversed(self._keys)]
-            )
+        """Live slots in key-sorted order (matching the ordering the
+        np.unique-based merge used to produce).  While every slot is
+        live this *is* the grouper's permutation, so its identity tells
+        :meth:`state_frame` whether the sorted keys changed."""
+        if self._live == 0:
+            raise QueryError("aggregate state is empty; nothing consumed yet")
+        if self._perm is None:
+            if self._grouper is None:
+                perm = np.zeros(1, dtype=np.int64)
+            else:
+                perm = self._grouper.sort_perm()
+            if self._live < self._n_slots:
+                perm = perm[self._column(CARDINALITY_COLUMN)[perm] > 0]
+            self._perm = perm
         return self._perm
 
     def state_frame(self) -> DataFrame:
         """Keys + cardinality + mergeable state columns (current version),
-        one row per group in key-sorted order."""
-        if self.n_groups == 0:
-            raise QueryError("aggregate state is empty; nothing consumed yet")
+        one row per live group in key-sorted order."""
+        perm = self._sort_perm()
         if self._frame_cache is None:
-            perm = self._sort_perm()
-            keys = self._grouper.key_frame().take(perm)
-            data: dict[str, np.ndarray] = {
-                name: keys.column(name) for name in keys.column_names
-            }
-            data[CARDINALITY_COLUMN] = self._card[perm]
+            if self._grouper is None:
+                data = {SYNTHETIC_KEY: np.zeros(1, dtype=np.int64)}
+            else:
+                if perm is not self._sorted_keys_perm:
+                    self._sorted_keys = self._grouper.key_frame().take(perm)
+                    self._sorted_keys_perm = perm
+                keys = self._sorted_keys
+                assert keys is not None
+                data = {name: keys.column(name) for name in self.by}
+                for name, dtype in zip(self.by, self._key_dtypes or ()):
+                    if data[name].dtype != dtype:
+                        data[name] = data[name].astype(dtype)
+            data[CARDINALITY_COLUMN] = self._column(CARDINALITY_COLUMN)[perm]
             for mergeable in self.mergeables:
                 for column in mergeable.state_columns:
-                    data[column.name] = self._state[column.name][perm]
+                    data[column.name] = self._column(column.name)[perm]
             self._frame_cache = DataFrame(data)
         return self._frame_cache
 
     def distinct_counts(self, spec: AggSpec) -> np.ndarray:
         """Observed per-group distinct counts for a count_distinct spec,
         aligned with :meth:`state_frame` row order."""
-        state = self.state_frame()
-        grouper = self._pairs.get(spec.alias)
-        counts = self._distinct_counts.get(spec.alias)
-        if grouper is None or counts is None or grouper.n_groups == 0:
-            return np.zeros(state.n_rows, dtype=np.float64)
-        return counts[self._sort_perm()]
+        perm = self._sort_perm()
+        if spec.alias not in self._pairs:
+            return np.zeros(len(perm), dtype=np.float64)
+        return self._column(_distinct_column(spec.alias))[perm]
 
     def sample_quantiles(self, spec: AggSpec) -> np.ndarray:
         """Per-group sample quantiles from the incremental order-statistic
@@ -357,12 +425,12 @@ class GroupedAggregateState:
         Slots are shared with the main :class:`Grouper`, so the read is a
         direct slot gather — O(groups + new values since the last read),
         never a re-group of the full history."""
-        state = self.state_frame()
+        perm = self._sort_perm()
         stats = self._orderstats.get(spec.alias)
         if stats is None or stats.n_values == 0:
-            return np.full(state.n_rows, np.nan)
-        per_slot = stats.quantiles(spec.quantile_fraction, self.n_groups)
-        return per_slot[self._sort_perm()]
+            return np.full(len(perm), np.nan)
+        per_slot = stats.quantiles(spec.quantile_fraction, self._n_slots)
+        return per_slot[perm]
 
     def output_keys(self) -> tuple[str, ...]:
         """Key columns that appear in user-facing output frames."""

@@ -259,7 +259,11 @@ class SubstrExpr(Expr):
             return np.empty(0, dtype="U1")
         begin = self.start - 1
         end = begin + self.length
-        return np.array([v[begin:end] for v in values.tolist()])
+        # Python slicing keeps the result's tight string width.
+        sliced = [
+            v[begin:end] for v in values.tolist()  # lint: allow(row-loop)
+        ]
+        return np.array(sliced)
 
     def columns(self) -> frozenset[str]:
         return self.inner.columns()

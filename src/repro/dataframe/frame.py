@@ -271,7 +271,8 @@ class DataFrame:
                 for n, arr in self._columns.items()}
 
     def iter_rows(self) -> Iterator[tuple]:
-        return iter(self.to_records())
+        # Cold-path convenience (catalog writers, tests).
+        return iter(self.to_records())  # lint: allow(row-loop)
 
     def nbytes(self) -> int:
         """Total bytes across column buffers (peak-memory accounting)."""

@@ -108,6 +108,52 @@ def factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes.astype(np.int64, copy=False), uniques
 
 
+def sorts_before(a: np.ndarray, b: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise ``(a < b, a == b)`` under numpy's sort order: NaN is
+    the largest value and equal to itself."""
+    less, same = a < b, a == b
+    if a.dtype.kind == "f":
+        nan_a, nan_b = np.isnan(a), np.isnan(b)
+        less |= nan_b & ~nan_a
+        same |= nan_a & nan_b
+    return less, same
+
+
+def _lex_step(before: np.ndarray, tied: np.ndarray,
+              a: np.ndarray, b: np.ndarray) -> None:
+    """Fold one more key column (most significant first) into a
+    lexicographic row comparison, in place: ``before`` marks rows of
+    ``a`` already known to sort before their row of ``b``, ``tied`` the
+    rows equal on every column so far."""
+    less, same = sorts_before(a, b)
+    before |= tied & less
+    tied &= same
+
+
+#: Rows probed for key order before a full pass over a partial.
+_ORDER_PROBE_ROWS = 64
+
+
+def _sorted_run_starts(columns: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Where each run of equal keys starts, if the rows already are in
+    ascending lexicographic key order; ``None`` as soon as a column
+    shows a descent.  Unordered input almost always shows one within
+    the first few rows, so those are probed before the full pass."""
+    if len(columns[0]) > _ORDER_PROBE_ROWS and _sorted_run_starts(
+        [column[:_ORDER_PROBE_ROWS] for column in columns]
+    ) is None:
+        return None
+    n_pairs = len(columns[0]) - 1
+    rising = np.zeros(n_pairs, dtype=bool)
+    tied = np.ones(n_pairs, dtype=bool)
+    for column in columns:
+        _lex_step(rising, tied, column[:-1], column[1:])
+        if not (rising | tied).all():
+            return None
+    return np.concatenate(([True], rising))
+
+
 def group_codes(
     frame: DataFrame, keys: Sequence[str]
 ) -> tuple[np.ndarray, DataFrame, int]:
@@ -115,13 +161,24 @@ def group_codes(
 
     Returns ``(codes, key_frame, n_groups)`` where ``codes`` assigns every
     input row a group id in ``[0, n_groups)`` and ``key_frame`` holds one row
-    of key values per group (ordered by group id).
+    of key values per group (ordered by group id, i.e. by key).
+
+    Rows that arrive already sorted by the keys — every REPLACE snapshot
+    an upstream aggregate emits, grouped on a prefix of its keys — are
+    run-length encoded in O(rows · keys) comparisons; anything else is
+    factorized column by column with ``np.unique``.  Both give the same
+    codes and the same first-occurrence key rows.
     """
     if not keys:
         raise QueryError("group_codes requires at least one key column")
+    key_frame = frame.select(list(keys))
     if frame.n_rows == 0:
-        key_frame = frame.select(list(keys))
         return np.empty(0, dtype=np.int64), key_frame, 0
+    starts = _sorted_run_starts([frame.column(key) for key in keys])
+    if starts is not None:
+        first_index = np.flatnonzero(starts)
+        dense = np.cumsum(starts, dtype=np.int64) - 1
+        return dense, key_frame.take(first_index), len(first_index)
     combined: np.ndarray | None = None
     for key in keys:
         codes, uniques = factorize(frame.column(key))
@@ -136,12 +193,103 @@ def group_codes(
         combined, return_index=True, return_inverse=True
     )
     dense = dense.astype(np.int64, copy=False)
-    key_frame = frame.select(list(keys)).take(first_index)
-    return dense, key_frame, len(uniques)
+    return dense, key_frame.take(first_index), len(uniques)
+
+
+def bisect_batch(lo: np.ndarray, hi: np.ndarray, before) -> np.ndarray:
+    """Vectorised binary search, one independent search per query.
+
+    Query ``i`` searches positions ``[lo[i], hi[i])`` of a sorted
+    sequence; ``before(positions, queries)`` says, elementwise, whether
+    the element at ``positions`` sorts strictly before query
+    ``queries``.  Returns every query's leftmost insertion point
+    (``np.searchsorted`` side ``"left"``).  Each round halves all live
+    ranges with a handful of array operations: O(queries · log range),
+    no per-query Python.
+    """
+    lo = lo.astype(np.int64)
+    hi = hi.astype(np.int64)
+    live = np.flatnonzero(lo < hi)
+    while len(live):
+        mid = (lo[live] + hi[live]) >> 1
+        right = before(mid, live)
+        lo[live[right]] = mid[right] + 1
+        hi[live[~right]] = mid[~right]
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+#: Codes stay below 2**_CODE_BITS, so ``prefix << _CODE_BITS | code``
+#: packs a (prefix code, column code) pair into one non-negative int64.
+_CODE_BITS = 31
+
+
+class _KeyIndex:
+    """Persistent value → dense code index over one key array.
+
+    ``keys`` holds the distinct values seen so far in ascending order
+    (NaN last, one NaN) and ``codes[i]`` the code of ``keys[i]``; codes
+    are handed out in order of first appearance and never change, so
+    ``codes`` read in table order *is* the permutation that sorts the
+    codes by value.
+    """
+
+    def __init__(self) -> None:
+        self.keys: np.ndarray | None = None
+        self.codes = np.empty(0, dtype=np.int64)
+
+    def lookup(self, vals: np.ndarray) -> np.ndarray:
+        """Codes of ``vals`` (duplicates allowed), registering unseen
+        values: ``searchsorted`` against the table, then a sorted insert
+        of the misses — O(|vals| log table + table) memcpy-speed."""
+        if self.keys is None:
+            hit = np.zeros(len(vals), dtype=bool)
+            out = np.empty(len(vals), dtype=np.int64)
+        else:
+            pos = np.searchsorted(self.keys, vals)
+            np.minimum(pos, len(self.keys) - 1, out=pos)
+            found = self.keys[pos]
+            hit = found == vals
+            if vals.dtype.kind == "f":
+                # NaN sorts last, so a NaN probe lands on the NaN entry.
+                hit |= np.isnan(found) & np.isnan(vals)
+            if hit.all():
+                return self.codes[pos]
+            out = np.where(hit, self.codes[pos], np.int64(-1))
+        miss = ~hit
+        new_keys, first, inverse = np.unique(
+            vals[miss], return_index=True, return_inverse=True
+        )
+        n_old = len(self.codes)
+        if n_old + len(new_keys) > 1 << _CODE_BITS:
+            raise QueryError(
+                f"more than 2**{_CODE_BITS} distinct group keys"
+            )
+        new_codes = np.empty(len(new_keys), dtype=np.int64)
+        new_codes[np.argsort(first, kind="stable")] = np.arange(
+            n_old, n_old + len(new_keys), dtype=np.int64
+        )
+        out[miss] = new_codes[inverse]
+        if self.keys is None:
+            self.keys, self.codes = new_keys, new_codes
+        elif (self.keys.dtype == new_keys.dtype
+              and new_keys.dtype.kind not in "US"):
+            pos = np.searchsorted(self.keys, new_keys)
+            self.keys = np.insert(self.keys, pos, new_keys)
+            self.codes = np.insert(self.codes, pos, new_codes)
+        else:
+            # String widths may differ per message; np.insert would
+            # truncate to the table's item size, so concat (which
+            # promotes the width) and re-sort.
+            merged = np.concatenate([self.keys, new_keys])
+            order = np.argsort(merged, kind="stable")
+            self.keys = merged[order]
+            self.codes = np.concatenate([self.codes, new_codes])[order]
+        return out
 
 
 class Grouper:
-    """Incremental group factorizer: a persistent key → dense-code mapping.
+    """Incremental group factorizer: a persistent key → dense-slot mapping.
 
     One-shot :func:`group_codes` re-factorizes every row it is given, so
     using it to maintain accumulated state costs O(total groups) per
@@ -154,22 +302,29 @@ class Grouper:
     partial's sorted-unique key order), so state arrays indexed by slot
     only ever *extend*; existing entries never move.
 
-    Single-column keys take a fully vectorized path (``searchsorted``
-    against a sorted value → slot lookup table, rebuilt only when new
-    keys appear); multi-column keys fall back to a per-local-group tuple
-    dictionary.
+    Every key column has its own :class:`_KeyIndex`; with several key
+    columns the per-column codes are folded left to right — (code of
+    the first j columns, code of column j+1) packs into one int64 that
+    a further ``_KeyIndex`` maps to the code of the first j+1 columns —
+    and the last fold's code is the slot.  All of it is ``searchsorted``
+    over sorted tables: no per-row Python at any key width.
+
+    :meth:`sort_perm` keeps the slots' key order incrementally: new
+    slots are sorted among themselves and inserted at positions found by
+    a batched lexicographic binary search, so a read never re-sorts the
+    groups it already ordered.
     """
 
     def __init__(self, keys: Sequence[str]) -> None:
         if not keys:
             raise QueryError("Grouper requires at least one key column")
         self.keys = tuple(keys)
+        self._columns = [_KeyIndex() for _ in self.keys]
+        self._folds = [_KeyIndex() for _ in self.keys[1:]]
         self._n_groups = 0
-        self._slots: dict[tuple, int] = {}  # multi-key path
-        self._lookup_keys: np.ndarray | None = None  # single-key path
-        self._lookup_slots: np.ndarray | None = None
         self._key_parts: list[DataFrame] = []
         self._key_frame: DataFrame | None = None
+        self._perm = np.empty(0, dtype=np.int64)
 
     @property
     def n_groups(self) -> int:
@@ -178,98 +333,23 @@ class Grouper:
     def encode(self, frame: DataFrame) -> np.ndarray:
         """Dense slot ids (into the persistent slot space) for every row
         of ``frame``, registering previously-unseen keys as new slots."""
-        codes, local_keys, n_local = group_codes(frame, list(self.keys))
+        codes, local_keys, n_local = group_codes(frame, self.keys)
         if n_local == 0:
             return codes
-        if len(self.keys) == 1:
-            slots, new_mask = self._encode_single(local_keys)
-        else:
-            slots, new_mask = self._encode_tuples(local_keys)
+        slots = self._columns[0].lookup(local_keys.column(self.keys[0]))
+        for key, column, fold in zip(
+            self.keys[1:], self._columns[1:], self._folds
+        ):
+            slots = fold.lookup(
+                (slots << _CODE_BITS)
+                | column.lookup(local_keys.column(key))
+            )
+        new_mask = slots >= self._n_groups
         if new_mask.any():
+            self._n_groups += int(new_mask.sum())
             self._key_parts.append(local_keys.mask(new_mask))
             self._key_frame = None
         return slots[codes]
-
-    def _encode_single(
-        self, local_keys: DataFrame
-    ) -> tuple[np.ndarray, np.ndarray]:
-        vals = local_keys.column(self.keys[0])
-        if self._lookup_keys is None:
-            hit = np.zeros(len(vals), dtype=bool)
-            slots = np.empty(len(vals), dtype=np.int64)
-        else:
-            pos = np.searchsorted(self._lookup_keys, vals)
-            pos = np.minimum(pos, len(self._lookup_keys) - 1)
-            hit = self._lookup_keys[pos] == vals
-            if vals.dtype.kind == "f":
-                # One NaN group, like np.unique(equal_nan): NaN sorts
-                # last, so a NaN probe lands on the NaN entry if present.
-                hit |= np.isnan(self._lookup_keys[pos]) & np.isnan(vals)
-            slots = np.where(hit, self._lookup_slots[pos], np.int64(-1))
-        new_mask = ~hit
-        n_new = int(new_mask.sum())
-        if n_new:
-            new_slots = np.arange(
-                self._n_groups, self._n_groups + n_new, dtype=np.int64
-            )
-            slots[new_mask] = new_slots
-            new_vals = vals[new_mask]
-            order = np.argsort(new_vals, kind="stable")
-            sorted_new = new_vals[order]
-            sorted_slots = new_slots[order]
-            if self._lookup_keys is None:
-                self._lookup_keys = sorted_new
-                self._lookup_slots = sorted_slots
-            elif (
-                self._lookup_keys.dtype == sorted_new.dtype
-                and sorted_new.dtype.kind not in "US"
-            ):
-                # Sorted insert: O(new log new + groups) memcpy-speed
-                # merge, instead of re-sorting the whole lookup table
-                # (O(groups log groups) per message with new keys).
-                pos = np.searchsorted(self._lookup_keys, sorted_new)
-                self._lookup_keys = np.insert(
-                    self._lookup_keys, pos, sorted_new
-                )
-                self._lookup_slots = np.insert(
-                    self._lookup_slots, pos, sorted_slots
-                )
-            else:
-                # String widths may differ per message; np.insert would
-                # truncate to the table's item size, so concat (which
-                # promotes the width) and re-sort.
-                merged_keys = np.concatenate(
-                    [self._lookup_keys, new_vals]
-                )
-                merged_slots = np.concatenate(
-                    [self._lookup_slots, new_slots]
-                )
-                full = np.argsort(merged_keys, kind="stable")
-                self._lookup_keys = merged_keys[full]
-                self._lookup_slots = merged_slots[full]
-            self._n_groups += n_new
-        return slots, new_mask
-
-    def _encode_tuples(
-        self, local_keys: DataFrame
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n_local = local_keys.n_rows
-        slots = np.empty(n_local, dtype=np.int64)
-        new_mask = np.zeros(n_local, dtype=bool)
-        table = self._slots
-        for i, row in enumerate(local_keys.iter_rows()):
-            # Canonicalize float NaN (nan != nan would defeat the dict):
-            # one NaN group per key column, like np.unique(equal_nan).
-            if any(x != x for x in row):
-                row = tuple(None if x != x else x for x in row)
-            slot = table.get(row)
-            if slot is None:
-                slot = len(table)
-                table[row] = slot
-                new_mask[i] = True
-            slots[i] = slot
-        self._n_groups = len(table)
-        return slots, new_mask
 
     def key_frame(self) -> DataFrame:
         """One row of key values per slot, ordered by slot id."""
@@ -280,6 +360,37 @@ class Grouper:
             self._key_parts = [frame]
             self._key_frame = frame
         return self._key_frame
+
+    def sort_perm(self) -> np.ndarray:
+        """Slot ids in ascending key order — ``np.lexsort`` over the key
+        columns, first key most significant, NaN last.  The array is
+        replaced, never written, when slots are added, so callers may
+        cache on its identity; they must not modify it."""
+        if len(self.keys) == 1:
+            return self._columns[0].codes
+        n_sorted = len(self._perm)
+        if n_sorted < self._n_groups:
+            columns = [self.key_frame().column(k) for k in self.keys]
+            fresh = n_sorted + np.lexsort(
+                [c[n_sorted:] for c in reversed(columns)]
+            )
+            perm = self._perm
+
+            def before(positions: np.ndarray, queries: np.ndarray):
+                old, new = perm[positions], fresh[queries]
+                result = np.zeros(len(old), dtype=bool)
+                tied = np.ones(len(old), dtype=bool)
+                for column in columns:
+                    _lex_step(result, tied, column[old], column[new])
+                return result
+
+            at = bisect_batch(
+                np.zeros(len(fresh), dtype=np.int64),
+                np.full(len(fresh), n_sorted, dtype=np.int64),
+                before,
+            )
+            self._perm = np.insert(perm, at, fresh)
+        return self._perm
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ Two execution modes, chosen at plan time from the input's StreamInfo:
   estimates* produced by growth-based inference (§5); output aggregate
   attributes are mutable.
 
-A REPLACE input always forces shuffle mode with per-snapshot recomputation
-(new version per message) — the deep-aggregation path measured in §8.6.
+A REPLACE input always forces shuffle mode with a new version per message
+— the deep-aggregation path measured in §8.6.  Only the accumulators are
+recomputed per snapshot; the state keeps group identity across versions
+(see :mod:`repro.core.state`).
 """
 
 from __future__ import annotations

@@ -283,6 +283,68 @@ class TestMetricHotLookup:
         assert lint_file(path) == []
 
 
+class TestRowLoop:
+    def test_flags_row_materialisation_in_hot_path(self, tmp_path):
+        path = _write(tmp_path, "dataframe/groupby.py", """\
+            def encode(keys):
+                for row in keys.iter_rows():
+                    yield row
+
+            def dump(frame):
+                return frame.to_records()
+            """)
+        findings = lint_file(path)
+        assert _rules(findings) == ["row-loop"]
+        assert [f.line for f in findings] == [2, 6]
+
+    def test_flags_loops_over_tolist(self, tmp_path):
+        path = _write(tmp_path, "core/orderstat.py", """\
+            def merge(starts, ends, values):
+                for lo, hi in zip(starts.tolist(), ends.tolist()):
+                    values[lo:hi].sort()
+                return [v * 2 for v in values.tolist()]
+            """)
+        findings = lint_file(path)
+        assert _rules(findings) == ["row-loop"]
+        assert [f.line for f in findings] == [2, 4]
+        assert "vectorise" in findings[0].message
+
+    def test_tolist_without_a_loop_is_fine(self, tmp_path):
+        path = _write(tmp_path, "engine/ops/sort.py", """\
+            def describe(values, columns):
+                names = {n: arr.tolist() for n, arr in columns.items()}
+                return values.tolist(), names
+            """)
+        assert lint_file(path) == []
+
+    def test_cold_path_row_loops_are_fine(self, tmp_path):
+        path = _write(tmp_path, "storage/partition.py", """\
+            def write_csv(frame, out):
+                for row in frame.iter_rows():
+                    out.write(",".join(map(str, row)))
+            """)
+        assert lint_file(path) == []
+
+    def test_allow_comment_suppresses(self, tmp_path):
+        path = _write(tmp_path, "dataframe/frame.py", """\
+            def iter_rows(self):
+                return iter(self.to_records())  # lint: allow(row-loop)
+            """)
+        assert lint_file(path) == []
+
+    def test_state_modules_need_no_exemption(self):
+        """core/, the grouper and the operators are clean on merit, not
+        by annotation."""
+        sources = [
+            *(REPO_ROOT / "src/repro/core").glob("*.py"),
+            *(REPO_ROOT / "src/repro/engine/ops").glob("*.py"),
+            REPO_ROOT / "src/repro/dataframe/groupby.py",
+        ]
+        assert len(sources) > 15
+        for path in sources:
+            assert "allow(row-loop)" not in path.read_text(), path
+
+
 class TestSuppression:
     def test_allow_comment_suppresses_one_rule(self, tmp_path):
         path = _write(tmp_path, "engine/ops/filter.py", """\
@@ -335,7 +397,7 @@ class TestDriverAndFormats:
 
     def test_every_rule_has_a_name(self):
         names = [rule.name for rule in ALL_RULES]
-        assert len(names) == len(set(names)) == 6
+        assert len(names) == len(set(names)) == 7
 
 
 class TestCli:
