@@ -1,12 +1,5 @@
-"""Experiment E13 — sharded data parallelism + flat-latency operator guards.
+"""Experiment E13 — flat-latency operator guards.
 
-Three measurements guard this PR:
-
-* **core scaling** — a shuffle-mode TPC-H-shaped aggregate (group by
-  ``l_suppkey`` over a lineitem-shaped fact table) under the threaded
-  executor must run >= 2x faster at ``parallelism=4`` than unsharded,
-  with byte-identical finals.  The speedup assertion needs real cores
-  and is skipped below 4 CPUs (the parity assertion always runs).
 * **flat distinct latency** — per-message ``DistinctOperator`` cost over
   128 partials of mostly-new keys must not grow with stream position
   (late/early median <= 2), unlike the seed path that re-encoded the
@@ -14,19 +7,13 @@ Three measurements guard this PR:
 * **flat top-k latency** — per-message ``SortLimitOperator`` cost with
   ``limit=k`` must track the partial, not the stream, unlike the seed
   path that re-concatenated and re-sorted the full history per message.
-
-Scale knobs: ``REPRO_BENCH_PAR_ROWS`` (default 1_200_000) and
-``REPRO_BENCH_PAR_PARTITIONS`` (default 12) for the scaling experiment.
 """
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from repro import WakeContext
-from repro.api.functions import F
 from repro.dataframe import DataFrame
 from repro.dataframe.join import anti_join_mask, shared_codes
 from repro.dataframe.groupby import distinct_rows
@@ -34,86 +21,10 @@ from repro.dataframe.sort import sort_frame
 from repro.core.properties import Delivery, Progress, StreamInfo
 from repro.engine.message import Message
 from repro.engine.ops import DistinctOperator, SortLimitOperator
-from repro.storage import Catalog, write_table
 from repro.bench.report import banner, format_table
 
-PAR_ROWS = int(os.environ.get("REPRO_BENCH_PAR_ROWS", "1200000"))
-PAR_PARTITIONS = int(os.environ.get("REPRO_BENCH_PAR_PARTITIONS", "12"))
 N_PARTS = 128
 ROWS_PER_PART = 2_000
-
-
-@pytest.fixture(scope="module")
-def parallel_ctx(tmp_path_factory):
-    """A lineitem-shaped fact table large enough for core scaling."""
-    rng = np.random.default_rng(13)
-    n = PAR_ROWS
-    frame = DataFrame({
-        "l_orderkey": np.arange(n, dtype=np.int64) // 4,
-        "l_suppkey": rng.integers(0, 1_000, size=n).astype(np.int64),
-        "l_quantity": rng.integers(1, 51, size=n).astype(np.float64),
-        "l_extendedprice": rng.normal(30_000.0, 8_000.0, size=n),
-        "l_discount": rng.uniform(0.0, 0.1, size=n),
-    })
-    directory = tmp_path_factory.mktemp("exchange_bench")
-    catalog = Catalog(root=str(directory))
-    write_table(
-        catalog, directory / "lineitem", "lineitem", frame,
-        rows_per_partition=max(1, n // PAR_PARTITIONS),
-        primary_key=["l_orderkey"], clustering_key=["l_orderkey"],
-    )
-    return WakeContext(catalog)
-
-
-def _scaling_plan(ctx):
-    return ctx.table("lineitem").agg(
-        F.sum("l_extendedprice").alias("revenue"),
-        F.avg("l_quantity").alias("avg_qty"),
-        F.var("l_extendedprice").alias("var_price"),
-        F.median("l_discount").alias("med_disc"),
-        by=["l_suppkey"],
-    )
-
-
-def test_parallel_speedup(parallel_ctx, emit, guard):
-    """>= 2x threaded wall-clock at parallelism=4, identical finals."""
-    timings = {}
-    finals = {}
-    for shards in (1, 4):
-        start = time.perf_counter()
-        edf = parallel_ctx.run(
-            _scaling_plan(parallel_ctx), capture_all=False,
-            executor="threads", parallelism=shards,
-        )
-        timings[shards] = time.perf_counter() - start
-        finals[shards] = edf.get_final()
-
-    speedup = timings[1] / timings[4]
-    cpus = os.cpu_count() or 1
-    emit(banner(
-        f"E13 — sharded shuffle aggregate, threaded executor "
-        f"({PAR_ROWS:,} rows x {PAR_PARTITIONS} partitions, "
-        f"{cpus} cpus)"
-    ))
-    emit(format_table(
-        ["parallelism", "wall s", "speedup"],
-        [["1 (unsharded)", timings[1], 1.0],
-         ["4 shards", timings[4], speedup]],
-    ))
-
-    base, sharded = finals[1], finals[4]
-    assert tuple(base.column_names) == tuple(sharded.column_names)
-    for name in base.column_names:
-        assert (base.column(name).tobytes()
-                == sharded.column(name).tobytes()), (
-            f"column {name!r} drifted under sharding"
-        )
-    if cpus < 4:
-        pytest.skip(
-            f"speedup assertion needs >= 4 cpus (have {cpus}); "
-            f"measured {speedup:.2f}x"
-        )
-    guard("threaded_wall_clock_speedup_p4", speedup, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,8 @@ def test_headline_summary(bench_data, bench_ctx, benchmark, guard,
          "the paper's 100 GB / 16 vCPU testbed); the qualitative "
          "relations — first estimates far earlier than exact finals, "
          "bounded final overhead, faster-than-OLA convergence — are the "
-         "reproduced claims.  See EXPERIMENTS.md.")
+         "reproduced claims.  benchmarks/e2e/RESULTS.md has the "
+         "SF 0.1 numbers.")
 
     guard("headline_first_speedup", headlines["first_speedup"], 1.5,
           op=">")

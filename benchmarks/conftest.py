@@ -107,7 +107,7 @@ def emit(capsys, request):
 
 
 #: Parameter overrides keeping spec-shaped queries non-degenerate at
-#: laptop scale factors (documented in DESIGN.md / EXPERIMENTS.md).
+#: laptop scale factors.
 #: q11's fraction is the spec's own ``0.0001 / SF``: a fixed 0.005
 #: (its value at the default SF 0.02) selects no row at SF >= 0.1.
 BENCH_OVERRIDES: dict[int, dict] = {

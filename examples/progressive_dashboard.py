@@ -51,8 +51,8 @@ def main() -> None:
     sigma_name = sigma_column("promo_revenue")
     span = (0.0, 30.0)
     final = float("nan")
-    # ctx.stream() yields snapshots live from the threaded engine — the
-    # consumption mode a real dashboard would use.
+    # ctx.stream() reads one more partition per pull and yields each
+    # snapshot as it appears — the consumption mode a dashboard would use.
     for snapshot in ctx.stream(plan):
         if snapshot.frame.n_rows == 0:
             continue

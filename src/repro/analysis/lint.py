@@ -36,7 +36,13 @@ quietly return:
   ``.tolist()`` in operator hot paths (``engine/ops/``, ``dataframe/``,
   ``core/``): a Python iteration per row or per group turns a
   vectorised per-message cost into interpreter time that grows with the
-  data (the multi-key ``Grouper`` spent 71 % of a depth-8 chain there).
+  data (the multi-key ``Grouper`` spent 71 % of a depth-8 chain there);
+* ``engine-threading`` — importing ``threading``, ``queue`` or
+  ``concurrent.futures`` under ``engine/``, ``core/``, ``dataframe/`` or
+  ``storage/``: operators and the executor are single-threaded and
+  concurrency lives in ``service/`` and ``obs/`` (threads inside the
+  engine measured 0.66x under the GIL; bringing them back needs a
+  measurement and a review, not an import).
 
 A finding on a line containing ``lint: allow(<rule>)`` is suppressed —
 the escape hatch for deliberate exceptions (optional-dependency gating,
@@ -55,6 +61,11 @@ from typing import Iterable, Iterator
 #: Hot-path directories for the ``local-import`` and ``row-loop`` rules
 #: (posix fragments matched against the file's path).
 _HOT_PATH_FRAGMENTS = ("/engine/ops/", "/dataframe/", "/core/")
+
+#: Single-threaded layers for the ``engine-threading`` rule.
+_SINGLE_THREADED_FRAGMENTS = (
+    "/engine/", "/core/", "/dataframe/", "/storage/",
+)
 
 #: Replay-critical modules for the ``unseeded-random`` rule.
 _REPLAY_CRITICAL = ("service/retry.py", "testing/faults.py")
@@ -446,6 +457,33 @@ class RowLoopRule(LintRule):
                     )
 
 
+class EngineThreadingRule(LintRule):
+    """Flag thread / queue / pool imports in the single-threaded layers."""
+
+    name = "engine-threading"
+
+    _MODULES = ("threading", "queue", "concurrent")
+
+    def check(self, ctx: _FileContext) -> Iterator[LintFinding]:
+        if not any(f in ctx.posix for f in _SINGLE_THREADED_FRAGMENTS):
+            return
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                if module.split(".")[0] in self._MODULES:
+                    yield self._finding(
+                        ctx, node,
+                        f"import of {module} in a single-threaded "
+                        f"layer; concurrency belongs in service/ or "
+                        f"obs/",
+                    )
+
+
 ALL_RULES: tuple[LintRule, ...] = (
     HistoryConcatRule(),
     LockSleepRule(),
@@ -454,6 +492,7 @@ ALL_RULES: tuple[LintRule, ...] = (
     LocalImportRule(),
     MetricHotLookupRule(),
     RowLoopRule(),
+    EngineThreadingRule(),
 )
 
 

@@ -1,9 +1,10 @@
-"""WakeContext: session entry point tying catalogs to executors.
+"""WakeContext: session entry point tying catalogs to the executor.
 
-A context knows (1) where base tables live (a :class:`Catalog`), (2) which
-executor drives queries (sync or threaded), and (3) whether confidence
+A context knows (1) where base tables live (a :class:`Catalog`), (2) the
+session's :class:`ExecutionOptions`, and (3) whether confidence
 intervals are propagated.  Frames built from a context are declarative
-plans; ``run`` materializes a fresh operator graph per execution.
+plans; every execution materializes a fresh operator graph and drives
+it with a :class:`StepExecutor`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from repro.errors import QueryError
 from repro.analysis.schema_check import infer_plan, validate_plan
 from repro.core.ci import CIConfig
 from repro.core.edf import EvolvingDataFrame
-from repro.engine.executor import (
-    StepExecutor,
-    SyncExecutor,
-    ThreadedExecutor,
-)
+from repro.engine.executor import StepExecutor
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import ReadOperator
 from repro.engine.optimizer import OptimizerTrace, build_optimizer
@@ -30,7 +27,19 @@ from repro.storage.catalog import Catalog, TableMeta
 from repro.api.frame_api import EdfFrame, PlanNode
 from repro.api.options import ExecutionOptions, resolve_options
 
-_EXECUTORS = ("sync", "threads")
+
+def _pull(executor: StepExecutor):
+    """Step ``executor`` on demand, yielding snapshots as they appear;
+    closes it when exhausted, closed or garbage-collected."""
+    edf = executor.edf
+    yielded = 0
+    try:
+        while executor.step():
+            while yielded < len(edf):
+                yield edf.snapshot(yielded)
+                yielded += 1
+    finally:
+        executor.close()
 
 
 class WakeContext:
@@ -47,7 +56,6 @@ class WakeContext:
     def __init__(
         self,
         catalog: Catalog | None = None,
-        executor: str = "sync",
         capture_all: bool = True,
         ci: CIConfig | None = None,
         partition_shuffle_seed: int | None = None,
@@ -63,11 +71,6 @@ class WakeContext:
         result_cache: bool | None = None,
         telemetry: bool | None = None,
     ) -> None:
-        if executor not in _EXECUTORS:
-            raise QueryError(
-                f"unknown executor {executor!r}; expected one of "
-                f"{_EXECUTORS}"
-            )
         #: Session execution options (see
         #: :class:`~repro.api.options.ExecutionOptions` for per-knob
         #: semantics).  Legacy kwargs are merged over ``options`` so
@@ -86,13 +89,13 @@ class WakeContext:
             telemetry=telemetry,
         )
         self.catalog = catalog or Catalog()
-        self.executor = executor
         self.capture_all = capture_all
         self.ci = ci
         #: When set, every table is read in a seed-derived shuffled
         #: partition order (the §8.5 out-of-order-input experiment).
         self.partition_shuffle_seed = partition_shuffle_seed
-        self.last_executor: SyncExecutor | ThreadedExecutor | None = None
+        #: Executor of the most recent ``run`` / ``stream``.
+        self.last_executor: StepExecutor | None = None
         #: Trace of the most recent submit's optimization (rule → nodes
         #: rewritten, pass count, plan hash).
         self.last_trace: OptimizerTrace | None = None
@@ -199,9 +202,6 @@ class WakeContext:
         self,
         frame: EdfFrame,
         capture_all: bool | None = None,
-        record_timeline: bool = False,
-        executor: str | None = None,
-        source_delay: float = 0.0,
         parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
@@ -218,66 +218,41 @@ class WakeContext:
         ``pushdown`` overrides the scan-pushdown setting and
         ``optimize`` the optimizer switch.
         """
-        graph, output = self._materialize(
-            frame,
-            self._effective(options, parallelism, pushdown, optimize),
+        executor = self.last_executor = self.executor_for(
+            frame, capture_all=capture_all, parallelism=parallelism,
+            pushdown=pushdown, optimize=optimize, options=options,
         )
-        which = executor or self.executor
-        capture = self.capture_all if capture_all is None else capture_all
-        if which == "sync":
-            if source_delay:
-                raise QueryError(
-                    "source_delay requires the threaded executor"
-                )
-            engine: SyncExecutor | ThreadedExecutor = SyncExecutor(
-                graph, output, capture_all=capture,
-                record_timeline=record_timeline,
-            )
-        elif which == "threads":
-            engine = ThreadedExecutor(
-                graph, output, capture_all=capture,
-                record_timeline=record_timeline,
-                source_delay=source_delay,
-            )
-        else:
-            raise QueryError(f"unknown executor {which!r}")
-        self.last_executor = engine
-        return engine.run()
+        return executor.run()
 
     def stream(
         self,
         frame: EdfFrame,
-        record_timeline: bool = False,
-        source_delay: float = 0.0,
         parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
         options: ExecutionOptions | None = None,
     ):
-        """Execute on the threaded engine, *yielding* snapshots live.
+        """Execute while *yielding* each snapshot as it is produced.
 
         This is the paper's downstream-application mode (§7.1: "the query
         output ... can be consumed by downstream applications (e.g.,
-        progressive visualization)").  The generator ends with the exact
-        final snapshot.
+        progressive visualization)").  The plan is validated and
+        optimized here; no partition is read before the first
+        ``next()``.  Each pull steps the executor until a snapshot
+        appears, so the sequence is exactly :meth:`run`'s and ends with
+        the exact final snapshot.  Closing or abandoning the generator
+        closes the executor and with it every open read stream.
         """
-        graph, output = self._materialize(
-            frame,
-            self._effective(options, parallelism, pushdown, optimize),
+        executor = self.last_executor = self.executor_for(
+            frame, capture_all=True, parallelism=parallelism,
+            pushdown=pushdown, optimize=optimize, options=options,
         )
-        engine = ThreadedExecutor(
-            graph, output, capture_all=True,
-            record_timeline=record_timeline,
-            source_delay=source_delay,
-        )
-        self.last_executor = engine
-        return engine.stream()
+        return _pull(executor)
 
     def executor_for(
         self,
         frame: EdfFrame,
         capture_all: bool | None = None,
-        record_timeline: bool = False,
         parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
@@ -285,11 +260,11 @@ class WakeContext:
         trace=None,
     ) -> StepExecutor:
         """A resumable :class:`StepExecutor` over the materialized plan
-        (after pushdown and the shard rewrite) — the unit the
-        multi-query service schedules (see :mod:`repro.service`).  Each
-        ``step()`` consumes one source partition; stepping to
-        completion yields snapshot sequences byte-identical to
-        :meth:`run` on the sync executor.  ``trace`` (a
+        (after pushdown and the shard rewrite) — what :meth:`run` and
+        :meth:`stream` drive and the unit the multi-query service
+        schedules (see :mod:`repro.service`).  Each ``step()`` consumes
+        one source partition; stepping to completion yields snapshot
+        sequences byte-identical to :meth:`run`.  ``trace`` (a
         :class:`~repro.obs.SessionTrace`) records the validate/optimize
         lifecycle spans when the service has telemetry enabled."""
         graph, output = self._materialize(
@@ -298,10 +273,7 @@ class WakeContext:
             trace=trace,
         )
         capture = self.capture_all if capture_all is None else capture_all
-        return StepExecutor(
-            graph, output, capture_all=capture,
-            record_timeline=record_timeline,
-        )
+        return StepExecutor(graph, output, capture_all=capture)
 
     def explain(self, frame: EdfFrame,
                 parallelism: int | None = None,
@@ -331,12 +303,18 @@ class WakeContext:
                 f"unknown explain mode {mode!r}; expected 'plan', "
                 f"'types', or 'profile'"
             )
+        if mode == "profile":
+            executor = self.executor_for(
+                frame, capture_all=False, parallelism=parallelism,
+                pushdown=pushdown, optimize=optimize, options=options,
+            )
+            executor.profiler = self.last_profile = OperatorProfiler()
+            executor.run()
+            return self.last_profile.render()
         graph, output = self._materialize(
             frame,
             self._effective(options, parallelism, pushdown, optimize),
         )
-        if mode == "profile":
-            return self._explain_profile(graph, output)
         if mode == "types":
             return self._explain_types(graph, output)
         infos = graph.resolve()
@@ -377,17 +355,6 @@ class WakeContext:
         if self.last_trace is not None:
             lines.extend(self.last_trace.render())
         return "\n".join(lines)
-
-    def _explain_profile(self, graph: QueryGraph, output: int) -> str:
-        """Execute the materialized plan on a step executor with an
-        :class:`~repro.obs.OperatorProfiler` attached and render the
-        per-operator breakdown (``explain``'s ``profile`` mode)."""
-        executor = StepExecutor(graph, output, capture_all=False)
-        profiler = OperatorProfiler()
-        executor.profiler = profiler
-        executor.run()
-        self.last_profile = profiler
-        return profiler.render()
 
     def _explain_types(self, graph: QueryGraph, output: int) -> str:
         """Render each node's derived output schema (``explain``'s

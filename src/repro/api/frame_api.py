@@ -3,7 +3,7 @@
 An :class:`EdfFrame` is a *declarative plan node*: a factory for an
 operator plus references to its input plans.  Nothing executes until
 ``WakeContext.run``; each run materializes a fresh operator graph, so the
-same plan can be executed repeatedly (different executors, shuffled
+same plan can be executed repeatedly (different options, shuffled
 partition orders, partition-size sweeps) without state leakage.
 """
 
@@ -445,8 +445,8 @@ class EdfFrame:
     def final(self, **kwargs) -> DataFrame:
         """Convenience: run to completion, return the exact answer.
 
-        Keyword arguments (e.g. ``parallelism=4``, ``executor``) are
-        forwarded to :meth:`WakeContext.run`.
+        Keyword arguments (e.g. ``parallelism=4``) are forwarded to
+        :meth:`WakeContext.run`.
         """
         return self._context.run(
             self, capture_all=False, **kwargs

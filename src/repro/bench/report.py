@@ -57,38 +57,6 @@ def format_series(
     return f"{title}\n{format_table(headers, rows)}"
 
 
-def ascii_timeline(
-    events: Sequence[tuple[str, float, float]],
-    width: int = 72,
-) -> str:
-    """Fig-13 style gantt: one row per node, '#' for busy spans.
-
-    ``events`` is [(node, start, end), ...] with absolute times.
-    """
-    if not events:
-        return "(no events)"
-    t0 = min(start for _, start, _ in events)
-    t1 = max(end for _, _, end in events)
-    span = max(t1 - t0, 1e-9)
-    nodes: dict[str, list[tuple[float, float]]] = {}
-    for name, start, end in events:
-        nodes.setdefault(name, []).append((start, end))
-    label_width = max(len(name) for name in nodes)
-    lines = []
-    for name, spans in nodes.items():
-        row = [" "] * width
-        for start, end in spans:
-            a = int((start - t0) / span * (width - 1))
-            b = max(a + 1, int((end - t0) / span * (width - 1)) + 1)
-            for i in range(a, min(b, width)):
-                row[i] = "#"
-        lines.append(f"{name.rjust(label_width)} |{''.join(row)}|")
-    lines.append(
-        f"{' ' * label_width} 0{' ' * (width - 10)}{span * 1000:.0f}ms"
-    )
-    return "\n".join(lines)
-
-
 def banner(title: str) -> str:
     rule = "=" * len(title)
     return f"\n{rule}\n{title}\n{rule}"

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from repro import WakeContext
 from repro.bench.report import format_table
+from repro.errors import QueryError
 from repro.storage import Catalog, add_catalog_stats
 from repro.tpch import generate_and_load
 from repro.tpch.queries import QUERIES
@@ -46,8 +47,6 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
                    help="catalog.json written by `generate`")
     p.add_argument("query", type=int, choices=sorted(QUERIES),
                    metavar="QUERY", help="TPC-H query number (1-22)")
-    p.add_argument("--executor", choices=("sync", "threads"),
-                   default="sync")
     p.add_argument("--parallelism", type=int, default=1,
                    help="shard count for stateful shuffle subplans "
                         "(1 = unsharded)")
@@ -179,7 +178,7 @@ def _add_lint(sub: argparse._SubParsersAction) -> None:
         help="run the AST-based invariant linter "
              "(history-concat, lock-sleep, bare-bench-assert, "
              "unseeded-random, local-import, metric-hot-lookup, "
-             "row-loop)",
+             "row-loop, engine-threading)",
     )
     p.add_argument("paths", type=Path, nargs="*",
                    help="files or directories to lint (default: "
@@ -226,7 +225,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     ctx = WakeContext.from_catalog(args.catalog,
-                                   executor=args.executor,
                                    parallelism=args.parallelism,
                                    pushdown=not args.no_pushdown,
                                    optimize=not args.no_optimize,
@@ -377,7 +375,13 @@ def main(argv: list[str] | None = None) -> int:
         "serve": cmd_serve,
         "lint": cmd_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except QueryError as exc:
+        # Bad user input (an unknown --param, a malformed plan): one
+        # line and the usage-error status, not a traceback.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

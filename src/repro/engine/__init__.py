@@ -1,12 +1,7 @@
-"""Execution engine: query graph, message protocol, executors, the
+"""Execution engine: query graph, message protocol, the executor, the
 plan-rewrite optimizer, and canonical plan hashing (paper §7)."""
 
-from repro.engine.executor import (
-    StepExecutor,
-    SyncExecutor,
-    ThreadedExecutor,
-    TimelineEvent,
-)
+from repro.engine.executor import StepExecutor
 from repro.engine.graph import Node, QueryGraph
 from repro.engine.message import Eof, Message
 from repro.engine.optimizer import (
@@ -27,9 +22,6 @@ __all__ = [
     "QueryGraph",
     "RULE_NAMES",
     "StepExecutor",
-    "SyncExecutor",
-    "ThreadedExecutor",
-    "TimelineEvent",
     "build_optimizer",
     "plan_hash",
     "shard_plan",

@@ -1,45 +1,25 @@
-"""Query executors (paper §7.2 "Execution Engine").
+"""The query executor (paper §7.2 "Execution Engine").
 
-Two interchangeable engines drive a :class:`QueryGraph` and collect the
-output node's message stream into an :class:`EvolvingDataFrame`:
-
-* :class:`SyncExecutor` — single-threaded, deterministic.  Drains
-  priority-0 sources (hash-join build subtrees) fully, then round-robins
-  the remaining sources one partition at a time, breadth-first flushing
-  every message through the graph.  This is the engine used by tests and
-  error-curve experiments (deterministic snapshot sequences).
-
-* :class:`ThreadedExecutor` — the paper's design: every node runs on its
-  own thread, edges are bounded queues, EOF markers propagate shutdown.
-  Provides pipelined parallelism (Appendix C / Fig 13) and records a
-  per-node busy timeline.
+:class:`StepExecutor` drives a :class:`QueryGraph` and collects the
+output node's message stream into an :class:`EvolvingDataFrame`.  It is
+single-threaded and deterministic: priority-0 sources (hash-join build
+subtrees) drain fully, then the remaining sources round-robin one
+partition at a time, every message flushed breadth-first through the
+graph.  ``run()``, ``WakeContext.stream()`` and the multi-query service
+all step this one engine, so their snapshot sequences are identical.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections import deque
-from dataclasses import dataclass
 
-from repro.errors import ExecutionError
 from repro.dataframe.frame import DataFrame
 from repro.core.edf import EdfSnapshot, EvolvingDataFrame
 from repro.core.properties import Delivery
 from repro.engine.graph import QueryGraph
 from repro.engine.message import Eof, Message
 from repro.engine.ops.base import SourceOperator
-
-
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One busy interval of a node (for the Fig 13 pipeline plot)."""
-
-    node: str
-    start: float
-    end: float
-    rows: int
 
 
 class _SinkState:
@@ -142,13 +122,13 @@ class StepExecutor:
 
     ``step()`` consumes one partition from one source (or, once a source
     is exhausted, dispatches its EOF), flushes it breadth-first through
-    the graph, and returns control to the caller.  Stepping to
-    completion reproduces :class:`SyncExecutor`'s dispatch order exactly
-    — build-side sources drain fully first, the rest round-robin one
-    partition at a time — so snapshot sequences are byte-identical to a
-    run-to-EOF execution no matter how the steps are interleaved with
-    other queries'.  This is the scheduling quantum of the multi-query
-    service (:mod:`repro.service`).
+    the graph, and returns control to the caller.  Dispatch order
+    depends only on the plan — build-side sources drain fully first,
+    the rest round-robin one partition at a time — so snapshot
+    sequences are byte-identical to a run-to-EOF execution no matter
+    how the steps are interleaved with other queries'.  This is the
+    scheduling quantum of the multi-query service
+    (:mod:`repro.service`).
 
     Construction binds the plan and creates the output ``edf`` — cheap,
     no I/O — so the executor is complete before any other thread can
@@ -182,14 +162,11 @@ class StepExecutor:
         graph: QueryGraph,
         output: int,
         capture_all: bool = True,
-        record_timeline: bool = False,
     ) -> None:
         graph.validate_output(output)
         self.graph: QueryGraph | None = graph
         self.output = output
         self.capture_all = capture_all
-        self.record_timeline = record_timeline
-        self.timeline: list[TimelineEvent] = []
         self._sink = _SinkState(
             name=graph.node(output).operator.name,
             delivery=graph.resolve()[output].delivery,
@@ -399,11 +376,12 @@ class StepExecutor:
         self.graph = None
         self._subscribers = None
 
-    # -- dispatch (breadth-first flush, shared with SyncExecutor) -----------------
+    # -- dispatch (breadth-first flush) -------------------------------------------
     def _dispatch(self, node_id: int, port: int, item: object) -> None:
         graph = self.graph
         sink = self._sink
         subscribers = self._subscribers
+        profiler = self.profiler
         assert graph is not None and subscribers is not None
         pending: deque[tuple[int, int, object]] = deque(
             [(node_id, port, item)]
@@ -411,7 +389,7 @@ class StepExecutor:
         while pending:
             nid, prt, itm = pending.popleft()
             node = graph.node(nid)
-            start = time.perf_counter()
+            started = time.perf_counter() if profiler is not None else 0.0
             if isinstance(itm, Message):
                 outputs = node.operator.on_message(prt, itm)
                 rows = itm.frame.n_rows
@@ -420,16 +398,9 @@ class StepExecutor:
                 outputs = node.operator.on_eof(prt)
                 rows = 0
                 forward_eof = node.operator.eof_complete
-            if self.record_timeline or self.profiler is not None:
-                end = time.perf_counter()
-                if self.record_timeline:
-                    self.timeline.append(
-                        TimelineEvent(node.operator.name, start, end,
-                                      rows)
-                    )
-                if self.profiler is not None:
-                    self.profiler.record(node.operator.name,
-                                         end - start, rows)
+            if profiler is not None:
+                profiler.record(node.operator.name,
+                                time.perf_counter() - started, rows)
             for out in outputs:
                 if nid == self.output:
                     sink.accept(out)
@@ -456,233 +427,3 @@ class StepExecutor:
             self._sink.finish(op.progress)
         for sub_id, sub_port in self._subscribers[source_id]:
             self._dispatch(sub_id, sub_port, Eof(op.progress))
-
-
-class SyncExecutor(StepExecutor):
-    """Deterministic single-threaded run-to-completion executor: step
-    until all sources hit EOF (see :class:`StepExecutor` for the pump
-    loop; this class is the classic blocking entry point)."""
-
-
-class ThreadedExecutor:
-    """One thread per node with bounded channels (the paper's engine)."""
-
-    #: Bounded channel capacity (messages) — provides backpressure.
-    CHANNEL_CAPACITY = 16
-
-    def __init__(
-        self,
-        graph: QueryGraph,
-        output: int,
-        capture_all: bool = True,
-        record_timeline: bool = False,
-        source_delay: float = 0.0,
-    ) -> None:
-        graph.validate_output(output)
-        self.graph = graph
-        self.output = output
-        self.capture_all = capture_all
-        self.record_timeline = record_timeline
-        self.source_delay = source_delay
-        self.timeline: list[TimelineEvent] = []
-        self._timeline_lock = threading.Lock()
-        self._last_edf: EvolvingDataFrame | None = None
-        #: Shared abort flag: flipped by the error path *and* by
-        #: external cancellation; once set, blocked bounded-channel puts
-        #: convert into drops and every node thread winds down.
-        self._abort = threading.Event()
-
-    def cancel(self) -> None:
-        """Externally abort an in-flight ``run()``/``stream()``.
-
-        Reuses the error-path abort protocol: sources stop streaming,
-        blocked puts into full channels become drops, and an EOF
-        cascade drains the graph, so every worker thread joins instead
-        of leaking.  The stream then ends with whatever snapshots were
-        already produced (the edf never becomes final).  Idempotent and
-        safe to call from any thread.
-        """
-        self._abort.set()
-
-    def _record(self, name: str, start: float, end: float,
-                rows: int) -> None:
-        if self.record_timeline:
-            with self._timeline_lock:
-                self.timeline.append(TimelineEvent(name, start, end, rows))
-
-    def run(self) -> EvolvingDataFrame:
-        """Execute to completion and return the collected edf."""
-        edf: EvolvingDataFrame | None = None
-        for _snapshot in self.stream():
-            pass
-        edf = self._last_edf
-        assert edf is not None
-        return edf
-
-    def stream(self):
-        """Execute while *yielding* each snapshot as it is produced —
-        the live-consumer API (progressive visualization, dashboards).
-
-        Closing the generator mid-stream (``close()``, garbage
-        collection of an abandoned iterator, or a ``KeyboardInterrupt``
-        in the consumer loop) shuts the executor down cleanly: the
-        abort flag flips, blocked channel puts become drops, and every
-        node thread is joined before ``GeneratorExit`` propagates.
-        """
-        graph = self.graph
-        infos = graph.resolve()
-        subscribers = graph.subscribers()
-        started_at = time.perf_counter()
-
-        channels: dict[int, queue.Queue] = {
-            nid: queue.Queue(maxsize=self.CHANNEL_CAPACITY)
-            for nid in graph.nodes
-            if not isinstance(graph.node(nid).operator, SourceOperator)
-        }
-        sink_channel: queue.Queue = queue.Queue()
-        errors: list[BaseException] = []
-        # Set on the first node error, by cancel(), or when the
-        # generator is closed mid-stream.  Once aborting, every blocked
-        # bounded-channel put converts into a bounded retry that drops
-        # its item — consumers may already have exited, and a blocking
-        # put into a full channel nobody drains would park the producer
-        # until the join timeout, masking the original error.
-        abort = self._abort
-
-        def put_item(channel_: queue.Queue, item: object) -> None:
-            while True:
-                try:
-                    channel_.put(item, timeout=0.05)
-                    return
-                except queue.Full:
-                    if abort.is_set():
-                        return  # receiver is gone; drop on the floor
-
-        def send(node_id: int, item: object) -> None:
-            """Fan out one item to a node's subscribers (and the sink)."""
-            if node_id == self.output:
-                sink_channel.put(item)  # unbounded, never blocks
-            for sub_id, sub_port in subscribers[node_id]:
-                put_item(channels[sub_id], (sub_port, item))
-
-        def fail(exc: BaseException, node_id: int, progress) -> None:
-            """Error path: record, flip the abort flag, then poison
-            downstream with EOF so the graph drains instead of hanging."""
-            errors.append(exc)
-            abort.set()
-            send(node_id, Eof(progress))
-
-        def source_main(node_id: int) -> None:
-            op = graph.node(node_id).operator
-            assert isinstance(op, SourceOperator)
-            try:
-                for message in op.stream():
-                    if abort.is_set():
-                        break
-                    if self.source_delay:
-                        time.sleep(self.source_delay)
-                    send(node_id, message)
-                send(node_id, Eof(op.progress))
-            except BaseException as exc:  # noqa: BLE001 - forwarded to main
-                fail(exc, node_id, op.progress)
-
-        def worker_main(node_id: int) -> None:
-            op = graph.node(node_id).operator
-            channel = channels[node_id]
-            try:
-                while True:
-                    try:
-                        port, item = channel.get(timeout=0.05)
-                    except queue.Empty:
-                        if abort.is_set():
-                            send(node_id, Eof(op.progress))
-                            return
-                        continue
-                    start = time.perf_counter()
-                    if isinstance(item, Message):
-                        outputs = op.on_message(port, item)
-                        rows = item.frame.n_rows
-                    else:
-                        outputs = op.on_eof(port)
-                        rows = 0
-                    self._record(op.name, start, time.perf_counter(), rows)
-                    for out in outputs:
-                        send(node_id, out)
-                    if op.eof_complete:
-                        send(node_id, Eof(op.progress))
-                        return
-            except BaseException as exc:  # noqa: BLE001
-                fail(exc, node_id, op.progress)
-
-        threads: list[threading.Thread] = []
-        for nid in graph.nodes:
-            op = graph.node(nid).operator
-            main = source_main if isinstance(op, SourceOperator) \
-                else worker_main
-            thread = threading.Thread(
-                target=main, args=(nid,), name=f"wake-{op.name}",
-                daemon=True,
-            )
-            threads.append(thread)
-
-        sink = _SinkState(
-            name=graph.node(self.output).operator.name,
-            delivery=infos[self.output].delivery,
-            capture_all=self.capture_all,
-            started_at=started_at,
-        )
-        self._last_edf = sink.edf
-        for thread in threads:
-            thread.start()
-        yielded = 0
-        completed = False
-        try:
-            while True:
-                try:
-                    item = sink_channel.get(timeout=0.1)
-                except queue.Empty:
-                    # Belt and braces: if the output's EOF was lost to an
-                    # aborting channel, stop once every node thread is
-                    # done.
-                    if abort.is_set() and not any(
-                        t.is_alive() for t in threads
-                    ):
-                        break
-                    continue
-                if isinstance(item, Eof):
-                    sink.finish(item.progress)
-                else:
-                    sink.accept(item)
-                while yielded < len(sink.edf):
-                    yield sink.edf.snapshots[yielded]
-                    yielded += 1
-                if isinstance(item, Eof):
-                    break
-            completed = True
-        finally:
-            # Abandoned mid-stream (GeneratorExit from close()/GC, or an
-            # exception such as KeyboardInterrupt in the consumer loop):
-            # flip the abort flag so blocked puts become drops, then
-            # join every node thread before the exception propagates.
-            if not completed:
-                abort.set()
-            # With the abort protocol, threads unblock within one retry
-            # interval of a failure; a short timeout suffices there.
-            join_timeout = 30.0 if completed and not errors else 5.0
-            for thread in threads:
-                thread.join(timeout=join_timeout)
-        if errors:
-            # The original failure always wins over secondary symptoms
-            # (e.g. a straggler thread still tearing down).
-            raise ExecutionError(
-                f"execution failed: {errors[0]!r}"
-            ) from errors[0]
-        for thread in threads:
-            if thread.is_alive():
-                raise ExecutionError(
-                    f"thread {thread.name} failed to terminate"
-                )
-        if not len(sink.edf):
-            _append_empty_final(sink, infos[self.output].schema,
-                                graph.node(self.output).operator.progress)
-            yield sink.edf.snapshots[0]

@@ -3,8 +3,8 @@
 A message carries (1) a shared reference to a data frame and (2) metadata
 on query progress.  ``kind`` distinguishes DELTA partials (append to the
 consumer's current version) from REPLACE snapshots (begin a new version).
-A special EOF marker ends a channel; once a node has EOF on all inputs it
-flushes, forwards EOF, and terminates (threaded executor).
+A special EOF marker ends a stream; once a node has EOF on all inputs it
+flushes and forwards EOF.
 """
 
 from __future__ import annotations
@@ -33,9 +33,7 @@ class Message:
 
 @dataclass(frozen=True)
 class Eof:
-    """End-of-stream marker for one channel."""
+    """End-of-stream marker for one input port."""
 
     progress: Progress
 
-
-StreamItem = Message | Eof

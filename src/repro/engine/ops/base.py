@@ -12,8 +12,9 @@ the class and nothing else.  ``bind`` fixes the derived
 :class:`StreamInfo` once per execution and lets ``_on_bound`` pick
 runtime modes from it.  At run time the executor feeds the operator
 messages (``on_message``) and EOF markers (``on_eof``); the operator
-returns output messages.  Operators are single-threaded: each lives on
-one node and is never called concurrently.
+returns output messages.  Operators are single-threaded: the executor
+never calls one concurrently (``repro lint``'s ``engine-threading`` rule
+keeps threads out of the engine).
 """
 
 from __future__ import annotations

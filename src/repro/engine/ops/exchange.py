@@ -1,11 +1,8 @@
 """Exchange-based data parallelism: hash shard ports + shard union.
 
-The engine's threaded executor gives *pipelined* parallelism (one thread
-per node, paper Appendix C), but every stateful operator is a single
-shard, so shuffle-heavy queries are capped by one core.  This module
-provides the two dataflow pieces the shard rewrite
-(:mod:`repro.engine.planner`) composes into hash-partitioned *data*
-parallelism:
+This module provides the two dataflow pieces the shard rewrite
+(:mod:`repro.engine.planner`) composes into K hash-partitioned replicas
+of a stateful subplan:
 
 * :class:`ExchangeOperator` — one shard output port of a logical K-way
   hash exchange.  The planner instantiates K sibling ports over the same
@@ -26,7 +23,6 @@ every NaN onto one canonical NaN (one NaN group, like
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Sequence
 
@@ -109,8 +105,9 @@ class ShardHashCache:
     recycled while its entry lives — and are reference-counted: each of
     the K ports reads a message exactly once, so an entry is dropped on
     its K-th access and the cache holds only frames some sibling has not
-    consumed yet (bounded by the executor's channel capacity; the FIFO
-    cap is a safety net for operators that re-emit one frame object).
+    consumed yet (the executor hands a message to all K ports before the
+    next one; the FIFO cap is a safety net for operators that re-emit
+    one frame object).
     """
 
     CAPACITY = 64
@@ -120,40 +117,24 @@ class ShardHashCache:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
         self.keys = tuple(keys)
         self.n_shards = n_shards
-        self._lock = threading.Lock()
         #: id(frame) -> [frame, shards, remaining reads]
         self._entries: OrderedDict[int, list] = OrderedDict()
 
     def shards_for(self, frame: DataFrame) -> np.ndarray:
         key = id(frame)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None and entry[0] is frame:
-                entry[2] -= 1
-                if entry[2] <= 0:
-                    del self._entries[key]
-                return entry[1]
-        # Hash outside the lock; concurrent ports may briefly duplicate
-        # the work but never block each other on it.
+        entry = self._entries.get(key)
+        if entry is not None and entry[0] is frame:
+            entry[2] -= 1
+            if entry[2] <= 0:
+                del self._entries[key]
+            return entry[1]
         shards = shard_assignment(
             [frame.column(k) for k in self.keys], self.n_shards
         )
         if self.n_shards > 1:
-            with self._lock:
-                entry = self._entries.get(key)
-                if entry is not None and entry[0] is frame:
-                    # Another port computed and inserted concurrently;
-                    # this port's read comes off that entry's budget, or
-                    # the counter would never drain and the entry would
-                    # pin the frame until FIFO eviction.
-                    entry[2] -= 1
-                    if entry[2] <= 0:
-                        del self._entries[key]
-                else:
-                    self._entries[key] = [frame, shards,
-                                          self.n_shards - 1]
-                    while len(self._entries) > self.CAPACITY:
-                        self._entries.popitem(last=False)
+            self._entries[key] = [frame, shards, self.n_shards - 1]
+            while len(self._entries) > self.CAPACITY:
+                self._entries.popitem(last=False)
         return shards
 
 

@@ -34,10 +34,10 @@ replicas, each owning a disjoint hash range of the keys:
   the aligned sub-key, hence the shard, so inner/left/semi/anti match
   sets are preserved per shard.
 
-Under the threaded executor every replica node is its own thread with
-bounded channels, so throughput scales with cores instead of pipeline
-depth alone.  ``parallelism <= 1`` returns the graph untouched — plans
-and snapshot sequences stay byte-identical to the unsharded engine.
+The replicas are ordinary graph nodes stepped by the one
+single-threaded executor: the rewrite changes the plan, not how it is
+run.  ``parallelism <= 1`` returns the graph untouched — plans and
+snapshot sequences stay byte-identical to the unsharded engine.
 """
 
 from __future__ import annotations

@@ -23,6 +23,8 @@ import importlib
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.errors import QueryError
+
 
 @dataclass(frozen=True)
 class QueryDef:
@@ -35,13 +37,20 @@ class QueryDef:
     build: Callable
     reference: Callable
 
+    def _params(self, overrides: dict) -> dict:
+        unknown = sorted(set(overrides) - set(self.defaults))
+        if unknown:
+            raise QueryError(
+                f"{self.name} has no parameter {', '.join(unknown)}; "
+                f"valid parameters: {', '.join(sorted(self.defaults))}"
+            )
+        return {**self.defaults, **overrides}
+
     def run_reference(self, tables, **overrides):
-        params = {**self.defaults, **overrides}
-        return self.reference(tables, **params)
+        return self.reference(tables, **self._params(overrides))
 
     def build_plan(self, ctx, **overrides):
-        params = {**self.defaults, **overrides}
-        return self.build(ctx, **params)
+        return self.build(ctx, **self._params(overrides))
 
 
 def _load() -> dict[int, QueryDef]:

@@ -1,7 +1,7 @@
 """TPC-H Q6: revenue-change forecast (single-table global aggregate).
 
 Category "mape".  One of the two queries supported by ProgressiveDB
-(Fig 9a) and the pipeline-timeline example (Fig 13).
+(Fig 9a).
 """
 
 from __future__ import annotations

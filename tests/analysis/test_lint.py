@@ -345,6 +345,53 @@ class TestRowLoop:
             assert "allow(row-loop)" not in path.read_text(), path
 
 
+class TestEngineThreading:
+    @pytest.mark.parametrize("statement", [
+        "import threading",
+        "import queue as q",
+        "from queue import Queue",
+        "from concurrent.futures import ThreadPoolExecutor",
+        "import concurrent.futures",
+    ])
+    @pytest.mark.parametrize("relative", [
+        "engine/executor.py", "engine/ops/exchange.py", "core/state.py",
+        "dataframe/groupby.py", "storage/partition.py",
+    ])
+    def test_flags_concurrency_imports(self, tmp_path, relative,
+                                       statement):
+        path = _write(tmp_path, relative, statement + "\n")
+        assert _rules(lint_file(path)) == ["engine-threading"]
+
+    def test_function_local_import_is_caught_too(self, tmp_path):
+        path = _write(tmp_path, "engine/executor.py", """\
+            def run():
+                import threading
+                return threading.Thread
+            """)
+        assert "engine-threading" in _rules(lint_file(path))
+
+    def test_service_and_obs_may_use_threads(self, tmp_path):
+        for relative in ("service/scheduler.py", "obs/metrics.py",
+                         "api/context.py"):
+            path = _write(tmp_path, relative, "import threading\n")
+            assert lint_file(path) == []
+
+    def test_lookalike_modules_are_fine(self, tmp_path):
+        path = _write(tmp_path, "engine/executor.py", """\
+            import queueing
+            from collections import deque
+            from . import threading
+            """)
+        assert lint_file(path) == []
+
+    def test_engine_needs_no_exemption(self):
+        """The single-threaded layers pass without a suppression."""
+        for layer in ("engine", "core", "dataframe", "storage"):
+            for path in (REPO_ROOT / "src" / "repro" / layer).rglob(
+                    "*.py"):
+                assert "allow(engine-threading)" not in path.read_text()
+
+
 class TestSuppression:
     def test_allow_comment_suppresses_one_rule(self, tmp_path):
         path = _write(tmp_path, "engine/ops/filter.py", """\
@@ -397,7 +444,7 @@ class TestDriverAndFormats:
 
     def test_every_rule_has_a_name(self):
         names = [rule.name for rule in ALL_RULES]
-        assert len(names) == len(set(names)) == 7
+        assert len(names) == len(set(names)) == 8
 
 
 class TestCli:

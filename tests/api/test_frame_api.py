@@ -16,10 +16,6 @@ def ctx(catalog):
 
 
 class TestContext:
-    def test_unknown_executor(self, catalog):
-        with pytest.raises(QueryError):
-            WakeContext(catalog, executor="gpu")
-
     def test_from_catalog(self, catalog, tmp_path):
         path = tmp_path / "cat.json"
         catalog.save(path)
@@ -84,13 +80,6 @@ class TestSection1Session:
         first = plan.run().get_final()
         second = plan.run().get_final()
         assert first.equals(second)
-
-    def test_threaded_executor_same_final(self, catalog):
-        sync_ctx = WakeContext(catalog, executor="sync")
-        thread_ctx = WakeContext(catalog, executor="threads")
-        a = self.run_session(sync_ctx).run().get_final()
-        b = self.run_session(thread_ctx).run().get_final()
-        assert a.equals(b)
 
 
 class TestProjectionAPI:

@@ -118,8 +118,6 @@ class TestWakeContextIntegration:
             WakeContext(catalog, quantile_mode="nope")
         with pytest.raises(QueryError, match="sketch_size must be >= 2"):
             WakeContext(catalog, sketch_size=1)
-        with pytest.raises(QueryError, match="unknown executor"):
-            WakeContext(catalog, executor="fibers")
 
     def test_run_accepts_options(self, catalog):
         ctx = WakeContext(catalog)

@@ -1,148 +1,172 @@
-"""Tests for the live snapshot-streaming API."""
+"""Tests for the live snapshot-streaming API.
 
-import threading
-import time
+``ctx.stream()`` steps the same ``StepExecutor`` as ``ctx.run()``, one
+pull at a time: the streamed sequence is ``run``'s, nothing is read
+before the first pull, and dropping the generator closes the scans.
+"""
+
+import gc
 
 import pytest
 
 from repro import F, WakeContext, col
-from repro.dataframe import AggSpec, group_aggregate
+from repro.errors import PlanValidationError
+from repro.obs import MetricsRegistry, ScanInstruments
+from repro.tpch.queries import QUERIES
+from tests.tpch.utils import assert_sequences_byte_identical
+
+#: Same laptop-scale parameter overrides as tests/tpch/test_queries.py.
+OVERRIDES = {11: {"fraction": 0.005}, 18: {"threshold": 150}}
 
 
-def _wake_threads():
-    return [t for t in threading.enumerate()
-            if t.name.startswith("wake-") and t.is_alive()]
+def _tpch_plan(catalog, number):
+    """One fresh context per execution: scan labels (progress-counter
+    keys) count a context's scans of each table."""
+    ctx = WakeContext(catalog)
+    return ctx, QUERIES[number].build_plan(
+        ctx, **OVERRIDES.get(number, {}))
 
 
-def _assert_no_wake_threads(deadline=5.0):
-    end = time.monotonic() + deadline
-    while _wake_threads() and time.monotonic() < end:
-        time.sleep(0.01)
-    assert not _wake_threads(), _wake_threads()
+def _by_cust(ctx):
+    return ctx.table("sales").agg(F.sum("qty").alias("s"), by=["cust"])
 
 
-class TestStream:
-    def test_yields_every_snapshot_and_final(self, catalog,
-                                             sales_frame):
-        ctx = WakeContext(catalog)
-        plan = ctx.table("sales").agg(F.sum("qty").alias("s"),
-                                      by=["cust"])
-        snapshots = list(ctx.stream(plan))
-        assert len(snapshots) >= 2
-        assert snapshots[-1].is_final
-        ts = [s.t for s in snapshots]
-        assert ts == sorted(ts)
-        expected = group_aggregate(sales_frame, ["cust"],
-                                   [AggSpec("sum", "qty", "s")])
-        final = snapshots[-1].frame
-        got = dict(zip(final.column("cust").tolist(),
-                       final.column("s").tolist()))
-        exp = dict(zip(expected.column("cust").tolist(),
-                       expected.column("s").tolist()))
-        assert got == pytest.approx(exp)
+class TestStreamEqualsRun:
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    @pytest.mark.parametrize("number", sorted(QUERIES))
+    def test_tpch_sequence_identical(self, number, parallelism, tpch):
+        """Every snapshot — frames and progress — not just the final."""
+        catalog, _tables = tpch
+        ctx, plan = _tpch_plan(catalog, number)
+        streamed = list(ctx.stream(plan, parallelism=parallelism))
+        ctx, plan = _tpch_plan(catalog, number)
+        ran = ctx.run(plan, parallelism=parallelism)
+        assert streamed[-1].is_final
+        assert_sequences_byte_identical(
+            streamed, ran, f"q{number:02d} K={parallelism}")
 
-    def test_stream_matches_run(self, catalog):
-        ctx = WakeContext(catalog)
-        plan = ctx.table("sales").sum("qty")
-        streamed_final = list(ctx.stream(plan))[-1].frame
-        run_final = ctx.run(plan).get_final()
-        assert streamed_final.equals(run_final)
-
-    def test_stream_deep_pipeline(self, catalog):
-        ctx = WakeContext(catalog)
-        plan = (
-            ctx.table("sales")
-            .agg(F.sum("qty").alias("oq"), by=["okey"])
-            .filter(col("oq") > 30)
-            .agg(F.count(None).alias("n"))
-        )
-        snapshots = list(ctx.stream(plan))
-        assert snapshots[-1].is_final
-        assert snapshots[-1].frame.column("n")[0] >= 0
-
-    def test_empty_result_still_yields_final(self, catalog):
+    def test_empty_result_still_yields_one_final(self, catalog):
         ctx = WakeContext(catalog)
         plan = ctx.table("sales").filter(col("qty") > 1e12).agg(
             F.sum("qty").alias("s"), by=["cust"]
         )
         snapshots = list(ctx.stream(plan))
-        assert snapshots[-1].is_final
-        assert snapshots[-1].frame.n_rows == 0
+        assert len(snapshots) == 1
+        assert snapshots[0].is_final
+        assert snapshots[0].frame.n_rows == 0
 
-    def test_streaming_sets_last_executor(self, catalog):
-        ctx = WakeContext(catalog)
-        plan = ctx.table("sales").sum("qty")
-        list(ctx.stream(plan, record_timeline=True))
-        assert ctx.last_executor is not None
-        assert len(ctx.last_executor.timeline) > 0
-
-    def test_raw_table_read_threaded(self, catalog, sales_frame):
+    def test_source_as_output(self, catalog, sales_frame):
         """Edge case: the output node is itself a source."""
-        ctx = WakeContext(catalog, executor="threads")
-        final = ctx.run(ctx.table("sales")).get_final()
-        assert final.n_rows == sales_frame.n_rows
-
-
-class TestStreamAbandonment:
-    def test_closing_generator_mid_stream_joins_threads(self, catalog):
-        """Regression: dropping the stream() generator after partial
-        consumption (``close()``, or a ``KeyboardInterrupt``/``break``
-        in the consumer loop followed by GC) must shut the executor
-        down cleanly — abort flag set, node threads joined — instead of
-        leaking busy daemon threads."""
         ctx = WakeContext(catalog)
-        plan = ctx.table("sales").agg(F.sum("qty").alias("s"),
-                                      by=["cust"])
-        stream = ctx.stream(plan, source_delay=0.05)
-        first = next(stream)  # partially consume...
-        assert first.t <= 1.0
-        stream.close()  # ...then drop the stream mid-flight
-        _assert_no_wake_threads()
+        snapshots = list(ctx.stream(ctx.table("sales")))
+        assert snapshots[-1].is_final
+        assert snapshots[-1].frame.n_rows == sales_frame.n_rows
+        assert_sequences_byte_identical(
+            snapshots, ctx.run(ctx.table("sales", source_name="sales")),
+            "raw scan")
 
-    def test_abandoned_generator_collected_without_hanging(self,
-                                                           catalog):
+
+class TestLaziness:
+    def test_nothing_is_read_before_the_first_pull(self, catalog):
         ctx = WakeContext(catalog)
-        plan = ctx.table("sales").sum("qty")
-        stream = ctx.stream(plan, source_delay=0.05)
+        stream = ctx.stream(_by_cust(ctx))
+        executor = ctx.last_executor
+        scan = executor.scan_metrics = ScanInstruments(MetricsRegistry())
+        assert executor.steps == 0
+        assert scan.partitions_read.value == 0
         next(stream)
+        # One pull = one partition: the first snapshot needs no more.
+        assert executor.steps == 1
+        assert scan.partitions_read.value == 1
+        stream.close()
+
+    def test_malformed_plan_is_rejected_at_the_call(self, catalog):
+        ctx = WakeContext(catalog)
+        plan = ctx.table("sales").filter(col("nope") > 1)
+        with pytest.raises(PlanValidationError, match="nope"):
+            ctx.stream(plan)
+
+    def test_operator_error_surfaces_unwrapped(self, catalog):
+        """The failing ``next()`` raises the operator's own exception
+        and the executor is closed behind it."""
+        calls = []
+
+        def explode(frame):
+            calls.append(frame.n_rows)
+            if len(calls) > 2:
+                raise RuntimeError("injected failure")
+            return frame
+
+        ctx = WakeContext(catalog)
+        sales = ctx.table("sales")
+        stream = ctx.stream(
+            sales.map_partitions(explode, schema=sales.schema))
+        next(stream)
+        next(stream)
+        with pytest.raises(RuntimeError, match="injected failure"):
+            next(stream)
+        assert ctx.last_executor.closed
+        with pytest.raises(StopIteration):
+            next(stream)
+
+
+class TestAbandonment:
+    """Dropping a stream mid-flight closes the executor and every open
+    partition stream — there is nothing else to tear down."""
+
+    def _started(self, catalog):
+        ctx = WakeContext(catalog)
+        plan = ctx.table("sales").join(
+            ctx.table("customers"), on=[("cust", "ckey")], method="hash",
+        ).agg(F.count(None).alias("n"), by=["segment"])
+        stream = ctx.stream(plan)
+        first = next(stream)
+        assert not first.is_final
+        executor = ctx.last_executor
+        scans = list(executor._streams.values())
+        assert len(scans) == 2
+        return stream, executor, scans
+
+    @staticmethod
+    def _assert_torn_down(executor, scans):
+        assert executor.closed and not executor.done
+        assert executor.graph is None  # operator state released
+        assert not executor.edf.is_final
+        for scan in scans:
+            with pytest.raises(StopIteration):
+                next(scan)
+
+    def test_close_mid_stream(self, catalog):
+        stream, executor, scans = self._started(catalog)
+        stream.close()
+        self._assert_torn_down(executor, scans)
+
+    def test_abandoned_generator_is_collected(self, catalog):
+        stream, executor, scans = self._started(catalog)
         del stream  # GC closes the generator (GeneratorExit path)
-        _assert_no_wake_threads()
+        gc.collect()
+        self._assert_torn_down(executor, scans)
 
-    def test_external_cancel_ends_stream_promptly(self, catalog):
-        """cancel() reuses the error-path abort flag: sources stop,
-        blocked puts become drops, and the stream ends with a partial
-        (never-final) edf while every worker thread joins."""
+    def test_break_out_of_consumer_loop(self, catalog):
+        stream, executor, scans = self._started(catalog)
+        with pytest.raises(KeyboardInterrupt):
+            for _snapshot in stream:
+                raise KeyboardInterrupt
+        stream.close()
+        self._assert_torn_down(executor, scans)
+
+    def test_closing_the_executor_ends_the_stream(self, catalog):
+        """The replacement for the threaded engine's ``cancel()``."""
+        stream, executor, scans = self._started(catalog)
+        executor.close()
+        assert list(stream) == []
+        self._assert_torn_down(executor, scans)
+
+    def test_exhausted_stream_closes_the_executor(self, catalog):
         ctx = WakeContext(catalog)
-        plan = ctx.table("sales").agg(F.sum("qty").alias("s"),
-                                      by=["cust"])
-        stream = ctx.stream(plan, source_delay=0.05)
-        next(stream)
-        ctx.last_executor.cancel()
-        trailing = list(stream)  # ends instead of running to EOF
-        assert all(not s.is_final for s in trailing)
-        _assert_no_wake_threads()
-
-    def test_cancel_interrupts_blocking_run(self, catalog):
-        ctx = WakeContext(catalog)
-        plan = ctx.table("sales").agg(F.sum("qty").alias("s"),
-                                      by=["cust"])
-        result = {}
-
-        def consumer():
-            result["edf"] = ctx.run(plan, executor="threads",
-                                    source_delay=0.05)
-
-        thread = threading.Thread(target=consumer)
-        thread.start()
-        deadline = time.monotonic() + 5
-        while ctx.last_executor is None and time.monotonic() < deadline:
-            time.sleep(0.005)
-        time.sleep(0.1)
-        ctx.last_executor.cancel()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "cancelled run() failed to return"
-        assert not result["edf"].is_final
-        _assert_no_wake_threads()
+        snapshots = list(ctx.stream(_by_cust(ctx)))
+        assert snapshots[-1].is_final
+        assert ctx.last_executor.done and ctx.last_executor.closed
 
 
 class TestDoubleScan:

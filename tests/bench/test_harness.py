@@ -4,7 +4,7 @@ import pytest
 
 from repro import F, WakeContext
 from repro.bench import run_wake
-from repro.bench.report import ascii_timeline, banner, format_table
+from repro.bench.report import banner, format_table
 from repro.dataframe import AggSpec, group_aggregate
 
 
@@ -105,16 +105,6 @@ class TestReport:
     def test_format_table_nan(self):
         text = format_table(["v"], [[float("nan")]])
         assert "nan" in text
-
-    def test_ascii_timeline(self):
-        text = ascii_timeline(
-            [("read", 0.0, 0.5), ("agg", 0.4, 1.0)], width=40
-        )
-        assert "read" in text and "agg" in text
-        assert "#" in text
-
-    def test_ascii_timeline_empty(self):
-        assert "(no events)" in ascii_timeline([])
 
     def test_banner(self):
         assert "TITLE" in banner("TITLE")

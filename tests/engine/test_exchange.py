@@ -5,7 +5,7 @@ import pytest
 
 from repro.dataframe import AggSpec, DataFrame, col, group_aggregate
 from repro.core.properties import Delivery, Progress, StreamInfo
-from repro.engine import QueryGraph, SyncExecutor
+from repro.engine import QueryGraph, StepExecutor
 from repro.engine.message import Message
 from repro.engine.ops import (
     AggregateOperator,
@@ -22,7 +22,7 @@ from repro.errors import QueryError
 
 
 def run(graph, output, **kwargs):
-    return SyncExecutor(graph, output, **kwargs).run()
+    return StepExecutor(graph, output, **kwargs).run()
 
 
 class TestShardAssignment:
@@ -129,6 +129,37 @@ class TestExchangeOperator:
         cache = ShardHashCache(("k",), 2)
         first = cache.shards_for(frame)
         assert cache.shards_for(frame) is first
+
+    def test_cache_entry_dropped_on_kth_read(self):
+        frame, _ = self._info()
+        cache = ShardHashCache(("k",), 3)
+        reads = [cache.shards_for(frame) for _ in range(3)]
+        assert reads[1] is reads[0] and reads[2] is reads[0]
+        assert not cache._entries  # every sibling port has read it
+        # An operator that re-emits the same frame object starts a new
+        # K-read cycle with a fresh assignment, not the drained entry.
+        again = cache.shards_for(frame)
+        assert again is not reads[0]
+        np.testing.assert_array_equal(again, reads[0])
+        assert len(cache._entries) == 1
+
+    def test_cache_never_serves_another_frames_assignment(self):
+        """Entries pin their frame, so an id cannot be recycled into a
+        stale hit; unread entries fall off the FIFO cap instead."""
+        cache = ShardHashCache(("k",), 2)
+        frames = [
+            DataFrame({"k": np.arange(i, i + 4, dtype=np.int64)})
+            for i in range(ShardHashCache.CAPACITY + 8)
+        ]
+        for frame in frames:
+            np.testing.assert_array_equal(
+                cache.shards_for(frame),
+                shard_assignment([frame.column("k")], 2),
+            )
+        kept = [entry[0] for entry in cache._entries.values()]
+        assert len(kept) == ShardHashCache.CAPACITY
+        assert all(a is b for a, b in
+                   zip(kept, frames[-ShardHashCache.CAPACITY:]))
 
     def test_validation(self):
         frame, info = self._info()
@@ -453,16 +484,3 @@ class TestContextParallelism:
         first = small.snapshots[0]
         assert (not first.progress.is_complete
                 or first.frame.n_rows == n_groups)
-
-    def test_threaded_sharded_run(self, catalog):
-        from repro import WakeContext
-
-        ctx = WakeContext(catalog)
-        plan = ctx.table("sales").sum("qty", by=["cust"])
-        base = ctx.run(plan, capture_all=False).get_final()
-        sharded = ctx.run(
-            plan, capture_all=False, executor="threads", parallelism=3
-        ).get_final()
-        for name in base.column_names:
-            assert (base.column(name).tobytes()
-                    == sharded.column(name).tobytes()), name

@@ -1,5 +1,5 @@
-"""Executor tests: sync/threaded equivalence, deep pipeline end-to-end,
-timelines, convergence behaviour."""
+"""Executor tests: deep pipeline end-to-end, snapshot metadata,
+convergence behaviour."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.dataframe import (
     hash_join,
     top_k,
 )
-from repro.engine import QueryGraph, SyncExecutor, ThreadedExecutor
+from repro.engine import QueryGraph, StepExecutor
 from repro.engine.ops import (
     AggregateOperator,
     FilterOperator,
@@ -80,7 +80,7 @@ def section1_reference(catalog):
 class TestDeepPipeline:
     def test_final_answer_matches_reference(self, catalog):
         graph, top = section1_pipeline(catalog)
-        edf = SyncExecutor(graph, top).run()
+        edf = StepExecutor(graph, top).run()
         expected = section1_reference(catalog)
         got = edf.get_final()
         assert got.column("name").tolist() == expected.column(
@@ -91,7 +91,7 @@ class TestDeepPipeline:
 
     def test_intermediate_estimates_appear_early(self, catalog):
         graph, top = section1_pipeline(catalog)
-        edf = SyncExecutor(graph, top).run()
+        edf = StepExecutor(graph, top).run()
         assert len(edf) >= 3  # one refresh per fact partition at least
         assert edf.snapshots[0].t < 0.5
 
@@ -99,7 +99,7 @@ class TestDeepPipeline:
         """Later estimates should not be (much) worse: compare first and
         second-half mean error on the top-customer total."""
         graph, top = section1_pipeline(catalog)
-        edf = SyncExecutor(graph, top).run()
+        edf = StepExecutor(graph, top).run()
         expected = section1_reference(catalog)
         target = expected.column("total_qty")[0]
 
@@ -113,81 +113,26 @@ class TestDeepPipeline:
         assert errors[-1] == pytest.approx(0.0, abs=1e-9)
 
 
-class TestExecutorEquivalence:
-    def test_final_frames_identical(self, catalog):
-        graph_a, top_a = section1_pipeline(catalog)
-        sync_edf = SyncExecutor(graph_a, top_a).run()
-        graph_b, top_b = section1_pipeline(catalog)
-        threaded_edf = ThreadedExecutor(graph_b, top_b).run()
-        assert sync_edf.get_final().equals(threaded_edf.get_final())
-
-    def test_threaded_shuffle_agg(self, catalog):
-        graph = QueryGraph()
-        read = graph.add(ReadOperator(catalog.table("sales")))
-        agg = graph.add(
-            AggregateOperator(
-                "a", [AggSpec("sum", "qty", "s")], by=["cust"]
-            ),
-            (read,),
-        )
-        edf = ThreadedExecutor(graph, agg).run()
-        expected = group_aggregate(
-            catalog.table("sales").read_all(), ["cust"],
-            [AggSpec("sum", "qty", "s")],
-        )
-        got = dict(zip(edf.get_final().column("cust").tolist(),
-                       edf.get_final().column("s").tolist()))
-        exp = dict(zip(expected.column("cust").tolist(),
-                       expected.column("s").tolist()))
-        assert got == pytest.approx(exp)
-
-    def test_threaded_join(self, catalog, sales_frame, customers_frame):
-        graph = QueryGraph()
-        sales = graph.add(ReadOperator(catalog.table("sales")))
-        cust = graph.add(ReadOperator(catalog.table("customers")))
-        join = graph.add(
-            HashJoinOperator("j", ["cust"], ["ckey"]), (sales, cust)
-        )
-        edf = ThreadedExecutor(graph, join).run()
-        assert edf.get_final().n_rows == 60
-
-
 class TestSnapshotMetadata:
     def test_wall_times_monotone(self, catalog):
         graph, top = section1_pipeline(catalog)
-        edf = SyncExecutor(graph, top).run()
+        edf = StepExecutor(graph, top).run()
         times = [s.wall_time for s in edf.snapshots]
         assert times == sorted(times)
 
     def test_rows_processed_monotone(self, catalog):
         graph, top = section1_pipeline(catalog)
-        edf = SyncExecutor(graph, top).run()
+        edf = StepExecutor(graph, top).run()
         rows = [s.rows_processed for s in edf.snapshots]
         assert rows == sorted(rows)
         assert rows[-1] == 60 + 5  # all sales + all customers
 
     def test_capture_all_false_keeps_first_and_final(self, catalog):
         graph, top = section1_pipeline(catalog)
-        edf = SyncExecutor(graph, top, capture_all=False).run()
+        edf = StepExecutor(graph, top, capture_all=False).run()
         assert len(edf) == 2
         assert edf.snapshots[0].sequence == 0
         assert edf.is_final
-
-    def test_timeline_recorded(self, catalog):
-        graph, top = section1_pipeline(catalog)
-        executor = SyncExecutor(graph, top, record_timeline=True)
-        executor.run()
-        names = {event.node for event in executor.timeline}
-        assert "order_qty" in names
-        assert "top_cust" in names
-        for event in executor.timeline:
-            assert event.end >= event.start
-
-    def test_threaded_timeline(self, catalog):
-        graph, top = section1_pipeline(catalog)
-        executor = ThreadedExecutor(graph, top, record_timeline=True)
-        executor.run()
-        assert len(executor.timeline) > 0
 
 
 class TestEmptyResults:
@@ -202,6 +147,6 @@ class TestEmptyResults:
                               by=["cust"]),
             (filt,),
         )
-        edf = SyncExecutor(graph, agg).run()
+        edf = StepExecutor(graph, agg).run()
         assert edf.is_final
         assert edf.get_final().n_rows == 0

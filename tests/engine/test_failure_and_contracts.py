@@ -1,13 +1,11 @@
-"""Failure injection and operator-contract tests for the executors."""
-
-import time
+"""Failure injection and operator-contract tests for the executor."""
 
 import numpy as np
 import pytest
 
 from repro.core.properties import Delivery, Progress, StreamInfo
 from repro.dataframe import DataFrame, DType, Field, Schema, col
-from repro.engine import Message, QueryGraph, SyncExecutor, ThreadedExecutor
+from repro.engine import Message, QueryGraph, StepExecutor
 from repro.engine.ops import (
     FilterOperator,
     MapPartitionsOperator,
@@ -15,7 +13,6 @@ from repro.engine.ops import (
 )
 from repro.engine.ops.base import Operator, SourceOperator
 from repro.errors import ExecutionError
-from repro.storage import Catalog, write_table
 
 
 class ExplodingOperator(Operator):
@@ -43,54 +40,21 @@ class TestFailureInjection:
         boom = graph.add(ExplodingOperator(after=after), (read,))
         return graph, boom
 
-    def test_sync_executor_propagates(self, catalog):
+    def test_original_exception_propagates(self, catalog):
         graph, boom = self.build(catalog, after=2)
+        executor = StepExecutor(graph, boom)
         with pytest.raises(RuntimeError, match="injected failure"):
-            SyncExecutor(graph, boom).run()
+            executor.run()
+        # A dispatch failure may have half-updated operator state.
+        assert not executor.step_retry_safe
 
-    def test_threaded_executor_wraps_and_terminates(self, catalog):
-        graph, boom = self.build(catalog, after=2)
-        with pytest.raises(ExecutionError, match="injected failure"):
-            ThreadedExecutor(graph, boom).run()
-
-    def test_threaded_failure_in_mid_pipeline(self, catalog):
+    def test_failure_in_mid_pipeline(self, catalog):
         graph = QueryGraph()
         read = graph.add(ReadOperator(catalog.table("sales")))
         boom = graph.add(ExplodingOperator(after=1), (read,))
         filt = graph.add(FilterOperator("f", col("qty") > 0), (boom,))
-        with pytest.raises(ExecutionError):
-            ThreadedExecutor(graph, filt).run()
-
-    def test_error_path_does_not_hang_on_full_channels(self, tmp_path):
-        """Regression: a consumer that dies while its bounded input
-        channel is full used to leave the source thread parked in a
-        blocking put forever — run() then burned the full 30 s join
-        timeout and raised 'failed to terminate' instead of the original
-        error.  With many more partitions than CHANNEL_CAPACITY the
-        source is guaranteed to outrun the dead consumer; the original
-        error must surface promptly."""
-        n_parts = ThreadedExecutor.CHANNEL_CAPACITY * 4
-        frame = DataFrame(
-            {
-                "k": np.arange(n_parts, dtype=np.int64),
-                "qty": np.ones(n_parts),
-            }
-        )
-        cat = Catalog(root=str(tmp_path))
-        write_table(
-            cat, tmp_path / "wide", "wide", frame, rows_per_partition=1,
-            primary_key=["k"], clustering_key=["k"],
-        )
-        graph = QueryGraph()
-        read = graph.add(ReadOperator(cat.table("wide")))
-        boom = graph.add(ExplodingOperator(after=0), (read,))
-        start = time.perf_counter()
-        with pytest.raises(ExecutionError, match="injected failure"):
-            ThreadedExecutor(graph, boom).run()
-        assert time.perf_counter() - start < 15.0, (
-            "error path should unblock producers, not ride out the join "
-            "timeout"
-        )
+        with pytest.raises(RuntimeError, match="injected failure"):
+            StepExecutor(graph, filt).run()
 
 
 class TestOperatorContracts:

@@ -6,7 +6,7 @@ import pytest
 from repro.dataframe import AggSpec, col, group_aggregate
 from repro.dataframe.join import hash_join
 from repro.core.properties import Delivery
-from repro.engine import QueryGraph, SyncExecutor
+from repro.engine import QueryGraph, StepExecutor
 from repro.engine.ops import (
     AggregateOperator,
     CrossJoinOperator,
@@ -23,7 +23,7 @@ from repro.errors import QueryError
 
 
 def run(graph, output, **kwargs):
-    return SyncExecutor(graph, output, **kwargs).run()
+    return StepExecutor(graph, output, **kwargs).run()
 
 
 class TestReadOperator:

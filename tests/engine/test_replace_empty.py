@@ -14,7 +14,7 @@ from repro.dataframe import (
     Schema,
     col,
 )
-from repro.engine import Message, QueryGraph, SyncExecutor
+from repro.engine import Message, QueryGraph, StepExecutor
 from repro.engine.ops import AggregateOperator, FilterOperator, ReadOperator
 
 
@@ -132,7 +132,7 @@ class TestEndToEnd:
             AggregateOperator("outer", [AggSpec("count", None, "n")]),
             (filt,),
         )
-        edf = SyncExecutor(graph, outer).run()
+        edf = StepExecutor(graph, outer).run()
         nonempty = [s for s in edf.snapshots if s.frame.n_rows > 0]
         assert nonempty, "intermediate estimates should pass the filter"
         assert max(

@@ -1,15 +1,15 @@
-"""StepExecutor: resumable stepping, parity with SyncExecutor, close().
+"""StepExecutor: resumable stepping, parity with ``ctx.run()``, close().
 
 The step executor is the scheduling quantum of the multi-query service;
 its contract is that stepping to completion — no matter who interleaves
-what between the steps — reproduces the sync engine's snapshot sequence
+what between the steps — reproduces the run-to-EOF snapshot sequence
 byte-for-byte.
 """
 
 import pytest
 
 from repro import F, WakeContext, col
-from repro.engine import QueryGraph, StepExecutor, SyncExecutor
+from repro.engine import QueryGraph, StepExecutor
 from repro.engine.ops import ReadOperator
 from repro.engine.ops.base import Operator
 
@@ -27,7 +27,7 @@ def assert_sequences_identical(got, expected):
 
 
 class TestStepParity:
-    def test_agg_plan_matches_sync(self, catalog):
+    def test_agg_plan_matches_run(self, catalog):
         ctx = WakeContext(catalog)
         plan = ctx.table("sales").agg(F.sum("qty").alias("s"),
                                       by=["cust"])
@@ -37,7 +37,7 @@ class TestStepParity:
 
     def test_join_plan_drains_build_first(self, catalog):
         """Hash-join build sources drain fully before probe partitions
-        stream, exactly like the sync executor."""
+        stream."""
         ctx = WakeContext(catalog)
         plan = ctx.table("sales").join(
             ctx.table("customers"), on=[("cust", "ckey")],
@@ -62,10 +62,6 @@ class TestStepParity:
         base = ctx.run(plan, parallelism=4)
         stepped = ctx.executor_for(plan, parallelism=4).run()
         assert_sequences_identical(stepped, base)
-
-    def test_sync_executor_is_step_until_eof(self, catalog):
-        """SyncExecutor IS a StepExecutor (the refactor's contract)."""
-        assert issubclass(SyncExecutor, StepExecutor)
 
 
 class TestStepping:
@@ -106,11 +102,6 @@ class TestStepping:
         executor = self._executor(catalog)
         first = executor.run()
         assert executor.run() is first
-
-    def test_record_timeline(self, catalog):
-        executor = self._executor(catalog, record_timeline=True)
-        executor.run()
-        assert len(executor.timeline) > 0
 
 
 class TestClose:

@@ -166,6 +166,23 @@ class TestProtocolErrors:
         # the connection survives both
         assert client.status()["ok"] is True
 
+    def test_unknown_tpch_param_names_the_valid_ones(self, tpch):
+        """The default registry's submit error is the CLI's one line."""
+        catalog, _tables = tpch
+        server = SnapshotServer(
+            QueryService(WakeContext(catalog)), port=0).start()
+        try:
+            with ServiceClient(port=server.port, timeout=30) as client:
+                with pytest.raises(
+                    ServiceError,
+                    match="q06 has no parameter bogus; valid "
+                          "parameters: discount, quantity, start, years",
+                ):
+                    client.submit("q06", params={"bogus": 1})
+                assert client.status()["ok"] is True
+        finally:
+            server.stop()
+
     def test_unknown_query(self, server, client):
         with pytest.raises(ServiceError, match="unknown query"):
             client.submit("nope")

@@ -52,11 +52,18 @@ class TestRun:
         out = capsys.readouterr().out
         assert "q18" in out
 
-    def test_run_threaded(self, cli_catalog, capsys):
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_unknown_param_is_a_usage_error(self, command, cli_catalog,
+                                            capsys):
         assert main([
-            "run", str(cli_catalog), "1", "--executor", "threads",
-        ]) == 0
-        assert "q01" in capsys.readouterr().out
+            command, str(cli_catalog), "6", "--param", "bogus=1",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "repro: error: q06 has no parameter bogus; valid "
+            "parameters: discount, quantity, start, years\n"
+        )
+        assert "Traceback" not in captured.out + captured.err
 
     def test_bad_param_rejected(self, cli_catalog):
         with pytest.raises(SystemExit, match="bad --param"):

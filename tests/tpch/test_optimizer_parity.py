@@ -5,14 +5,14 @@ The rule engine re-expresses the old monolithic planner passes
 rewrites (combine-filters, aggregate-projection, common-subplan).  None
 of that may perturb a single byte of any snapshot: for every query the
 optimized context run must match a hand-assembled legacy pipeline —
-materialize, pruning_pass, projection_pass, shard_plan, SyncExecutor —
+materialize, pruning_pass, projection_pass, shard_plan, StepExecutor —
 snapshot for snapshot, solo and at ``parallelism=4``.
 """
 
 import pytest
 
 from repro import WakeContext
-from repro.engine.executor import SyncExecutor
+from repro.engine.executor import StepExecutor
 from repro.engine.graph import QueryGraph
 from repro.engine.planner import projection_pass, pruning_pass, shard_plan
 from repro.tpch.queries import QUERIES
@@ -38,7 +38,7 @@ def _legacy_run(catalog, number, parallelism=1):
     projection_pass(graph, output)
     if parallelism > 1:
         graph, output = shard_plan(graph, output, parallelism)
-    return SyncExecutor(graph, output, capture_all=True).run()
+    return StepExecutor(graph, output, capture_all=True).run()
 
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
@@ -73,5 +73,5 @@ def test_no_optimize_matches_legacy_unpushed(number, tpch):
     _ctx2, frame2 = _build(catalog, number)
     graph = QueryGraph()
     output = frame2.plan.materialize(graph, {})
-    expected = SyncExecutor(graph, output, capture_all=True).run()
+    expected = StepExecutor(graph, output, capture_all=True).run()
     assert_sequences_byte_identical(got, expected, f"q{number} raw")

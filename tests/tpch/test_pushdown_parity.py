@@ -69,14 +69,3 @@ def test_pushdown_snapshot_sequences_identical(number, tpch):
         assert dict(a.progress.done) == dict(b.progress.done)
         assert a.t == b.t
         assert_frames_byte_identical(a.frame, b.frame)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("number", [3, 6, 10])
-def test_threaded_pushdown_finals(number, tpch):
-    """Pushed-down scans on the threaded executor (empty pruned partials
-    flowing through bounded channels) converge to the same final."""
-    catalog, _tables = tpch
-    threaded = _final(catalog, number, executor="threads")
-    baseline = _final(catalog, number, pushdown=False)
-    assert_frames_byte_identical(threaded, baseline)

@@ -7,6 +7,8 @@ result degenerate (marked per query below).
 
 import pytest
 
+from repro import WakeContext
+from repro.errors import QueryError
 from repro.tpch.queries import QUERIES
 from tests.tpch.utils import assert_frames_close
 
@@ -50,3 +52,26 @@ def test_registry_complete():
     for number, query in QUERIES.items():
         assert query.name == f"q{number:02d}"
         assert query.category in ("mape", "recall", "mixed")
+
+
+def test_unknown_parameter_is_rejected(tpch_ctx, tpch_tables):
+    """Both entry points name the valid overrides instead of letting
+    the query module's ``build()`` die with a TypeError."""
+    message = ("q06 has no parameter bogus, nope; valid parameters: "
+               "discount, quantity, start, years")
+    with pytest.raises(QueryError, match=message):
+        QUERIES[6].build_plan(tpch_ctx, nope=2, bogus=1)
+    with pytest.raises(QueryError, match=message):
+        QUERIES[6].run_reference(tpch_tables.tables, bogus=1, nope=2)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_shuffled_partitions_same_final(seed, tpch, tpch_tables):
+    """Input arrival order must not change the exact answer (§8.5)."""
+    catalog, _tables = tpch
+    query = QUERIES[6]
+    ctx = WakeContext(catalog, partition_shuffle_seed=seed)
+    got = ctx.run(query.build_plan(ctx), capture_all=False).get_final()
+    expected = query.run_reference(tpch_tables.tables)
+    assert_frames_close(got, expected)

@@ -36,17 +36,6 @@ def _plan(ctx, number):
     return query.build_plan(ctx, **OVERRIDES.get(number, {}))
 
 
-class _Seq:
-    """Adapt a snapshot list to assert_sequences_byte_identical's edf
-    interface (len + .snapshots)."""
-
-    def __init__(self, snapshots):
-        self.snapshots = list(snapshots)
-
-    def __len__(self):
-        return len(self.snapshots)
-
-
 @pytest.fixture(scope="module")
 def baselines(tpch):
     """``WakeContext.run()`` snapshot sequences for all 22 queries,
@@ -163,7 +152,7 @@ def test_result_cache_attach_parity(number, tpch, baselines):
     for i, session in enumerate(attached):
         assert session.state is SessionState.DONE
         assert_sequences_byte_identical(
-            _Seq(session.buffer.retained()), baselines[number],
+            session.buffer.retained(), baselines[number],
             f"q{number:02d} cache attach #{i}",
         )
     assert service.cache_stats()["hits"] == 2

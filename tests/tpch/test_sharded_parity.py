@@ -50,19 +50,3 @@ def test_parallelism_one_keeps_snapshot_sequence(number, tpch_ctx):
         assert a.sequence == b.sequence
         assert a.progress.done == b.progress.done
         assert_frames_byte_identical(b.frame, a.frame)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("number", [1, 13, 16])
-def test_threaded_sharded_finals(number, tpch_ctx):
-    """Sharded plans on the threaded executor (every replica on its own
-    thread, bounded channels) still converge to the same exact final."""
-    query = QUERIES[number]
-    base = tpch_ctx.run(
-        query.build_plan(tpch_ctx), capture_all=False
-    ).get_final()
-    sharded = tpch_ctx.run(
-        query.build_plan(tpch_ctx), capture_all=False,
-        executor="threads", parallelism=4,
-    ).get_final()
-    assert_frames_byte_identical(sharded, base)

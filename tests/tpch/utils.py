@@ -33,15 +33,17 @@ def assert_frames_close(
 
 
 def assert_sequences_byte_identical(got, expected, label):
-    """Assert two edf snapshot sequences match snapshot-for-snapshot,
-    byte-for-byte (sequence numbers, t, progress, and column bytes)."""
+    """Assert two snapshot sequences (edfs, or lists of snapshots) match
+    snapshot-for-snapshot, byte-for-byte (sequence numbers, t, progress,
+    and column bytes)."""
     assert len(got) == len(expected), (
         f"{label}: {len(got)} snapshots vs {len(expected)}"
     )
-    for a, b in zip(got.snapshots, expected.snapshots):
+    for a, b in zip(got, expected):
         assert a.sequence == b.sequence, label
         assert a.t == b.t, label
         assert dict(a.progress.done) == dict(b.progress.done), label
+        assert dict(a.progress.total) == dict(b.progress.total), label
         assert tuple(a.frame.column_names) == \
             tuple(b.frame.column_names), label
         for name in a.frame.column_names:
