@@ -1,7 +1,7 @@
 """Ablation — growth-based inference (§5.2) vs fixed scaling rules.
 
-DESIGN.md calls out the cardinality growth model as the load-bearing
-design choice of Wake's estimator stack.  The same aggregation runs under
+The cardinality growth model (README.md: growth-based inference, §5) is
+the load-bearing design choice of Wake's estimator stack.  The same aggregation runs under
 three scaling strategies:
 
 * ``fitted``  — the paper's monomial fit of w (growth-based inference);

@@ -15,9 +15,16 @@ is refreshed by a REPLACE snapshot on every message, and once its
 input's groups stop appearing the keys of consecutive snapshots are
 equal — the state must then reuse the slot codes it already has, not
 re-derive every group's identity.
+
+The last two guards pin the level-1 aggregate's ``Grouper``: once every
+key has been seen, its direct-address slot table must find a partial's
+slots far faster than the sorted-table path (bound patched to 0), and on
+an all-new ascending key stream (a distinct on an ordered key, which
+never hits) it must cost next to nothing.
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +39,7 @@ from repro.bench.workloads import (
     generate_deep_dataset,
 )
 from repro.core.state import GroupedAggregateState
-from repro.dataframe import AggSpec, DataFrame
+from repro.dataframe import AggSpec, DataFrame, groupby
 
 DEPTHS = (0, 1, 2, 3, 4, 5, 6)
 N_ROWS = 60_000
@@ -175,3 +182,84 @@ def test_replace_refresh_latency(benchmark, guard, emit):
     ))
     guard("replace_refresh_late_over_early", late / early, 2.0, op="<=")
     guard("replace_refresh_speedup_vs_reencode", full / late, 5.0)
+
+
+GROUPER_KEYS = tuple(f"c{i + 1}" for i in range(8))  # depth 8, level 1
+GROUPER_PARTIAL_ROWS = 7_812  # 1 M rows over 128 partitions
+GROUPER_PAIRS = 9
+
+
+def _sorted_path_only():
+    """Patch the slot table's bound to 0: every partial takes the
+    sorted-table path."""
+    return mock.patch.object(groupby, "_SLOT_TABLE_SIZE", 0)
+
+
+def _alternate(run, pairs=GROUPER_PAIRS):
+    """Median seconds of ``run()`` with the slot table and on the sorted
+    path alone, the two taken in alternation."""
+    tabled, plain = [], []
+    for _ in range(pairs):
+        tabled.append(run())
+        with _sorted_path_only():
+            plain.append(run())
+    return float(np.median(tabled)), float(np.median(plain))
+
+
+def test_grouper_steady_state_lookup(guard, emit):
+    """Depth 8's level-1 encode once every one of the 4**8 keys has
+    been seen: one gather against two ``np.unique`` passes per column
+    plus a fold chain of ``searchsorted``s."""
+    rng = np.random.default_rng(11)
+    grid = np.meshgrid(*[np.arange(DEEP_UNIQUES)] * len(GROUPER_KEYS),
+                       indexing="ij")
+    every_key = DataFrame({key: axis.ravel().astype(np.int64)
+                           for key, axis in zip(GROUPER_KEYS, grid)})
+    partials = [
+        DataFrame({key: rng.integers(0, DEEP_UNIQUES,
+                                     size=GROUPER_PARTIAL_ROWS)
+                   for key in GROUPER_KEYS})
+        for _ in range(16)
+    ]
+
+    def encode_seen():
+        grouper = groupby.Grouper(GROUPER_KEYS)
+        grouper.encode(every_key)
+        grouper.encode(partials[0])  # the table is built on first need
+        started = time.perf_counter()
+        for partial in partials:
+            grouper.encode(partial)
+        return (time.perf_counter() - started) / len(partials)
+
+    tabled, plain = _alternate(encode_seen)
+    emit(banner(f"Grouper encode, {len(GROUPER_KEYS)} keys x "
+                f"{DEEP_UNIQUES} values, {GROUPER_PARTIAL_ROWS}-row "
+                "partials, every key seen"))
+    emit(format_table(["path", "median ms / partial"],
+                      [["slot table", tabled * 1000.0],
+                       ["sorted tables", plain * 1000.0]]))
+    guard("grouper_steady_state_speedup", plain / tabled, 3.0)
+
+
+def test_grouper_all_new_keys_overhead(guard, emit):
+    """q04's distinct on ``l_orderkey`` at SF 0.1: 137,574 ascending
+    keys out of 600,000 over 32 partials, every key new on arrival."""
+    rng = np.random.default_rng(12)
+    keys = np.sort(rng.choice(600_000, size=137_574, replace=False))
+    partials = [DataFrame({"k": part.astype(np.int64)})
+                for part in np.array_split(keys, 32)]
+
+    def encode_stream():
+        grouper = groupby.Grouper(("k",))
+        started = time.perf_counter()
+        for partial in partials:
+            grouper.encode(partial)
+        return time.perf_counter() - started
+
+    tabled, plain = _alternate(encode_stream, pairs=3 * GROUPER_PAIRS)
+    emit(banner(f"Grouper encode, all-new ascending keys "
+                f"({len(keys)} keys, {len(partials)} partials)"))
+    emit(format_table(["path", "median ms / stream"],
+                      [["slot table", tabled * 1000.0],
+                       ["sorted tables", plain * 1000.0]]))
+    guard("grouper_all_new_keys_overhead", tabled / plain, 1.10, op="<=")

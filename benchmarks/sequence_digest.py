@@ -1,0 +1,133 @@
+"""Digest every snapshot sequence, to show a change is byte-identical.
+
+One sha256 per sequence, over each snapshot's sequence number, progress
+(done and total per source) and column names, dtypes and bytes:
+
+* all 22 TPC-H queries at ``parallelism`` 1 and 4 (``capture_all``),
+* the §8.6 deep chain at depths 0-8.
+
+Inputs are the repo benchmark's full preset (TPC-H SF 0.1 with 32 fact
+partitions; a 1 M-row, 128-partition deep table), seed 42.  Run it on
+two trees and compare::
+
+    python benchmarks/sequence_digest.py --json before.json
+    python benchmarks/sequence_digest.py --against before.json
+
+It imports ``repro`` from the ``src/`` beside it, so a copy in another
+checkout digests that checkout.  ``--against`` prints every sequence
+whose digest differs or is missing and exits 1 if there is one.  Not a
+pytest module: nothing collects it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from repro import ExecutionOptions, WakeContext  # noqa: E402
+from repro.bench.workloads import (  # noqa: E402
+    build_deep_query,
+    generate_deep_dataset,
+)
+from repro.tpch import generate_and_load  # noqa: E402
+from repro.tpch.queries import QUERIES  # noqa: E402
+
+SEED = 42
+SCALE_FACTOR = 0.1
+FACT_PARTITIONS = 32
+DEEP_ROWS = 1_000_000
+DEEP_PARTITIONS = 128
+DEEP_DEPTHS = range(9)
+PARALLELISMS = (1, 4)
+
+
+def digest(edf) -> str:
+    """sha256 over a snapshot sequence."""
+    h = hashlib.sha256()
+    for snapshot in edf.snapshots:
+        progress = snapshot.progress
+        h.update(repr((snapshot.sequence, sorted(progress.done.items()),
+                       sorted(progress.total.items()))).encode())
+        frame = snapshot.frame
+        for name in frame.column_names:
+            column = frame.column(name)
+            h.update(f"{name}:{column.dtype.str}".encode())
+            h.update(column.tobytes())
+    return h.hexdigest()
+
+
+def tpch_digests(workdir: Path) -> dict[str, str]:
+    catalog, _tables = generate_and_load(
+        workdir / "tpch", scale_factor=SCALE_FACTOR, seed=SEED,
+        fact_partitions=FACT_PARTITIONS, dimension_partitions=2,
+    )
+    # The repo benchmark's overrides: q11 takes the spec's 0.0001 / SF
+    # (a fixed fraction selects nothing at SF 0.1), q18 a lower bar.
+    overrides = {11: {"fraction": 0.0001 / SCALE_FACTOR},
+                 18: {"threshold": 200}}
+    out = {}
+    for parallelism in PARALLELISMS:
+        ctx = WakeContext(
+            catalog, options=ExecutionOptions(parallelism=parallelism)
+        )
+        for number in sorted(QUERIES):
+            plan = QUERIES[number].build_plan(
+                ctx, **overrides.get(number, {}))
+            name = f"tpch/q{number:02d}/k{parallelism}"
+            out[name] = digest(ctx.run(plan, capture_all=True))
+            print(out[name], name, flush=True)
+    return out
+
+
+def deep_digests(workdir: Path) -> dict[str, str]:
+    dataset = generate_deep_dataset(
+        workdir / "deep", n_rows=DEEP_ROWS, n_partitions=DEEP_PARTITIONS,
+        seed=SEED,
+    )
+    ctx = WakeContext(dataset.catalog)
+    out = {}
+    for depth in DEEP_DEPTHS:
+        name = f"deep/depth{depth}"
+        out[name] = digest(ctx.run(build_deep_query(ctx, depth),
+                                   capture_all=True))
+        print(out[name], name, flush=True)
+    return out
+
+
+def compare(got: dict[str, str], expected: dict[str, str]) -> int:
+    """Print every sequence whose digest differs from (or is absent
+    in) ``expected``; the number of them."""
+    bad = [name for name in sorted(got) if got[name] != expected.get(name)]
+    for name in bad:
+        print(f"DIFFERS {name}: {expected.get(name)} -> {got[name]}")
+    print(f"{len(got) - len(bad)} of {len(got)} sequences identical")
+    return len(bad)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="where generated data goes (default: a "
+                             "temporary directory, removed at exit)")
+    parser.add_argument("--json", type=Path, default=None,
+                        help="write {sequence: sha256} here")
+    parser.add_argument("--against", type=Path, default=None,
+                        help="a --json file of another run to diff with")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        digests = {**tpch_digests(Path(tmp)), **deep_digests(Path(tmp))}
+    if args.json is not None:
+        args.json.write_text(json.dumps(digests, indent=1, sort_keys=True))
+    if args.against is None:
+        return 0
+    return 1 if compare(digests, json.loads(args.against.read_text())) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,8 +13,8 @@ Quickstart::
     for snapshot in ctx.run(lg_orders):
         print(snapshot.progress, snapshot.frame)
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module mapping.
+See README.md for the architecture overview and ROADMAP.md ("Performance
+notes") for each module's per-message cost model.
 """
 
 from repro.dataframe import (

@@ -3,9 +3,10 @@
 The paper compares Wake against Postgres, Presto, Vertica, Polars, and
 Actian Vector.  Those systems cannot be bundled here, so the reproduction
 substitutes two flavours of an exact engine *running on the identical
-DataFrame kernels as Wake* (see DESIGN.md §3 — ratios between systems
-sharing kernels isolate exactly the OLA-protocol overhead the paper
-measures):
+DataFrame kernels as Wake*, so that ratios between the two isolate the
+OLA-protocol overhead the paper measures — up to plan quality: the
+reference plans are hand-written, not Wake's optimized graph (ROADMAP.md
+item 5(a)):
 
 * ``memory`` — tables fully resident before the query starts (the Polars
   analogue; excludes IO from the measured latency);

@@ -4,7 +4,7 @@ ProgressiveDB is a middleware above PostgreSQL that rewrites a single-table
 query into chunked "progressive view" queries and scales the partial
 aggregates uniformly by the inverse of the processed fraction.  This
 simulation preserves the algorithmic content while replacing the Postgres
-substrate (see DESIGN.md §3):
+substrate (the list below is the whole substitution):
 
 * single table only, no joins, no nesting (the system's documented scope);
 * chunked scan with a configurable chunk size;

@@ -6,7 +6,8 @@ through downstream differentiable operations with the delta method
 (first-order Taylor / "propagation of uncertainty"), and (3) derive
 distribution-free intervals from variances via Chebyshev's inequality.
 
-Substitutions relative to the paper (documented in DESIGN.md):
+Substitutions relative to the paper (ROADMAP.md items 1(c) and 2 track
+the gaps they leave):
 
 * map/projection propagation uses central finite differences instead of
   automatic differentiation (identical first-order result, no AD library);

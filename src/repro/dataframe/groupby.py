@@ -180,14 +180,20 @@ def group_codes(
         dense = np.cumsum(starts, dtype=np.int64) - 1
         return dense, key_frame.take(first_index), len(first_index)
     combined: np.ndarray | None = None
+    bound = 1  # combined codes lie in [0, bound)
     for key in keys:
         codes, uniques = factorize(frame.column(key))
         if combined is None:
-            combined = codes
-        else:
-            # Lexicographic combination; group counts stay << 2**63 at the
-            # scales this library targets.
-            combined = combined * np.int64(len(uniques)) + codes
+            combined, bound = codes, len(uniques)
+            continue
+        if bound * len(uniques) > 1 << 62:
+            # Re-densify (order-preserving) so the mixed-radix code
+            # cannot wrap int64: then bound <= rows.
+            ranks, combined = np.unique(combined, return_inverse=True)
+            bound = len(ranks)
+        # Lexicographic combination.
+        combined = combined * np.int64(len(uniques)) + codes
+        bound *= len(uniques)
     assert combined is not None
     uniques, first_index, dense = np.unique(
         combined, return_index=True, return_inverse=True
@@ -288,6 +294,72 @@ class _KeyIndex:
         return out
 
 
+#: Most entries a :class:`Grouper`'s direct-address slot table may have
+#: (int32 each, so 4 MB); keys whose packed range needs more stay on the
+#: sorted-table path for good.
+_SLOT_TABLE_SIZE = 1 << 20
+
+
+class _SlotTable:
+    """Direct-address memo of a :class:`Grouper`'s slots.
+
+    Key column ``j`` is laid out over ``[lows[j], lows[j] + 2**bits[j])``
+    and a key tuple's index packs its per-column offsets, so finding a
+    partial's slots is O(|partial| · keys) arithmetic plus one gather —
+    no sort, no search.  ``entries[index]`` holds the slot + 1 (0: not
+    registered).  The table never hands out a slot; it only remembers
+    the ones the sorted-table path assigned.  Zero-filled, so pages no
+    key lands on are never touched.
+    """
+
+    def __init__(self, lows: list[int], bits: list[int]) -> None:
+        self.lows = lows
+        self.bits = bits
+        self.shifts = [sum(bits[j + 1:]) for j in range(len(bits))]
+        self.entries = np.zeros(1 << sum(bits), dtype=np.int32)
+
+    def index(self, columns: Sequence[np.ndarray]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's table index, and whether every key of the row
+        lies inside the layout (the index is meaningless where not)."""
+        index = np.zeros(len(columns[0]), dtype=np.int64)
+        spill = np.zeros_like(index)
+        for column, low, bits, shift in zip(
+            columns, self.lows, self.bits, self.shifts
+        ):
+            offset = column - np.int64(low)
+            spill |= offset >> bits
+            index |= offset << shift
+        return index, spill == 0
+
+    def covers(self, j: int, lo: int, hi: int) -> bool:
+        """Whether column ``j``'s layout spans keys ``lo..hi``."""
+        return self.lows[j] <= lo and hi < self.lows[j] + (1 << self.bits[j])
+
+    def lookup(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Slot of every row; -1 where its key tuple is not registered."""
+        index, inside = self.index(columns)
+        if inside.all():
+            found = self.entries[index]
+        else:
+            found = np.where(
+                inside, self.entries[np.where(inside, index, 0)], 0
+            )
+        return np.subtract(found, 1, dtype=np.int64)
+
+    def insert(self, columns: Sequence[np.ndarray], first: int) -> bool:
+        """Register the distinct key rows of ``columns`` as slots
+        ``first, first + 1, ...``; ``False`` (and nothing registered)
+        when a key falls outside the layout."""
+        index, inside = self.index(columns)
+        if not inside.all():
+            return False
+        self.entries[index] = np.arange(
+            first + 1, first + 1 + len(index), dtype=np.int32
+        )
+        return True
+
+
 class Grouper:
     """Incremental group factorizer: a persistent key → dense-slot mapping.
 
@@ -313,6 +385,15 @@ class Grouper:
     slots are sorted among themselves and inserted at positions found by
     a batched lexicographic binary search, so a read never re-sorts the
     groups it already ordered.
+
+    While every key column holds integers, bools or dates and their
+    packed range fits ``_SLOT_TABLE_SIZE``, a :class:`_SlotTable`
+    memoises the slots: a partial whose keys were all seen costs one
+    gather.  Rows it misses (unseen keys, values outside its range) go
+    down the sorted path above — a partial with no hit at all goes whole
+    — which stays the only code that assigns slots, so slot numbering,
+    :meth:`key_frame` and :meth:`sort_perm` are the same with or without
+    the table.
     """
 
     def __init__(self, keys: Sequence[str]) -> None:
@@ -325,6 +406,12 @@ class Grouper:
         self._key_parts: list[DataFrame] = []
         self._key_frame: DataFrame | None = None
         self._perm = np.empty(0, dtype=np.int64)
+        # The slot memo: each key column's (lowest, highest) key so far
+        # (None for good once the keys cannot be tabled), the last table
+        # built and whether it still holds every slot.
+        self._ranges: list[tuple[int, int]] | None = []
+        self._table: _SlotTable | None = None
+        self._table_current = False
 
     @property
     def n_groups(self) -> int:
@@ -333,6 +420,25 @@ class Grouper:
     def encode(self, frame: DataFrame) -> np.ndarray:
         """Dense slot ids (into the persistent slot space) for every row
         of ``frame``, registering previously-unseen keys as new slots."""
+        if self._ranges and frame.n_rows:
+            columns = self._table_columns(frame)
+            table = None if columns is None else self._current_table(
+                columns)
+            if table is not None:
+                slots = table.lookup(columns)
+                miss = slots < 0
+                if not miss.any():
+                    return slots
+                if not miss.all():
+                    slots[miss] = self._assign(
+                        frame.select(self.keys).mask(miss)
+                    )
+                    return slots
+        return self._assign(frame)
+
+    def _assign(self, frame: DataFrame) -> np.ndarray:
+        """The sorted-table path: slots of ``frame``'s rows, handing out
+        new ones to unseen keys."""
         codes, local_keys, n_local = group_codes(frame, self.keys)
         if n_local == 0:
             return codes
@@ -346,10 +452,94 @@ class Grouper:
             )
         new_mask = slots >= self._n_groups
         if new_mask.any():
-            self._n_groups += int(new_mask.sum())
-            self._key_parts.append(local_keys.mask(new_mask))
+            first = self._n_groups
+            new_keys = local_keys.mask(new_mask)
+            self._n_groups += new_keys.n_rows
+            self._key_parts.append(new_keys)
             self._key_frame = None
+            if self._ranges is not None:
+                self._remember(new_keys, first)
         return slots[codes]
+
+    def _table_columns(self, frame: DataFrame) -> list[np.ndarray] | None:
+        """``frame``'s key columns as int64 when they hold integers,
+        bools or dates (int64 days); otherwise ``None``, giving the table
+        up for good.  uint64 is left out: its upper half would alias
+        negative int64 keys."""
+        columns = []
+        for key in self.keys:
+            column = frame.column(key)
+            kind, size = column.dtype.kind, column.dtype.itemsize
+            if kind not in "bi" and not (kind == "u" and size < 8):
+                self._ranges, self._table = None, None
+                return None
+            columns.append(column.astype(np.int64, copy=False))
+        return columns
+
+    def _remember(self, new_keys: DataFrame, first: int) -> None:
+        """Note slots ``first, first + 1, ...`` (``new_keys``' rows):
+        widen the key ranges — giving the table up for good once they
+        alone need more than ``_SLOT_TABLE_SIZE`` entries — and scatter
+        the slots into the table while they fit its layout; once one
+        does not, the table is stale until :meth:`_current_table`
+        rebuilds it."""
+        columns = self._table_columns(new_keys)
+        if columns is None:
+            return
+        # group_codes hands new keys over key-sorted: the first column's
+        # range is its ends.
+        first_key = columns[0]
+        ranges = [(int(first_key[0]), int(first_key[-1]))] + [
+            (int(column.min()), int(column.max())) for column in columns[1:]
+        ]
+        if self._ranges:
+            ranges = [(min(lo, old_lo), max(hi, old_hi)) for (lo, hi), (
+                old_lo, old_hi) in zip(ranges, self._ranges)]
+        if 1 << sum((hi - lo).bit_length()
+                    for lo, hi in ranges) > _SLOT_TABLE_SIZE:
+            self._ranges, self._table = None, None
+            return
+        self._ranges = ranges
+        if self._table_current:
+            assert self._table is not None
+            self._table_current = self._table.insert(columns, first)
+
+    def _current_table(self, columns: list[np.ndarray]
+                       ) -> _SlotTable | None:
+        """The table holding every slot, or ``None`` when the partial
+        cannot hit it: its first key column misses the range seen so
+        far (an all-new ascending stream), or the keys need more than
+        ``_SLOT_TABLE_SIZE`` entries (the table is then given up).
+
+        A stale table is rebuilt from :meth:`key_frame` in O(groups);
+        every column that outgrew the old layout at least doubles its
+        width, so that happens at most ``log2(_SLOT_TABLE_SIZE)`` times."""
+        assert self._ranges
+        lo, hi = self._ranges[0]
+        if columns[0].min() > hi or columns[0].max() < lo:
+            return None
+        if self._table_current:
+            return self._table
+        old = self._table
+        lows, bits = [], []
+        for j, (lo, hi) in enumerate(self._ranges):
+            width = (hi - lo).bit_length()
+            if old is not None and old.covers(j, lo, hi):
+                lo, width = old.lows[j], old.bits[j]
+            elif old is not None:
+                width = max(width, old.bits[j] + 1)
+            lows.append(lo)
+            bits.append(width)
+        if 1 << sum(bits) > _SLOT_TABLE_SIZE:
+            self._ranges, self._table = None, None
+            return None
+        table = _SlotTable(lows, bits)
+        every_key = self._table_columns(self.key_frame())
+        if every_key is None:
+            return None
+        table.insert(every_key, 0)
+        self._table, self._table_current = table, True
+        return table
 
     def key_frame(self) -> DataFrame:
         """One row of key values per slot, ordered by slot id."""

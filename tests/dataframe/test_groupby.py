@@ -1,12 +1,17 @@
 """Unit + property tests for group-by kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import AggSpec, DataFrame
+from repro.core.properties import Delivery, Progress, StreamInfo
+from repro.core.state import GroupedAggregateState
+from repro.dataframe import AggSpec, DataFrame, groupby
 from repro.dataframe.groupby import (
+    Grouper,
     factorize,
     global_aggregate,
     group_aggregate,
@@ -19,7 +24,9 @@ from repro.dataframe.groupby import (
     group_var_components,
     merge_var_components,
 )
-from repro.dataframe.schema import AttributeKind
+from repro.dataframe.schema import AttributeKind, DType, Field, Schema
+from repro.engine.message import Message
+from repro.engine.ops import DistinctOperator
 from repro.errors import QueryError, SchemaError
 
 
@@ -89,6 +96,25 @@ class TestGroupCodes:
     def test_requires_keys(self, sales):
         with pytest.raises(QueryError):
             group_codes(sales, [])
+
+    def test_wide_key_product_does_not_wrap(self):
+        """7 columns x 3,000 uniques: the mixed-radix code would pass
+        2**63.  Groups stay distinct and the key frame key-sorted."""
+        rng = np.random.default_rng(5)
+        rows = np.stack(
+            [rng.permutation(3_000) * 7 + column for column in range(7)],
+            axis=1,
+        ).astype(np.int64)
+        rows = rows[rng.permutation(np.r_[np.arange(3_000),
+                                          rng.integers(0, 3_000, 900)])]
+        names = [f"c{column}" for column in range(7)]
+        frame = DataFrame({name: rows[:, j].copy()
+                           for j, name in enumerate(names)})
+        codes, keys, n = group_codes(frame, names)
+        assert n == len(np.unique(rows, axis=0)) == 3_000
+        key_rows = np.stack([keys.column(name) for name in names], axis=1)
+        assert (np.lexsort(key_rows.T[::-1]) == np.arange(n)).all()
+        assert (key_rows[codes] == rows).all()
 
 
 class TestKernels:
@@ -301,3 +327,198 @@ def test_group_sum_matches_python(rows):
     assert set(got) == set(expected)
     for k in expected:
         assert got[k] == pytest.approx(expected[k], rel=1e-9, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# Grouper slot table: a memo of the sorted-table path, never a second
+# slot authority.  Every case runs twice — with the table, and with its
+# bound patched to 0, which keeps every partial on the sorted path.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tabled_partials(draw):
+    """(key names, partials, table bound): 1-3 int / bool / date key
+    columns over a stream of partials that grows its key range mid-stream,
+    mixes in all-new ascending and key-sorted (REPLACE-like) partials and
+    empty ones, plus an int value column ``v``."""
+    kinds = draw(st.lists(st.sampled_from(["int", "bool", "date"]),
+                          min_size=1, max_size=3))
+    names = [f"k{i}" for i in range(len(kinds))]
+    schema = Schema(
+        [Field(name, {"int": DType.INT64, "bool": DType.BOOL,
+                      "date": DType.DATE}[kind])
+         for name, kind in zip(names, kinds)] + [Field("v", DType.INT64)]
+    )
+    parts, offset = [], -5
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, 24))
+        shape = draw(st.sampled_from(["random", "ascending", "sorted"]))
+        span = draw(st.sampled_from([1, 3, 40, 5_000, 2**40]))
+        data = {}
+        for name, kind in zip(names, kinds):
+            if kind == "bool":
+                values = np.array(draw(st.lists(
+                    st.booleans(), min_size=n, max_size=n)), dtype=bool)
+            elif shape == "ascending":
+                values = np.arange(offset, offset + n, dtype=np.int64)
+            else:
+                values = np.array(draw(st.lists(
+                    st.integers(-span, span), min_size=n, max_size=n)),
+                    dtype=np.int64)
+            data[name] = values + 8_000 if kind == "date" else values
+        data["v"] = np.arange(offset, offset + n, dtype=np.int64) * 7 % 5
+        offset += n
+        frame = DataFrame(data, schema=schema)
+        if shape == "sorted":
+            frame = frame.take(np.lexsort(
+                [frame.column(name) for name in reversed(names)]))
+        parts.append(frame)
+    bound = draw(st.sampled_from([1, 1 << 6, 1 << 12, 1 << 20]))
+    return names, parts, bound
+
+
+def _with_table_bound(bound, run):
+    with mock.patch.object(groupby, "_SLOT_TABLE_SIZE", bound):
+        return run()
+
+
+def _assert_bytes_equal(got, expected):
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def _encode_stream(keys, parts):
+    grouper = Grouper(keys)
+    return grouper, [grouper.encode(part) for part in parts]
+
+
+@given(tabled_partials())
+@settings(max_examples=200, deadline=None)
+def test_property_slot_table_matches_sorted_path(case):
+    keys, parts, bound = case
+    tabled, got = _with_table_bound(
+        bound, lambda: _encode_stream(keys, parts))
+    plain, expected = _with_table_bound(
+        0, lambda: _encode_stream(keys, parts))
+    assert tabled.n_groups == plain.n_groups
+    for ours, theirs in zip(got, expected):
+        _assert_bytes_equal(ours, theirs)
+    if plain.n_groups:
+        for key in keys:
+            _assert_bytes_equal(tabled.key_frame().column(key),
+                                plain.key_frame().column(key))
+        _assert_bytes_equal(tabled.sort_perm(), plain.sort_perm())
+
+
+STATE_SPECS = (
+    AggSpec("sum", "v", "s"),
+    AggSpec("count_distinct", "v", "d"),
+    AggSpec("quantile", "v", "q", param=0.3),
+)
+
+
+def _state_reads(keys, parts, replace):
+    state = GroupedAggregateState(keys, STATE_SPECS, quantile_mode="sketch",
+                                  sketch_size=3)
+    reads = []
+    for part in parts:
+        if replace:
+            state.consume_snapshot(part)
+        else:
+            state.consume_delta(part)
+        if state.n_groups:
+            frame = state.state_frame()
+            reads += [frame.column(name) for name in frame.column_names]
+            reads.append(state.distinct_counts(STATE_SPECS[1]))
+            reads.append(state.sample_quantiles(STATE_SPECS[2]))
+    return reads
+
+
+def _distinct_outputs(keys, parts):
+    operator = DistinctOperator("d", subset=keys)
+    operator.bind((StreamInfo(schema=parts[0].schema,
+                              delivery=Delivery.DELTA),))
+    out = []
+    for i, part in enumerate(parts):
+        progress = Progress(done={"t": i + 1}, total={"t": len(parts)})
+        for message in operator.on_message(
+                0, Message(frame=part, progress=progress,
+                           kind=Delivery.DELTA)):
+            out += [message.frame.column(name)
+                    for name in message.frame.column_names]
+    return out
+
+
+@given(tabled_partials())
+@settings(max_examples=80, deadline=None)
+def test_property_slot_table_leaves_operator_outputs_unchanged(case):
+    """count-distinct finals, sketch-mode quantiles (whose reservoir
+    RNG draws follow slot order) and the rows DistinctOperator forwards
+    are byte-identical with and without the table."""
+    keys, parts, bound = case
+    for run in (lambda: _state_reads(keys, parts, replace=False),
+                lambda: _state_reads(keys, parts, replace=True),
+                lambda: _distinct_outputs(keys, parts)):
+        got, expected = _with_table_bound(bound, run), _with_table_bound(
+            0, run)
+        assert len(got) == len(expected)
+        for ours, theirs in zip(got, expected):
+            _assert_bytes_equal(ours, theirs)
+
+
+def _grid(values_per_key, n_keys):
+    mesh = np.meshgrid(*[np.arange(values_per_key)] * n_keys, indexing="ij")
+    return DataFrame({f"c{j}": axis.ravel().astype(np.int64)
+                      for j, axis in enumerate(mesh)})
+
+
+def test_seen_keys_skip_the_sorted_path():
+    grouper = Grouper(("c0", "c1", "c2"))
+    grouper.encode(_grid(4, 3))
+    rows = []
+    assign = Grouper._assign
+    with mock.patch.object(
+        Grouper, "_assign",
+        lambda self, frame: rows.append(frame.n_rows) or assign(self, frame),
+    ):
+        shuffled = _grid(4, 3).take(np.random.default_rng(0).permutation(64))
+        slots = grouper.encode(shuffled)
+        assert rows == []
+        # Misses alone go down the sorted path.
+        grouper.encode(DataFrame({"c0": np.array([0, 9, 1]),
+                                  "c1": np.array([0, 0, 1]),
+                                  "c2": np.array([0, 0, 1])}))
+        assert rows == [1]
+    assert grouper.n_groups == 65
+    key_rows = grouper.key_frame()
+    for key in grouper.keys:
+        assert (key_rows.column(key)[slots] == shuffled.column(key)).all()
+
+
+def test_ascending_new_keys_never_build_a_table():
+    """An all-new ascending stream (a distinct on an ordered key) is
+    ruled out by the seen key range: no probe, no table."""
+    grouper = Grouper(("k",))
+    for start in range(0, 4_000, 500):
+        grouper.encode(DataFrame({"k": np.arange(start, start + 500)}))
+    assert grouper.n_groups == 4_000
+    assert grouper._table is None
+
+
+def test_table_is_dropped_past_its_bound():
+    grouper = Grouper(("k",))
+    with mock.patch.object(groupby, "_SLOT_TABLE_SIZE", 1 << 6):
+        grouper.encode(DataFrame({"k": np.arange(40)}))
+        grouper.encode(DataFrame({"k": np.arange(20)}))
+        assert grouper._table is not None
+        grouper.encode(DataFrame({"k": np.arange(30, 90)}))
+        grouper.encode(DataFrame({"k": np.arange(0, 90, 3)}))
+        assert grouper._table is None and grouper._ranges is None
+    assert grouper.n_groups == 90
+
+
+def test_string_keys_are_never_tabled():
+    grouper = Grouper(("s",))
+    for _ in range(2):
+        grouper.encode(DataFrame({"s": np.array(["a", "b", "a"])}))
+    assert grouper._ranges is None and grouper.n_groups == 2

@@ -1,5 +1,6 @@
 """Engine-level property tests: the 2C invariants under arbitrary data
-and partitionings (DESIGN.md §6 invariants 1–3)."""
+and partitionings: convergence (1), unbiased growth-scaled estimates
+(2) and decaying expected error (3) — README.md's introduction."""
 
 import numpy as np
 import pytest
