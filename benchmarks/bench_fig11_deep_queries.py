@@ -192,7 +192,7 @@ GROUPER_PAIRS = 9
 def _sorted_path_only():
     """Patch the slot table's bound to 0: every partial takes the
     sorted-table path."""
-    return mock.patch.object(groupby, "_SLOT_TABLE_SIZE", 0)
+    return mock.patch.object(groupby, "SLOT_TABLE_SIZE", 0)
 
 
 def _alternate(run, pairs=GROUPER_PAIRS):

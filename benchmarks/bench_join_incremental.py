@@ -9,6 +9,10 @@ not total data consumed.  Three measurements:
   against the seed's one-shot ``hash_join`` (which re-factorizes and
   re-sorts the entire build side on every message).  Reports per-message
   latency percentiles; the acceptance bar is ≥ 5× lower median.
+* **probe table** — q19's probe shape (a 20,000-row dense int-key build,
+  32 probe partitions of 18,750 rows): ``probe_inner`` through the
+  build's direct-address rank table against the same index with the
+  table bound patched to 0 (the dictionary ``searchsorted`` path).
 * **aggregate growth** — ``GroupedAggregateState.consume_delta`` cost as
   partials accumulate: the slot-based merge must stay flat (no scaling
   with previously-consumed partials), unlike concat + ``np.unique`` over
@@ -18,12 +22,13 @@ not total data consumed.  Three measurements:
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.state import GroupedAggregateState
-from repro.dataframe import AggSpec, DataFrame, JoinIndex, hash_join
+from repro.dataframe import AggSpec, DataFrame, JoinIndex, groupby, hash_join
 from repro.bench.report import banner, format_table
 
 N_PROBE = 256_000
@@ -107,6 +112,64 @@ def test_probe_stream_vs_one_shot(probe_parts, build, benchmark, emit,
     emit(f"median per-message speedup: {speedup:.1f}x "
          f"(acceptance bar: >= 5x)")
     guard("probe_median_speedup", speedup, 5.0)
+
+
+def test_probe_table_vs_search(benchmark, emit, guard):
+    """Per-message probe latency at q19's shape: rank table vs search."""
+    rng = np.random.default_rng(3)
+    n_build, n_parts, part_rows = 20_000, 32, 18_750
+    build = DataFrame({
+        "k": rng.permutation(np.arange(1, n_build + 1, dtype=np.int64)),
+        "p_brand": np.array([f"Brand#{i % 25}" for i in range(n_build)]),
+        "p_size": rng.integers(1, 51, n_build).astype(np.int64),
+    })
+    parts = [
+        DataFrame({
+            "k": rng.integers(1, n_build + 1, part_rows).astype(np.int64),
+            "l_quantity": rng.integers(1, 51, part_rows).astype(np.float64),
+            "l_extendedprice": rng.normal(3e4, 1e4, part_rows),
+        })
+        for _ in range(n_parts)
+    ]
+    tabled = JoinIndex(build, ["k"])
+    with mock.patch.object(groupby, "SLOT_TABLE_SIZE", 0):
+        searched = JoinIndex(build, ["k"])
+    assert tabled._table is not None and searched._table is None
+
+    def stream(index):
+        times, rows = [], 0
+        for part in parts:
+            start = time.perf_counter()
+            out = index.probe_inner(part, ["k"])
+            times.append(time.perf_counter() - start)
+            rows += out.n_rows
+        return times, rows
+
+    table_times, table_rows = benchmark.pedantic(
+        lambda: stream(tabled), rounds=3, iterations=1
+    )
+    search_times, search_rows = stream(searched)
+    assert table_rows == search_rows
+
+    rows = []
+    for label, times in (("rank table", table_times),
+                         ("dictionary search", search_times)):
+        p50, p90, p99 = percentiles(times)
+        rows.append([label, len(times), p50, p90, p99,
+                     sum(times) * 1000.0])
+    emit(banner(
+        f"E11 — probe_inner at q19's shape ({n_parts} partitions x "
+        f"{part_rows} rows vs {n_build}-row int-key build side)"
+    ))
+    emit(format_table(
+        ["path", "messages", "p50 ms", "p90 ms", "p99 ms", "total ms"],
+        rows,
+    ))
+    speedup = (np.median(np.array(search_times))
+               / np.median(np.array(table_times)))
+    emit(f"median per-message speedup: {speedup:.1f}x "
+         f"(acceptance bar: >= 3x)")
+    guard("probe_table_speedup", speedup, 3.0)
 
 
 def test_aggregate_state_growth_flat(benchmark, emit, guard):

@@ -294,42 +294,65 @@ class _KeyIndex:
         return out
 
 
-#: Most entries a :class:`Grouper`'s direct-address slot table may have
-#: (int32 each, so 4 MB); keys whose packed range needs more stay on the
-#: sorted-table path for good.
-_SLOT_TABLE_SIZE = 1 << 20
+#: Most entries a direct-address slot table may have (int32 each, so
+#: 4 MB); keys whose packed range needs more stay on the sorted /
+#: searched path for good.
+SLOT_TABLE_SIZE = 1 << 20
 
 
-class _SlotTable:
-    """Direct-address memo of a :class:`Grouper`'s slots.
+def table_key_columns(columns: Sequence[np.ndarray]
+                      ) -> list[np.ndarray] | None:
+    """``columns`` as int64 when every one holds integers, bools or
+    dates (int64 days); otherwise ``None``.  uint64 is left out: its
+    upper half would alias negative int64 keys."""
+    out = []
+    for column in columns:
+        kind, size = column.dtype.kind, column.dtype.itemsize
+        if kind not in "bi" and not (kind == "u" and size < 8):
+            return None
+        out.append(column.astype(np.int64, copy=False))
+    return out
+
+
+class SlotTable:
+    """Direct-address map from integer key tuples to small ints.
 
     Key column ``j`` is laid out over ``[lows[j], lows[j] + 2**bits[j])``
     and a key tuple's index packs its per-column offsets, so finding a
-    partial's slots is O(|partial| · keys) arithmetic plus one gather —
+    frame's slots is O(|frame| · keys) arithmetic plus one gather —
     no sort, no search.  ``entries[index]`` holds the slot + 1 (0: not
     registered).  The table never hands out a slot; it only remembers
-    the ones the sorted-table path assigned.  Zero-filled, so pages no
-    key lands on are never touched.
+    the ones its owner assigned: a :class:`Grouper`'s group slots, a
+    :class:`~repro.dataframe.join.JoinIndex`'s build-key ranks.
+    Zero-filled, so pages no key lands on are never touched.
     """
+
+    @staticmethod
+    def fits(bits: Sequence[int]) -> bool:
+        """Whether a layout of these column widths stays within
+        ``SLOT_TABLE_SIZE`` entries."""
+        return 1 << sum(bits) <= SLOT_TABLE_SIZE
 
     def __init__(self, lows: list[int], bits: list[int]) -> None:
         self.lows = lows
         self.bits = bits
-        self.shifts = [sum(bits[j + 1:]) for j in range(len(bits))]
         self.entries = np.zeros(1 << sum(bits), dtype=np.int32)
 
     def index(self, columns: Sequence[np.ndarray]
               ) -> tuple[np.ndarray, np.ndarray]:
         """Every row's table index, and whether every key of the row
         lies inside the layout (the index is meaningless where not)."""
-        index = np.zeros(len(columns[0]), dtype=np.int64)
-        spill = np.zeros_like(index)
-        for column, low, bits, shift in zip(
-            columns, self.lows, self.bits, self.shifts
+        # An offset that wraps int64 either turns negative (spills) or
+        # lands past every key <= int64 max, on an empty entry.
+        index = columns[0] - np.int64(self.lows[0])
+        spill = index >> self.bits[0]
+        for column, low, bits in zip(
+            columns[1:], self.lows[1:], self.bits[1:]
         ):
             offset = column - np.int64(low)
             spill |= offset >> bits
-            index |= offset << shift
+            index <<= bits
+            index |= offset
         return index, spill == 0
 
     def covers(self, j: int, lo: int, hi: int) -> bool:
@@ -387,7 +410,7 @@ class Grouper:
     groups it already ordered.
 
     While every key column holds integers, bools or dates and their
-    packed range fits ``_SLOT_TABLE_SIZE``, a :class:`_SlotTable`
+    packed range fits ``SLOT_TABLE_SIZE``, a :class:`SlotTable`
     memoises the slots: a partial whose keys were all seen costs one
     gather.  Rows it misses (unseen keys, values outside its range) go
     down the sorted path above — a partial with no hit at all goes whole
@@ -410,7 +433,7 @@ class Grouper:
         # (None for good once the keys cannot be tabled), the last table
         # built and whether it still holds every slot.
         self._ranges: list[tuple[int, int]] | None = []
-        self._table: _SlotTable | None = None
+        self._table: SlotTable | None = None
         self._table_current = False
 
     @property
@@ -462,24 +485,17 @@ class Grouper:
         return slots[codes]
 
     def _table_columns(self, frame: DataFrame) -> list[np.ndarray] | None:
-        """``frame``'s key columns as int64 when they hold integers,
-        bools or dates (int64 days); otherwise ``None``, giving the table
-        up for good.  uint64 is left out: its upper half would alias
-        negative int64 keys."""
-        columns = []
-        for key in self.keys:
-            column = frame.column(key)
-            kind, size = column.dtype.kind, column.dtype.itemsize
-            if kind not in "bi" and not (kind == "u" and size < 8):
-                self._ranges, self._table = None, None
-                return None
-            columns.append(column.astype(np.int64, copy=False))
+        """``frame``'s key columns as :func:`table_key_columns` gives
+        them; ``None`` gives the table up for good."""
+        columns = table_key_columns([frame.column(k) for k in self.keys])
+        if columns is None:
+            self._ranges, self._table = None, None
         return columns
 
     def _remember(self, new_keys: DataFrame, first: int) -> None:
         """Note slots ``first, first + 1, ...`` (``new_keys``' rows):
         widen the key ranges — giving the table up for good once they
-        alone need more than ``_SLOT_TABLE_SIZE`` entries — and scatter
+        alone need more than ``SLOT_TABLE_SIZE`` entries — and scatter
         the slots into the table while they fit its layout; once one
         does not, the table is stale until :meth:`_current_table`
         rebuilds it."""
@@ -495,8 +511,7 @@ class Grouper:
         if self._ranges:
             ranges = [(min(lo, old_lo), max(hi, old_hi)) for (lo, hi), (
                 old_lo, old_hi) in zip(ranges, self._ranges)]
-        if 1 << sum((hi - lo).bit_length()
-                    for lo, hi in ranges) > _SLOT_TABLE_SIZE:
+        if not SlotTable.fits([(hi - lo).bit_length() for lo, hi in ranges]):
             self._ranges, self._table = None, None
             return
         self._ranges = ranges
@@ -505,15 +520,15 @@ class Grouper:
             self._table_current = self._table.insert(columns, first)
 
     def _current_table(self, columns: list[np.ndarray]
-                       ) -> _SlotTable | None:
+                       ) -> SlotTable | None:
         """The table holding every slot, or ``None`` when the partial
         cannot hit it: its first key column misses the range seen so
         far (an all-new ascending stream), or the keys need more than
-        ``_SLOT_TABLE_SIZE`` entries (the table is then given up).
+        ``SLOT_TABLE_SIZE`` entries (the table is then given up).
 
         A stale table is rebuilt from :meth:`key_frame` in O(groups);
         every column that outgrew the old layout at least doubles its
-        width, so that happens at most ``log2(_SLOT_TABLE_SIZE)`` times."""
+        width, so that happens at most ``log2(SLOT_TABLE_SIZE)`` times."""
         assert self._ranges
         lo, hi = self._ranges[0]
         if columns[0].min() > hi or columns[0].max() < lo:
@@ -530,10 +545,10 @@ class Grouper:
                 width = max(width, old.bits[j] + 1)
             lows.append(lo)
             bits.append(width)
-        if 1 << sum(bits) > _SLOT_TABLE_SIZE:
+        if not SlotTable.fits(bits):
             self._ranges, self._table = None, None
             return None
-        table = _SlotTable(lows, bits)
+        table = SlotTable(lows, bits)
         every_key = self._table_columns(self.key_frame())
         if every_key is None:
             return None

@@ -9,10 +9,13 @@ Two physical strategies live here:
   reference engines but the wrong one for streaming operators.
 * :class:`JoinIndex` — the incremental strategy: the build side is
   factorized and sorted **once**, after which each probe partition pays
-  only a dictionary-encoded lookup plus ``searchsorted`` against the
-  prebuilt index (O(|partition| log |build uniques|)).  This is what the
-  streaming join operators use so that per-message cost tracks partition
-  size rather than total data consumed (paper §3.2 / §7.2).
+  only a lookup against the prebuilt index: one gather into a
+  direct-address table of the build keys when they are integers packing
+  into ``SLOT_TABLE_SIZE`` entries (O(|partition| · keys)), a dictionary
+  ``searchsorted`` per key column otherwise (O(|partition| log |build
+  uniques|)).  This is what the streaming join operators use so that
+  per-message cost tracks partition size rather than total data consumed
+  (paper §3.2 / §7.2).
 
 The progressive merge join *operator* (paper §3.2) reuses these kernels on
 watermark-bounded buffers; see ``repro.engine.ops.join``.
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro.errors import QueryError, SchemaError
 from repro.dataframe.frame import DataFrame
+from repro.dataframe.groupby import SlotTable, table_key_columns
 from repro.dataframe.schema import DType, Field, Schema
 
 JOIN_METHODS = ("inner", "left", "semi", "anti")
@@ -50,6 +54,7 @@ def shared_codes(
     n_left = len(left[0]) if left else 0
     combined_left: np.ndarray | None = None
     combined_right: np.ndarray | None = None
+    bound = 1  # combined codes lie in [0, bound)
     for l_col, r_col in zip(left, right):
         _check_key_dtypes(l_col, r_col)
         both = np.concatenate([l_col, r_col])
@@ -58,10 +63,21 @@ def shared_codes(
         l_codes, r_codes = codes[:n_left], codes[n_left:]
         if combined_left is None:
             combined_left, combined_right = l_codes, r_codes
-        else:
-            width = np.int64(len(uniques))
-            combined_left = combined_left * width + l_codes
-            combined_right = combined_right * width + r_codes
+            bound = len(uniques)
+            continue
+        if bound * len(uniques) > 1 << 62:
+            # Re-densify both sides (order-preserving) so the
+            # mixed-radix code cannot wrap int64: then bound <= rows.
+            ranks, dense = np.unique(
+                np.concatenate([combined_left, combined_right]),
+                return_inverse=True,
+            )
+            combined_left, combined_right = dense[:n_left], dense[n_left:]
+            bound = len(ranks)
+        width = np.int64(len(uniques))
+        combined_left = combined_left * width + l_codes
+        combined_right = combined_right * width + r_codes
+        bound *= len(uniques)
     if combined_left is None:
         raise QueryError("join requires at least one key column")
     return combined_left, combined_right
@@ -215,16 +231,26 @@ class JoinIndex:
     """A build-side hash-join index, factorized and sorted exactly once.
 
     Construction factorizes every build key column into a sorted value
-    dictionary, combines the per-column codes into one dense code space,
-    and sorts the combined build codes (the "hash table").  Probing a
-    partition then costs only a ``searchsorted`` per key column against
-    the dictionaries (probe values absent from the build dictionary get
-    the sentinel code -1, which matches nothing) plus one range expansion
-    against the presorted build codes — O(partition), independent of how
-    many partitions have been probed before.
+    dictionary, combines the per-column codes into one dense code space
+    (re-densified before a multiply could wrap int64), and sorts the
+    combined build codes (the "hash table").  Probing a partition then
+    costs one range expansion against the presorted build codes plus
+    finding each probe row's run of equal build codes, O(partition) and
+    independent of how many partitions have been probed before:
 
-    Output assembly matches :func:`hash_join` exactly for every ``how``
-    mode; the streaming join operators rely on that equivalence.
+    * while every key column on both sides holds integers, bools or
+      dates and the distinct build key tuples pack into a
+      :class:`SlotTable` (``SLOT_TABLE_SIZE`` entries), the table maps a
+      probe key to its build rank and two gathers into the run bounds
+      give the range — no search;
+    * otherwise a ``searchsorted`` per key column against the
+      dictionaries (probe values absent from the build dictionary get
+      the sentinel code -1, which matches nothing) and a pair of range
+      searches in the sorted codes.
+
+    Both find the same ranges, so the output does not depend on the
+    path.  Output assembly matches :func:`hash_join` exactly for every
+    ``how`` mode; the streaming join operators rely on that equivalence.
     """
 
     def __init__(
@@ -239,41 +265,88 @@ class JoinIndex:
         self.build_on = tuple(build_on)
         self.suffix = suffix
         self._dicts: list[np.ndarray] = []
+        # Per key column after the first: the running codes the build
+        # re-densified through before folding that column in, or None.
+        self._folds: list[np.ndarray | None] = []
         combined: np.ndarray | None = None
+        bound = 1  # combined codes lie in [0, bound)
         for key in self.build_on:
             uniques, codes = np.unique(
                 build.column(key), return_inverse=True
             )
             codes = codes.astype(np.int64, copy=False)
             self._dicts.append(uniques)
+            width = max(len(uniques), 1)
             if combined is None:
-                combined = codes
-            else:
-                combined = combined * np.int64(max(len(uniques), 1)) + codes
+                combined, bound = codes, width
+                continue
+            ranks = None
+            if bound * width > 1 << 62:
+                ranks, combined = np.unique(combined, return_inverse=True)
+                bound = len(ranks)
+            self._folds.append(ranks)
+            combined = combined * np.int64(width) + codes
+            bound *= width
         assert combined is not None
         self._order = np.argsort(combined, kind="stable")
         self._sorted_codes = combined[self._order]
+        self._table, self._bounds = self._rank_table()
+
+    def _rank_table(self) -> tuple[SlotTable | None, np.ndarray]:
+        """A :class:`SlotTable` mapping every distinct build key tuple to
+        its rank among them, and the ``bounds`` of each rank's run in the
+        sorted codes: rank ``r`` runs ``bounds[r]:bounds[r + 1]``, and a
+        trailing 0 makes a miss (rank -1) read the empty run ``0:0``.
+        No table when the build is empty, a key column is not
+        integer-like or the layout needs more than ``SLOT_TABLE_SIZE``
+        entries."""
+        untabled = None, np.empty(0, dtype=np.int64)
+        columns = table_key_columns(
+            [self.build.column(key) for key in self.build_on]
+        )
+        if columns is None or not len(self._sorted_codes):
+            return untabled
+        starts = np.flatnonzero(
+            np.diff(self._sorted_codes, prepend=np.int64(-1))
+        )
+        firsts = self._order[starts]
+        keys = [column[firsts] for column in columns]
+        lows = [int(key.min()) for key in keys]
+        bits = [(int(key.max()) - low).bit_length()
+                for key, low in zip(keys, lows)]
+        if not SlotTable.fits(bits):
+            return untabled
+        table = SlotTable(lows, bits)
+        table.insert(keys, 0)
+        return table, np.concatenate([starts, [len(self._sorted_codes), 0]])
 
     @property
     def n_build_rows(self) -> int:
         return self.build.n_rows
 
     # -- probe-side encoding -----------------------------------------------------
-    def _probe_codes(
+    def _probe_keys(
         self, probe: DataFrame, probe_on: Sequence[str]
-    ) -> np.ndarray:
-        """Dictionary-encode probe keys into the build code space; rows
-        whose keys are absent from the build dictionary get code -1."""
+    ) -> list[np.ndarray]:
+        """The probe key columns, checked against the build's."""
         probe_on = tuple(probe_on)
         if len(probe_on) != len(self.build_on):
             raise QueryError("join key column counts differ between sides")
+        columns = [probe.column(key) for key in probe_on]
+        for column, uniques in zip(columns, self._dicts):
+            _check_key_dtypes(column, uniques)
+        return columns
+
+    def _probe_codes(self, columns: Sequence[np.ndarray]) -> np.ndarray:
+        """Dictionary-encode probe keys into the build code space; rows
+        whose keys are absent from the build get code -1."""
+        if not len(self._dicts[0]):
+            return np.full(len(columns[0]), -1, dtype=np.int64)
         combined: np.ndarray | None = None
         valid: np.ndarray | None = None
-        for key, uniques in zip(probe_on, self._dicts):
-            col = probe.column(key)
-            _check_key_dtypes(col, uniques)
-            if len(uniques) == 0:
-                return np.full(probe.n_rows, -1, dtype=np.int64)
+        for col, uniques, ranks in zip(
+            columns, self._dicts, [None, *self._folds]
+        ):
             pos = np.searchsorted(uniques, col)
             pos = np.minimum(pos, len(uniques) - 1).astype(
                 np.int64, copy=False
@@ -287,28 +360,47 @@ class JoinIndex:
             if combined is None:
                 combined = pos
             else:
+                if ranks is not None:
+                    # The build re-densified here: a running code it
+                    # never saw matches nothing.
+                    at = np.minimum(
+                        np.searchsorted(ranks, combined), len(ranks) - 1
+                    )
+                    hit &= ranks[at] == combined
+                    combined = at
                 combined = combined * np.int64(len(uniques)) + pos
             valid = hit if valid is None else valid & hit
         assert combined is not None and valid is not None
         return np.where(valid, combined, np.int64(-1))
 
-    def _counts_for(self, codes: np.ndarray) -> np.ndarray:
-        starts = np.searchsorted(self._sorted_codes, codes, side="left")
-        ends = np.searchsorted(self._sorted_codes, codes, side="right")
-        return ends - starts
+    def _match_ranges(
+        self, probe: DataFrame, probe_on: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Every probe row's run of matching build rows in the sorted
+        build codes, as (starts, ends); an empty run is no match."""
+        columns = self._probe_keys(probe, probe_on)
+        if self._table is not None:
+            keys = table_key_columns(columns)
+            if keys is not None:
+                rank = self._table.lookup(keys)
+                return self._bounds[rank], self._bounds[rank + 1]
+        codes = self._probe_codes(columns)
+        return (np.searchsorted(self._sorted_codes, codes, side="left"),
+                np.searchsorted(self._sorted_codes, codes, side="right"))
 
     def match_counts(
         self, probe: DataFrame, probe_on: Sequence[str]
     ) -> np.ndarray:
         """Number of build-side matches for every probe row."""
-        return self._counts_for(self._probe_codes(probe, probe_on))
+        starts, ends = self._match_ranges(probe, probe_on)
+        return ends - starts
 
     def probe_indices(
         self, probe: DataFrame, probe_on: Sequence[str]
     ) -> tuple[np.ndarray, np.ndarray]:
         """Matching (probe_row, build_row) index pairs for one partition."""
-        codes = self._probe_codes(probe, probe_on)
-        return _expand_matches(codes, self._sorted_codes, self._order)
+        starts, ends = self._match_ranges(probe, probe_on)
+        return _expand_ranges(starts, ends, self._order)
 
     # -- probe-side joins --------------------------------------------------------
     def probe_inner(
@@ -323,11 +415,9 @@ class JoinIndex:
     def probe_left(
         self, probe: DataFrame, probe_on: Sequence[str]
     ) -> DataFrame:
-        # Encode the probe side once; the unmatched mask falls out of the
-        # same match ranges the pair expansion uses.
-        codes = self._probe_codes(probe, probe_on)
-        starts = np.searchsorted(self._sorted_codes, codes, side="left")
-        ends = np.searchsorted(self._sorted_codes, codes, side="right")
+        # Find the match ranges once; the unmatched mask falls out of
+        # the same ranges the pair expansion uses.
+        starts, ends = self._match_ranges(probe, probe_on)
         li, ri = _expand_ranges(starts, ends, self._order)
         unmatched = ends == starts
         name_map = _resolve_output_names(

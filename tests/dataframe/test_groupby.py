@@ -378,7 +378,7 @@ def tabled_partials(draw):
 
 
 def _with_table_bound(bound, run):
-    with mock.patch.object(groupby, "_SLOT_TABLE_SIZE", bound):
+    with mock.patch.object(groupby, "SLOT_TABLE_SIZE", bound):
         return run()
 
 
@@ -507,7 +507,7 @@ def test_ascending_new_keys_never_build_a_table():
 
 def test_table_is_dropped_past_its_bound():
     grouper = Grouper(("k",))
-    with mock.patch.object(groupby, "_SLOT_TABLE_SIZE", 1 << 6):
+    with mock.patch.object(groupby, "SLOT_TABLE_SIZE", 1 << 6):
         grouper.encode(DataFrame({"k": np.arange(40)}))
         grouper.encode(DataFrame({"k": np.arange(20)}))
         assert grouper._table is not None

@@ -4,13 +4,16 @@ including duplicate keys, multi-column keys, string keys, and empty
 probe/build sides — and must stay equivalent when the probe side is
 streamed through the prebuilt index partition by partition."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import DataFrame, JoinIndex, hash_join
+from repro.dataframe import DataFrame, JoinIndex, groupby, hash_join
 from repro.dataframe.join import JOIN_METHODS
+from repro.dataframe.schema import DType, Field, Schema
 from repro.errors import QueryError, SchemaError
 
 
@@ -235,3 +238,194 @@ def test_property_probe_equivalence(left_keys, right_keys):
         got = index.probe(left, ["a", "b"], how=how)
         expected = hash_join(left, right, ["a", "b"], ["a", "b"], how=how)
         assert_same_rows(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# Integer build keys go through a direct-address rank table; with its bound
+# patched to 0 the same index takes the dictionary-search path.  Both must
+# find the same (probe_row, build_row) pairs, and the same bytes as
+# hash_join, for every how mode.
+# ---------------------------------------------------------------------------
+
+INT64_MIN = int(np.iinfo(np.int64).min)
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _searched_index(build, on):
+    with mock.patch.object(groupby, "SLOT_TABLE_SIZE", 0):
+        return JoinIndex(build, on)
+
+
+def assert_same_bytes(got: DataFrame, expected: DataFrame) -> None:
+    assert tuple(got.column_names) == tuple(expected.column_names)
+    for name in got.column_names:
+        ours, theirs = got.column(name), expected.column(name)
+        assert ours.dtype == theirs.dtype, name
+        assert ours.tobytes() == theirs.tobytes(), name
+
+
+def assert_paths_agree(probe, build, on, tabled=True):
+    """The table path, the search path and hash_join agree on every
+    probe result; ``tabled`` says which path the default index takes."""
+    index = JoinIndex(build, on)
+    searched = _searched_index(build, on)
+    assert searched._table is None
+    assert (index._table is not None) == tabled
+    li, ri = index.probe_indices(probe, on)
+    sli, sri = searched.probe_indices(probe, on)
+    np.testing.assert_array_equal(li, sli)
+    np.testing.assert_array_equal(ri, sri)
+    np.testing.assert_array_equal(index.match_counts(probe, on),
+                                  searched.match_counts(probe, on))
+    for how in JOIN_METHODS:
+        got = index.probe(probe, on, how=how)
+        assert_same_bytes(got, searched.probe(probe, on, how=how))
+        assert_same_bytes(got, hash_join(probe, build, on, on, how=how))
+
+
+#: Key values the tabled cases draw from: small ranges (dense layouts,
+#: duplicates), negatives, and the int64 extremes (outside any layout).
+table_keys = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([INT64_MIN, INT64_MIN + 1, INT64_MAX - 1, INT64_MAX]),
+)
+
+
+@st.composite
+def tabled_join(draw):
+    """(probe, build, key names, whether the build is tabled): 1-3 int /
+    bool / date key columns, value columns on both sides."""
+    kinds = draw(st.lists(st.sampled_from(["int", "bool", "date"]),
+                          min_size=1, max_size=3))
+    on = [f"k{i}" for i in range(len(kinds))]
+    dtypes = {"int": DType.INT64, "bool": DType.BOOL, "date": DType.DATE}
+
+    def side(value_name, extremes):
+        n = draw(st.integers(0, 30))
+        data = {}
+        for name, kind in zip(on, kinds):
+            if kind == "bool":
+                data[name] = np.array(draw(st.lists(
+                    st.booleans(), min_size=n, max_size=n)), dtype=bool)
+                continue
+            keys = table_keys if extremes else st.integers(-6, 6)
+            values = np.array(draw(st.lists(keys, min_size=n, max_size=n)),
+                              dtype=np.int64)
+            data[name] = values + 8_000 if kind == "date" else values
+        data[value_name] = np.arange(n, dtype=np.int64)
+        schema = Schema([Field(name, dtypes[kind])
+                         for name, kind in zip(on, kinds)]
+                        + [Field(value_name, DType.INT64)])
+        return DataFrame(data, schema=schema)
+
+    # Extreme build keys widen the layout past the bound; the probe may
+    # hold them either way.
+    build = side("rv", draw(st.booleans()))
+    probe = side("lv", True)
+    tabled = build.n_rows > 0 and groupby.SlotTable.fits([
+        (int(build.column(k).max()) - int(build.column(k).min()))
+        .bit_length() for k in on
+    ])
+    return probe, build, on, tabled
+
+
+@given(tabled_join())
+@settings(max_examples=200, deadline=None)
+def test_property_table_path_matches_search_path(case):
+    probe, build, on, tabled = case
+    assert_paths_agree(probe, build, on, tabled)
+
+
+def test_table_path_is_taken_for_dense_int_keys():
+    left, right = left_frame(), right_frame()
+    index = JoinIndex(right, ["k"])
+    assert index._table is not None
+    with mock.patch.object(JoinIndex, "_probe_codes",
+                           side_effect=AssertionError("searched")):
+        for how in JOIN_METHODS:
+            assert_same_rows(index.probe(left, ["k"], how=how),
+                             hash_join(left, right, ["k"], ["k"], how=how))
+
+
+def test_probe_keys_past_the_layout_do_not_alias():
+    """Build keys at the top of int64, probe keys at the bottom:
+    subtracting the layout's low end wraps to small offsets, which must
+    still miss."""
+    build = DataFrame({"k": np.array([INT64_MAX - 9, INT64_MAX - 3,
+                                      INT64_MAX - 3, INT64_MAX])})
+    probe = DataFrame({"k": np.array(
+        [INT64_MIN + i for i in range(16)]
+        + [INT64_MAX - 3, -1, 0, 1], dtype=np.int64)})
+    assert_paths_agree(probe, build, ["k"])
+    assert JoinIndex(build, ["k"]).match_counts(probe, ["k"]).tolist() == (
+        [0] * 16 + [2, 0, 0, 0])
+
+
+def test_multi_key_layouts_within_and_past_the_bound():
+    rng = np.random.default_rng(5)
+
+    def frames(span):
+        build = DataFrame({
+            "a": rng.integers(0, span, 300).astype(np.int64),
+            "b": rng.integers(-span, 0, 300).astype(np.int64),
+            "rv": np.arange(300, dtype=np.int64),
+        })
+        probe = DataFrame({
+            "a": np.concatenate([build.column("a")[:200],
+                                 rng.integers(-span, 2 * span, 200)]),
+            "b": np.concatenate([build.column("b")[:200],
+                                 rng.integers(-2 * span, span, 200)]),
+            "lv": np.arange(400, dtype=np.int64),
+        })
+        return probe, build
+
+    assert_paths_agree(*frames(1 << 9), ["a", "b"], tabled=True)
+    assert_paths_agree(*frames(1 << 12), ["a", "b"], tabled=False)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_int_and_float_keys_take_the_search_path(flip):
+    ints = DataFrame({"k": np.array([1, 2, 3, 3, -4], dtype=np.int64),
+                      "iv": np.arange(5, dtype=np.int64)})
+    floats = DataFrame({"k": np.array([2.0, 3.0, 9.5, np.nan, -4.0]),
+                        "fv": np.arange(5.0)})
+    probe, build = (floats, ints) if flip else (ints, floats)
+    index = JoinIndex(build, ["k"])
+    assert (index._table is not None) == flip
+    if flip:
+        index._table.lookup = mock.Mock(side_effect=AssertionError("table"))
+    for how in JOIN_METHODS:
+        assert_same_bytes(index.probe(probe, ["k"], how=how),
+                          hash_join(probe, build, ["k"], ["k"], how=how))
+
+
+@pytest.mark.parametrize("how", JOIN_METHODS)
+def test_nan_keys_bytes_match_hash_join(how):
+    left = DataFrame({"k": np.array([1.0, np.nan, 2.0, np.nan]),
+                      "lv": np.arange(4, dtype=np.float64)})
+    right = DataFrame({"k": np.array([np.nan, 1.0, 3.0, np.nan]),
+                       "rv": np.arange(4.0)})
+    assert_same_bytes(JoinIndex(right, ["k"]).probe(left, ["k"], how=how),
+                      hash_join(left, right, ["k"], ["k"], how=how))
+
+
+def test_empty_sides_on_the_table_path():
+    left, right = left_frame(), right_frame()
+    assert_paths_agree(left.head(0), right, ["k"])
+    assert_paths_agree(left, right.head(0), ["k"], tabled=False)
+
+
+def test_wide_multi_key_codes_do_not_wrap_int64():
+    """Seven key columns of 600 distinct values each: the probe tuple's
+    mixed-radix code is 2**64, which wraps to build row 0's code."""
+    on = [f"k{j}" for j in range(7)]
+    build = DataFrame({key: np.arange(600, dtype=np.int64) for key in on})
+    probe = DataFrame({key: np.array([value], dtype=np.int64) for key, value
+                       in zip(on, (395, 226, 388, 133, 504, 186, 16))})
+    assert JoinIndex(build, on).probe_inner(probe, on).n_rows == 0
+    assert _searched_index(build, on).probe_inner(probe, on).n_rows == 0
+    assert hash_join(probe, build, on, on).n_rows == 0
+    # Tuples that are in the build still match.
+    hits = build.slice(7, 10)
+    assert_paths_agree(hits, build, on, tabled=False)
+    assert hash_join(hits, build, on, on).n_rows == 3
