@@ -48,7 +48,7 @@ def test_planning_latency_under_budget(bench_data, guard, emit):
         for _ in range(REPEATS):
             graph = QueryGraph()
             output = frame.plan.materialize(graph, {})
-            optimizer = build_optimizer(parallelism=4)
+            optimizer = build_optimizer()
             start = time.perf_counter()
             graph, output, trace = optimizer.optimize(graph, output)
             best_ms = min(best_ms,
@@ -59,7 +59,7 @@ def test_planning_latency_under_budget(bench_data, guard, emit):
         rows.append([f"q{number}", n_nodes, rewrites, best_ms])
     emit(banner(
         "E15 — optimizer planning latency (22 TPC-H plans, "
-        f"parallelism=4, best of {REPEATS})"
+        f"default rule stack, best of {REPEATS})"
     ))
     emit(format_table(
         ["query", "nodes (opt)", "rewrites", "plan ms"], rows,

@@ -19,8 +19,7 @@ Measurements:
   message over a wide clustered table, pushdown on vs off.  Acceptance
   bar: **≥ 3× lower median latency** (the CI perf guard).
 * **end-to-end** — full sync runs of the same query.
-* **parity** — finals byte-identical with pushdown on vs off, alone and
-  composed with ``parallelism=4`` sharding.
+* **parity** — finals byte-identical with pushdown on vs off.
 """
 
 import time
@@ -182,16 +181,10 @@ def test_per_message_scan_filter_speedup(wide_catalog, guard, emit):
 
 
 def test_end_to_end_and_parity(wide_catalog, guard, emit):
-    """Full-query wall clock + byte-identical finals, alone and sharded."""
+    """Full-query wall clock + byte-identical finals."""
     off_time, off_final = _run_wall_clock(wide_catalog, pushdown=False)
     on_time, on_final = _run_wall_clock(wide_catalog, pushdown=True)
     assert_byte_identical(on_final, off_final, "pushdown")
-
-    ctx = WakeContext(wide_catalog)
-    sharded = ctx.run(
-        _plan(ctx), capture_all=False, parallelism=4
-    ).get_final()
-    assert_byte_identical(sharded, off_final, "pushdown + parallelism=4")
 
     emit(banner("E14 — end-to-end sync run (Q6-style over the wide table)"))
     emit(format_table(

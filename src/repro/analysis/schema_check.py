@@ -15,7 +15,7 @@ dtypes, attribute kinds, keys, clustering, delivery — in
   suffix rules;
 * ``delivery-misuse``   — REPLACE/DELTA contract violations: merge join
   over non-DELTA or unclustered inputs, grouping by a mutable
-  attribute, unions mixing deliveries.
+  attribute.
 
 This module holds the two pieces that are not per-operator:
 :func:`expr_dtype`, the dtype an ``Expr`` tree evaluates to over a

@@ -47,10 +47,10 @@ class WakeContext:
 
     Tuning knobs live in one validated
     :class:`~repro.api.options.ExecutionOptions` bundle (``options=``);
-    every historical keyword argument (``parallelism``, ``pushdown``,
-    ``optimize``, ``optimizer_disable``, ``validate``,
-    ``quantile_mode``, ``sketch_size``) keeps working and overrides the
-    bundle — one validation path, zero deprecated call sites.
+    every historical keyword argument (``pushdown``, ``optimize``,
+    ``optimizer_disable``, ``validate``, ``quantile_mode``,
+    ``sketch_size``) keeps working and overrides the bundle — one
+    validation path, zero deprecated call sites.
     """
 
     def __init__(
@@ -61,7 +61,6 @@ class WakeContext:
         partition_shuffle_seed: int | None = None,
         quantile_mode: str | None = None,
         sketch_size: int | None = None,
-        parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
         optimizer_disable: Sequence[str] | None = None,
@@ -79,7 +78,6 @@ class WakeContext:
             options,
             quantile_mode=quantile_mode,
             sketch_size=sketch_size,
-            parallelism=parallelism,
             pushdown=pushdown,
             optimize=optimize,
             optimizer_disable=optimizer_disable,
@@ -154,7 +152,6 @@ class WakeContext:
     def _effective(
         self,
         options: ExecutionOptions | None,
-        parallelism: int | None,
         pushdown: bool | None,
         optimize: bool | None,
     ) -> ExecutionOptions:
@@ -162,9 +159,7 @@ class WakeContext:
         the session bundle wholesale, then the legacy per-run kwargs
         override field-wise (all re-validated in one place)."""
         base = options if options is not None else self.options
-        return base.merged(
-            parallelism=parallelism, pushdown=pushdown, optimize=optimize
-        )
+        return base.merged(pushdown=pushdown, optimize=optimize)
 
     def _materialize(
         self,
@@ -173,8 +168,8 @@ class WakeContext:
         trace=None,
     ) -> tuple[QueryGraph, int]:
         """Instantiate the plan, statically validate it, and run the
-        rule optimizer over it (logical rules to fixed point, then
-        pushdowns and the shard rewrite).  The per-submit trace lands in
+        rule optimizer over it (logical rules to fixed point, then the
+        scan pushdowns).  The per-submit trace lands in
         :attr:`last_trace`; ``trace`` (a
         :class:`~repro.obs.SessionTrace`, or ``None``) records the
         validate/optimize phases as lifecycle spans."""
@@ -187,7 +182,6 @@ class WakeContext:
             with maybe_span(trace, "validate"):
                 validate_plan(graph, output)
         optimizer = build_optimizer(
-            parallelism=opts.parallelism,
             pushdown=opts.pushdown,
             optimize=opts.optimize,
             disable=opts.optimizer_disable,
@@ -202,7 +196,6 @@ class WakeContext:
         self,
         frame: EdfFrame,
         capture_all: bool | None = None,
-        parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
         options: ExecutionOptions | None = None,
@@ -213,21 +206,18 @@ class WakeContext:
         snapshot (``capture_all=True``) or just the first estimate and the
         exact final answer (``capture_all=False``).  ``options``
         replaces the session's :class:`ExecutionOptions` for this run;
-        ``parallelism`` overrides the shard count (K > 1 shards
-        stateful shuffle subplans into K hash-partitioned replicas);
         ``pushdown`` overrides the scan-pushdown setting and
         ``optimize`` the optimizer switch.
         """
         executor = self.last_executor = self.executor_for(
-            frame, capture_all=capture_all, parallelism=parallelism,
-            pushdown=pushdown, optimize=optimize, options=options,
+            frame, capture_all=capture_all, pushdown=pushdown,
+            optimize=optimize, options=options,
         )
         return executor.run()
 
     def stream(
         self,
         frame: EdfFrame,
-        parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
         options: ExecutionOptions | None = None,
@@ -244,8 +234,8 @@ class WakeContext:
         closes the executor and with it every open read stream.
         """
         executor = self.last_executor = self.executor_for(
-            frame, capture_all=True, parallelism=parallelism,
-            pushdown=pushdown, optimize=optimize, options=options,
+            frame, capture_all=True, pushdown=pushdown,
+            optimize=optimize, options=options,
         )
         return _pull(executor)
 
@@ -253,14 +243,13 @@ class WakeContext:
         self,
         frame: EdfFrame,
         capture_all: bool | None = None,
-        parallelism: int | None = None,
         pushdown: bool | None = None,
         optimize: bool | None = None,
         options: ExecutionOptions | None = None,
         trace=None,
     ) -> StepExecutor:
         """A resumable :class:`StepExecutor` over the materialized plan
-        (after pushdown and the shard rewrite) — what :meth:`run` and
+        (after the optimizer and pushdowns) — what :meth:`run` and
         :meth:`stream` drive and the unit the multi-query service
         schedules (see :mod:`repro.service`).  Each ``step()`` consumes
         one source partition; stepping to completion yields snapshot
@@ -269,14 +258,13 @@ class WakeContext:
         lifecycle spans when the service has telemetry enabled."""
         graph, output = self._materialize(
             frame,
-            self._effective(options, parallelism, pushdown, optimize),
+            self._effective(options, pushdown, optimize),
             trace=trace,
         )
         capture = self.capture_all if capture_all is None else capture_all
         return StepExecutor(graph, output, capture_all=capture)
 
     def explain(self, frame: EdfFrame,
-                parallelism: int | None = None,
                 pushdown: bool | None = None,
                 optimize: bool | None = None,
                 options: ExecutionOptions | None = None,
@@ -305,15 +293,15 @@ class WakeContext:
             )
         if mode == "profile":
             executor = self.executor_for(
-                frame, capture_all=False, parallelism=parallelism,
-                pushdown=pushdown, optimize=optimize, options=options,
+                frame, capture_all=False, pushdown=pushdown,
+                optimize=optimize, options=options,
             )
             executor.profiler = self.last_profile = OperatorProfiler()
             executor.run()
             return self.last_profile.render()
         graph, output = self._materialize(
             frame,
-            self._effective(options, parallelism, pushdown, optimize),
+            self._effective(options, pushdown, optimize),
         )
         if mode == "types":
             return self._explain_types(graph, output)

@@ -33,8 +33,6 @@ class ExecutionOptions:
     same defaults, same error messages) plus the multi-query sharing
     knobs ``scan_share`` and ``result_cache``:
 
-    * ``parallelism`` — shard count for stateful shuffle subplans
-      (1 = unsharded, byte-identical plans).
     * ``pushdown`` — scan projection + zone-map partition pruning.
     * ``optimize`` / ``optimizer_disable`` — plan-rewrite master switch
       and per-rule escape hatch (rule names validated eagerly).
@@ -55,7 +53,6 @@ class ExecutionOptions:
       *not* part of :meth:`cache_fingerprint`.
     """
 
-    parallelism: int = 1
     pushdown: bool = True
     optimize: bool = True
     optimizer_disable: frozenset[str] = field(default_factory=frozenset)
@@ -67,10 +64,6 @@ class ExecutionOptions:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise QueryError(
-                f"parallelism must be >= 1, got {self.parallelism}"
-            )
         if self.quantile_mode not in QUANTILE_MODES:
             raise QueryError(
                 f"unknown quantile_mode {self.quantile_mode!r}; expected "
@@ -93,7 +86,7 @@ class ExecutionOptions:
     def merged(self, **overrides) -> "ExecutionOptions":
         """A copy with the non-``None`` overrides applied (and the whole
         bundle re-validated).  This is the one merge path all legacy
-        kwargs flow through — ``WakeContext(parallelism=4)``,
+        kwargs flow through — ``WakeContext(pushdown=False)``,
         ``run(pushdown=False)``, and ``QueryService.submit``'s per-call
         fields all land here."""
         known = {f.name for f in fields(self)}

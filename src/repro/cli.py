@@ -47,9 +47,6 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
                    help="catalog.json written by `generate`")
     p.add_argument("query", type=int, choices=sorted(QUERIES),
                    metavar="QUERY", help="TPC-H query number (1-22)")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="shard count for stateful shuffle subplans "
-                        "(1 = unsharded)")
     p.add_argument("--rows", type=int, default=5,
                    help="result rows to print")
     p.add_argument("--param", action="append", default=[],
@@ -72,8 +69,6 @@ def _add_explain(sub: argparse._SubParsersAction) -> None:
     p.add_argument("catalog", type=Path)
     p.add_argument("query", type=int, choices=sorted(QUERIES),
                    metavar="QUERY")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="show the plan after the shard rewrite")
     p.add_argument("--types", action="store_true",
                    help="show each node's statically inferred output "
                         "schema instead of the physical plan")
@@ -97,8 +92,6 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
                    help="catalog.json written by `generate`")
     p.add_argument("query", type=int, choices=sorted(QUERIES),
                    metavar="QUERY", help="TPC-H query number (1-22)")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="shard count for stateful shuffle subplans")
     p.add_argument("--param", action="append", default=[],
                    metavar="NAME=VALUE",
                    help="query parameter override (repeatable)")
@@ -129,8 +122,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 picks an ephemeral port)")
-    p.add_argument("--parallelism", type=int, default=1,
-                   help="default shard count for submitted queries")
     p.add_argument("--buffer-size", type=int, default=None,
                    help="bound per-session snapshot buffers (slow "
                         "subscribers then skip evicted snapshots; "
@@ -225,7 +216,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     ctx = WakeContext.from_catalog(args.catalog,
-                                   parallelism=args.parallelism,
                                    pushdown=not args.no_pushdown,
                                    optimize=not args.no_optimize,
                                    optimizer_disable=args.disable_rule)
@@ -256,14 +246,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
                                    optimizer_disable=args.disable_rule)
     query = QUERIES[args.query]
     print(ctx.explain(query.build_plan(ctx),
-                      parallelism=args.parallelism,
                       mode="types" if args.types else "plan"))
     return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     ctx = WakeContext.from_catalog(args.catalog,
-                                   parallelism=args.parallelism,
                                    pushdown=not args.no_pushdown)
     query = QUERIES[args.query]
     overrides = _parse_overrides(args.param)
@@ -314,7 +302,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # library-level default is off): a serve deployment is exactly the
     # concurrent-duplicate workload they exist for.
     options = ExecutionOptions(
-        parallelism=args.parallelism,
         pushdown=not args.no_pushdown,
         scan_share=not args.no_scan_share,
         result_cache=not args.no_result_cache,

@@ -11,7 +11,6 @@ from repro.engine.optimizer import (
     build_optimizer,
 )
 from repro.engine.plan_node import plan_hash
-from repro.engine.planner import shard_plan
 
 __all__ = [
     "Eof",
@@ -24,5 +23,4 @@ __all__ = [
     "StepExecutor",
     "build_optimizer",
     "plan_hash",
-    "shard_plan",
 ]

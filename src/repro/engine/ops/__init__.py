@@ -12,13 +12,11 @@ from repro.engine.ops.join import (
 )
 from repro.engine.ops.sort import SortLimitOperator
 from repro.engine.ops.distinct import DistinctOperator
-from repro.engine.ops.exchange import ExchangeOperator, UnionOperator
 
 __all__ = [
     "AggregateOperator",
     "CrossJoinOperator",
     "DistinctOperator",
-    "ExchangeOperator",
     "FilterOperator",
     "HashJoinOperator",
     "MapPartitionsOperator",
@@ -28,5 +26,4 @@ __all__ = [
     "SelectOperator",
     "SortLimitOperator",
     "SourceOperator",
-    "UnionOperator",
 ]

@@ -81,7 +81,6 @@ class AggregateOperator(Operator):
         growth_mode: str = "fitted",
         quantile_mode: str = "exact",
         sketch_size: int = DEFAULT_SKETCH_SIZE,
-        always_emit: bool = False,
     ) -> None:
         super().__init__(name)
         if not specs:
@@ -107,13 +106,6 @@ class AggregateOperator(Operator):
         self.growth_mode = growth_mode
         self.quantile_mode = quantile_mode
         self.sketch_size = sketch_size
-        #: Emit an (empty) REPLACE snapshot even while the state holds no
-        #: groups.  Off by default (empty input prefixes stay silent);
-        #: the shard rewrite enables it on replicas so every shard port
-        #: reports progress to the combining union from the first
-        #: message on — a shard owning zero groups would otherwise never
-        #: report and the union could not align progress to it.
-        self.always_emit = always_emit
         self.local_mode = False
         self._state: GroupedAggregateState | None = None
         self._inference: AggregateInference | None = None
@@ -219,19 +211,7 @@ class AggregateOperator(Operator):
         )
         ci = repr(self.ci) if self.ci is not None else None
         return (specs, self.by, ci, self.growth_mode, self.quantile_mode,
-                self.sketch_size, self.always_emit)
-
-    def clone(self, tag: str) -> "AggregateOperator":
-        # always_emit: a shard replica must report on every message even
-        # while it owns zero groups, so the union can align combined
-        # progress to the slowest shard instead of guessing about ports
-        # that have never spoken.
-        return AggregateOperator(
-            f"{self.name}{tag}", self.specs, by=self.by, ci=self.ci,
-            growth_mode=self.growth_mode,
-            quantile_mode=self.quantile_mode,
-            sketch_size=self.sketch_size, always_emit=True,
-        )
+                self.sketch_size)
 
     # -- run time -----------------------------------------------------------------
     def _handle_message(self, port: int, message: Message) -> list[Message]:
@@ -264,9 +244,8 @@ class AggregateOperator(Operator):
         state to zero groups; staying silent here would leave the stale
         previous estimate in every downstream sink forever.  Before
         anything was emitted there is nothing to retract, so empty input
-        prefixes still produce no spurious snapshots (unless
-        ``always_emit`` asks for them)."""
-        if not self._has_emitted and not self.always_emit:
+        prefixes still produce no spurious snapshots."""
+        if not self._has_emitted:
             return []
         # When something was emitted, reusing its schema (not the
         # planned one) keeps attribute kinds/dtypes consistent with the

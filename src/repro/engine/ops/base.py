@@ -1,14 +1,13 @@
 """Operator base classes: the node logic of the execution graph (§7).
 
 An operator is *one* description of a node, read at plan time and at run
-time.  The plan-time contract is four overridable methods with
+time.  The plan-time contract is three overridable methods with
 conservative defaults — ``_derive_info`` (output schema / keys /
 clustering / delivery, raising coded :class:`PlanValidationError` errors),
-``required_inputs`` (column demand, default: everything),
-``signature`` (canonical form, default: opaque) and ``clone``
-(shard replica, default: refuses) — so validation, ``explain``,
-projection pushdown, plan hashing, CSE and the shard rewrite all read
-the class and nothing else.  ``bind`` fixes the derived
+``required_inputs`` (column demand, default: everything) and
+``signature`` (canonical form, default: opaque) — so validation,
+``explain``, projection pushdown, plan hashing and CSE all read the
+class and nothing else.  ``bind`` fixes the derived
 :class:`StreamInfo` once per execution and lets ``_on_bound`` pick
 runtime modes from it.  At run time the executor feeds the operator
 messages (``on_message``) and EOF markers (``on_eof``); the operator
@@ -89,14 +88,6 @@ class Operator:
         presentation order (``plan_hash`` uses it).  The default is
         unique per instance: never merged, never hash-equal."""
         return ("opaque", self.name, id(self))
-
-    def clone(self, tag: str) -> "Operator":
-        """A fresh, unbound replica named ``name + tag`` for the shard
-        rewrite.  The default refuses, so the rewrite never replicates
-        an operator that did not say how."""
-        raise QueryError(
-            f"cannot replicate operator {self.name!r} for sharding"
-        )
 
     def fail(self, code: str, message: str,
              column: str | None = None) -> PlanValidationError:

@@ -81,9 +81,6 @@ class FilterOperator(Operator):
     def signature(self, alpha: bool) -> tuple:
         return (canon_expr(self.predicate),)
 
-    def clone(self, tag: str) -> "FilterOperator":
-        return FilterOperator(f"{self.name}{tag}", self.predicate)
-
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         if self._recompute:
             # DELTA input over mutable attributes: accumulate + recompute.

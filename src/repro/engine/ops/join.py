@@ -197,12 +197,6 @@ class HashJoinOperator(_JoinOperator):
             pairs = tuple(sorted(pairs))
         return (pairs, self.how, self.suffix)
 
-    def clone(self, tag: str) -> "HashJoinOperator":
-        return HashJoinOperator(
-            f"{self.name}{tag}", self.left_on, self.right_on,
-            how=self.how, suffix=self.suffix,
-        )
-
     # -- run time -----------------------------------------------------------------
     def _join(self, probe_frame: DataFrame) -> DataFrame:
         assert self._build_index is not None

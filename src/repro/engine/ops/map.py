@@ -141,11 +141,6 @@ class SelectOperator(Operator):
             exprs = sorted(exprs)
         return (tuple(exprs), self.propagate_ci)
 
-    def clone(self, tag: str) -> "SelectOperator":
-        return SelectOperator(
-            f"{self.name}{tag}", self.exprs, propagate_ci=self.propagate_ci
-        )
-
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         frame = message.frame
         data: dict[str, np.ndarray] = {}

@@ -1,12 +1,10 @@
 """Algebraic plan-rewrite engine: composable optimizer rules.
 
-The planner used to be two hard-coded passes (scan pushdown + shard
-rewrite) welded together; every new rewrite meant more bespoke graph
-surgery.  This module re-expresses planning as a small fixed-point
-rule engine over the :class:`~repro.engine.graph.QueryGraph` algebra —
-the shape dask-expr's ``.simplify()`` converges on, and the property the
-paper's deep-OLA engine assumes (§4: logical plans can be freely
-restructured without changing snapshot semantics).
+Planning is a small fixed-point rule engine over the
+:class:`~repro.engine.graph.QueryGraph` algebra — the shape dask-expr's
+``.simplify()`` converges on, and the property the paper's deep-OLA
+engine assumes (§4: logical plans can be freely restructured without
+changing snapshot semantics).
 
 Two rule tiers:
 
@@ -19,10 +17,8 @@ Two rule tiers:
   22 TPC-H queries by ``tests/tpch/test_optimizer_parity.py``).
 * **Physical rules** run exactly once, after the logical fixed point:
   :class:`ProjectionPushdown` and :class:`PredicatePushdown`
-  (``planner.projection_pass`` / ``pruning_pass``) and
-  :class:`ExchangeRewrite` (``planner.shard_plan``).  They are
-  one-shot because they are not idempotent under re-application
-  (re-sharding a sharded plan would shard the replicas).
+  (``planner.projection_pass`` / ``pruning_pass``).  They are
+  one-shot: a second application finds nothing left to push.
 
 Every rule reports how many nodes it rewrote into an
 :class:`OptimizerTrace`, which ``explain`` renders together with the
@@ -86,13 +82,8 @@ from repro.engine.ops import (
     AggregateOperator,
     FilterOperator,
     SelectOperator,
-    UnionOperator,
 )
-from repro.engine.planner import (
-    projection_pass,
-    pruning_pass,
-    shard_plan,
-)
+from repro.engine.planner import projection_pass, pruning_pass
 from repro.engine.plan_node import (
     duplicate_groups,
     flatten_conjuncts,
@@ -108,7 +99,6 @@ LOGICAL_RULE_NAMES = (
 PHYSICAL_RULE_NAMES = (
     "predicate-pushdown",
     "projection-pushdown",
-    "exchange",
 )
 RULE_NAMES = LOGICAL_RULE_NAMES + PHYSICAL_RULE_NAMES
 
@@ -413,9 +403,8 @@ class CommonSubplanElimination(Rule):
     Candidates are operators that declare themselves ``mergeable``:
     single-input, deterministic and message-per-message (their event
     interleaving is what the order proof reasons about).  Sources
-    (progress counters are per-source), exchanges (siblings share a
-    hash cache with a reads-remaining count) and MapPartitions
-    (arbitrary callables may be stateful) do not.
+    (progress counters are per-source) and MapPartitions (arbitrary
+    callables may be stateful) do not.
 
     A duplicate group merges only when doing so provably preserves the
     executor's FIFO event order (see module docstring): same input node,
@@ -500,29 +489,6 @@ class ProjectionPushdown(Rule):
 
     def apply(self, graph, output):
         return graph, output, projection_pass(graph, output)
-
-
-class ExchangeRewrite(Rule):
-    """K-way shard rewrite of shuffle aggregates and aligned join chains
-    (``planner.shard_plan``).  One-shot: re-running would shard the
-    replicas."""
-
-    name = "exchange"
-
-    def __init__(self, parallelism: int) -> None:
-        self.parallelism = parallelism
-
-    def apply(self, graph, output):
-        before = sum(
-            1 for n in graph.nodes.values()
-            if isinstance(n.operator, UnionOperator)
-        )
-        graph, output = shard_plan(graph, output, self.parallelism)
-        after = sum(
-            1 for n in graph.nodes.values()
-            if isinstance(n.operator, UnionOperator)
-        )
-        return graph, output, after - before
 
 
 # ---------------------------------------------------------------------------
@@ -639,17 +605,14 @@ def validate_rule_names(names) -> frozenset[str]:
 
 
 def build_optimizer(
-    parallelism: int = 1,
     pushdown: bool = True,
     optimize: bool = True,
     disable=(),
 ) -> Optimizer:
     """The default rule stack, honoring every escape hatch.
 
-    ``optimize=False`` turns off every optimization rule; the exchange
-    rewrite still honors an *explicit* ``parallelism`` > 1 (a resource
-    request, not an optimization — disable it with ``parallelism=1`` or
-    ``disable={"exchange"}``).  ``pushdown=False`` is the historical
+    ``optimize=False`` turns off every optimization rule.
+    ``pushdown=False`` is the historical
     scan-pushdown switch (projection + pruning only).  ``disable``
     removes individual rules by name.
     """
@@ -673,6 +636,4 @@ def build_optimizer(
         for rule in (PredicatePushdown(), ProjectionPushdown())
         if rule.name not in off
     ]
-    if parallelism > 1 and "exchange" not in off:
-        physical.append(ExchangeRewrite(parallelism))
     return Optimizer(logical, physical)

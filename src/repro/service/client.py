@@ -148,7 +148,6 @@ class ServiceClient:
         query: str,
         params: Mapping | None = None,
         priority: float = 1.0,
-        parallelism: int | None = None,
         pushdown: bool | None = None,
         name: str | None = None,
         paused: bool = False,
@@ -167,8 +166,6 @@ class ServiceClient:
             request["paused"] = True
         if params:
             request["params"] = dict(params)
-        if parallelism is not None:
-            request["parallelism"] = parallelism
         if pushdown is not None:
             request["pushdown"] = pushdown
         if name is not None:

@@ -3,8 +3,10 @@
 Wire protocol — one JSON object per line, newline-terminated, in both
 directions.  Requests carry an ``op``:
 
-* ``{"op": "submit", "query": "q06", "params": {...}, "priority": 2,
-  "parallelism": 4}`` → ``{"ok": true, "session": "s1", ...}``
+* ``{"op": "submit", "query": "q06", "params": {...}, "priority": 2}``
+  → ``{"ok": true, "session": "s1", ...}``.  Optional fields:
+  ``pushdown``, ``name``, ``paused``, ``scan_share``, ``result_cache``;
+  any other field is an error reply.
 * ``{"op": "status"}`` (all sessions) or
   ``{"op": "status", "session": "s1"}``
 * ``{"op": "pause" | "resume" | "cancel", "session": "s1"}``
@@ -70,6 +72,12 @@ from repro.service.session import (
 #: Poll interval for subscription reads — short enough that server
 #: shutdown and client disconnects are noticed promptly.
 _SUBSCRIBE_POLL = 0.1
+
+#: Every field a wire ``submit`` may carry.  Anything else is rejected
+#: rather than dropped, so a misspelled or retired option cannot
+#: silently run with the server's default.
+SUBMIT_FIELDS = ("op", "query", "params", "priority", "pushdown", "name",
+                 "paused", "scan_share", "result_cache")
 
 
 def tpch_plan_registry() -> dict[str, Callable[..., EdfFrame]]:
@@ -311,7 +319,6 @@ class QueryService:
         query: str,
         params: Mapping | None = None,
         priority: float = 1.0,
-        parallelism: int | None = None,
         pushdown: bool | None = None,
         name: str | None = None,
         paused: bool = False,
@@ -330,7 +337,6 @@ class QueryService:
                 f"unknown query {query!r}; known: {known}"
             ) from None
         opts = (options if options is not None else self.options).merged(
-            parallelism=parallelism,
             pushdown=pushdown,
             scan_share=scan_share,
             result_cache=result_cache,
@@ -342,9 +348,8 @@ class QueryService:
                 frame = factory(self.ctx, **dict(params or {}))
             executor = self.ctx.executor_for(frame, options=opts,
                                              trace=trace)
-            # Hash the *optimized* graph: parallelism/pushdown
-            # structure is part of the key, so differently-tuned
-            # submits never collide.
+            # Hash the *optimized* graph: pushdown structure is part
+            # of the key, so differently-tuned submits never collide.
             digest = plan_hash(executor.graph, executor.output)
             if trace is not None:
                 trace.plan_hash = digest
@@ -596,11 +601,16 @@ class SnapshotServer:
         if op == "submit":
             if "query" not in request:
                 raise QueryError("submit needs a 'query'")
+            unknown = sorted(set(request) - set(SUBMIT_FIELDS))
+            if unknown:
+                raise QueryError(
+                    f"submit has no field {', '.join(unknown)}; valid "
+                    f"fields: {', '.join(SUBMIT_FIELDS)}"
+                )
             session = self.service.submit(
                 str(request["query"]),
                 params=request.get("params"),
                 priority=float(request.get("priority", 1.0)),
-                parallelism=request.get("parallelism"),
                 pushdown=request.get("pushdown"),
                 name=request.get("name"),
                 paused=bool(request.get("paused", False)),

@@ -13,6 +13,7 @@ producer).
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from enum import Enum
@@ -289,9 +290,11 @@ class QuerySession:
         buffer_size: int | None = None,
         buffer_metrics=None,
     ) -> None:
-        if priority <= 0:
+        # NaN compares false against everything and infinity makes a
+        # zero stride; either one would wreck the stride order.
+        if not (math.isfinite(priority) and priority > 0):
             raise QueryError(
-                f"session priority must be > 0, got {priority}"
+                f"session priority must be finite and > 0, got {priority}"
             )
         self.session_id = session_id
         self.name = name

@@ -2,9 +2,8 @@
 inferred output schema, delivery, and strict-digest-visible source set
 must be exactly what they were before the rewrite.
 
-Checked three ways: every TPC-H plan through the full rule stack at
-parallelism 1 and 4 (strict mode — any drift raises), each rule in
-isolation, and a hypothesis sweep over randomly composed filter/select/
+Checked three ways: every TPC-H plan through the full rule stack
+(strict mode — any drift raises), each rule in isolation, and a hypothesis sweep over randomly composed filter/select/
 aggregate chains."""
 
 import pytest
@@ -35,24 +34,24 @@ def _materialize(frame):
     return graph, output
 
 
-def _optimize_strict(frame, parallelism, disable=()):
+def _optimize_strict(frame, disable=()):
     graph, output = _materialize(frame)
     before = plan_fingerprint(graph, output)
-    optimizer = build_optimizer(parallelism=parallelism,
-                                disable=disable)
+    optimizer = build_optimizer(disable=disable)
     optimizer.strict = True
     graph, output, trace = optimizer.optimize(graph, output)
     after = plan_fingerprint(graph, output)
     return before, after, trace
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
-@pytest.mark.parametrize("number", sorted(QUERIES))
-def test_tpch_rewrites_sound(tpch, number, parallelism):
+# The "-1" id suffix is the K=1 of the retired sharded arm; it keeps
+# test ids stable across that removal.
+@pytest.mark.parametrize("number", sorted(QUERIES), ids=lambda n: f"{n}-1")
+def test_tpch_rewrites_sound(tpch, number):
     catalog, _tables = tpch
     ctx = WakeContext(catalog)
     frame = QUERIES[number].build_plan(ctx, **OVERRIDES.get(number, {}))
-    before, after, trace = _optimize_strict(frame, parallelism)
+    before, after, trace = _optimize_strict(frame)
     assert before is not None, f"q{number} not statically inferable"
     assert after == before
     assert trace.rewrites_sound
@@ -100,9 +99,7 @@ def test_each_rule_in_isolation(tpch, catalog, rule):
     ]
     fired_anywhere = 0
     for label, frame in frames:
-        before, after, trace = _optimize_strict(
-            frame, parallelism=4, disable=others
-        )
+        before, after, trace = _optimize_strict(frame, disable=others)
         assert after == before, f"{label}: {rule} drifted the plan"
         fired_anywhere += sum(
             f.rewrites for f in trace.firings if f.rule == rule
@@ -114,7 +111,7 @@ def test_checks_recorded_in_trace(tpch):
     catalog, _tables = tpch
     ctx = WakeContext(catalog)
     frame = QUERIES[3].build_plan(ctx)
-    _before, _after, trace = _optimize_strict(frame, parallelism=4)
+    _before, _after, trace = _optimize_strict(frame)
     assert trace.checks, "no rewrite checks recorded"
     assert any("rewrite checks:" in line for line in trace.render())
 
@@ -158,10 +155,10 @@ def test_unsound_rewrite_raises_in_strict_mode(catalog, monkeypatch):
 
 def test_env_var_enables_strict(catalog, monkeypatch):
     monkeypatch.setenv("REPRO_CHECK_REWRITES", "1")
-    optimizer = build_optimizer(parallelism=1)
+    optimizer = build_optimizer()
     assert optimizer.strict is True
     monkeypatch.setenv("REPRO_CHECK_REWRITES", "0")
-    assert build_optimizer(parallelism=1).strict is False
+    assert build_optimizer().strict is False
 
 
 # -- hypothesis sweep over composed plans -----------------------------------
@@ -189,11 +186,10 @@ _AGGS = [
     agg_index=st.one_of(
         st.none(), st.integers(0, len(_AGGS) - 1)
     ),
-    parallelism=st.sampled_from([1, 4]),
 )
 @_FIXTURE_OK
 def test_random_chains_sound(catalog, pred_indexes, project_first,
-                             agg_index, parallelism):
+                             agg_index):
     ctx = WakeContext(catalog)
     frame = ctx.table("sales")
     if project_first:
@@ -202,7 +198,7 @@ def test_random_chains_sound(catalog, pred_indexes, project_first,
         frame = frame.filter(_PREDICATES[index])
     if agg_index is not None:
         frame = frame.agg(_AGGS[agg_index](), by=["okey"])
-    before, after, trace = _optimize_strict(frame, parallelism)
+    before, after, trace = _optimize_strict(frame)
     assert before is not None
     assert after == before
     assert trace.rewrites_sound

@@ -16,7 +16,6 @@ from repro.core.orderstat import DEFAULT_SKETCH_SIZE
 class TestValidation:
     def test_defaults_match_legacy_kwargs(self):
         opts = ExecutionOptions()
-        assert opts.parallelism == 1
         assert opts.pushdown is True
         assert opts.optimize is True
         assert opts.optimizer_disable == frozenset()
@@ -26,9 +25,14 @@ class TestValidation:
         assert opts.scan_share is False
         assert opts.result_cache is False
 
-    def test_parallelism_validated(self):
-        with pytest.raises(QueryError, match="parallelism must be >= 1"):
-            ExecutionOptions(parallelism=0)
+    def test_parallelism_validated(self, catalog):
+        """parallelism is no longer an option; each entry point says so."""
+        with pytest.raises(TypeError, match="parallelism"):
+            ExecutionOptions(parallelism=4)
+        with pytest.raises(TypeError, match="parallelism"):
+            WakeContext(catalog, parallelism=4)
+        with pytest.raises(QueryError, match="unknown execution option"):
+            ExecutionOptions().merged(parallelism=4)
 
     def test_quantile_mode_validated(self):
         with pytest.raises(QueryError, match="unknown quantile_mode"):
@@ -53,33 +57,33 @@ class TestValidation:
     def test_frozen(self):
         opts = ExecutionOptions()
         with pytest.raises(Exception):
-            opts.parallelism = 4  # type: ignore[misc]
+            opts.pushdown = False  # type: ignore[misc]
 
 
 class TestMerged:
     def test_none_overrides_are_skipped(self):
-        base = ExecutionOptions(parallelism=4)
-        assert base.merged(parallelism=None) is base
+        base = ExecutionOptions(sketch_size=64)
+        assert base.merged(sketch_size=None) is base
 
     def test_override_revalidates(self):
-        with pytest.raises(QueryError, match="parallelism must be >= 1"):
-            ExecutionOptions().merged(parallelism=-2)
+        with pytest.raises(QueryError, match="sketch_size must be >= 2"):
+            ExecutionOptions().merged(sketch_size=1)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(QueryError,
                            match="unknown execution option"):
-            ExecutionOptions().merged(paralellism=2)  # typo
+            ExecutionOptions().merged(pushdwon=False)  # typo
 
     def test_merge_keeps_unrelated_fields(self):
         base = ExecutionOptions(quantile_mode="sketch", sketch_size=32)
-        merged = base.merged(parallelism=3)
+        merged = base.merged(pushdown=False)
         assert merged.quantile_mode == "sketch"
         assert merged.sketch_size == 32
-        assert merged.parallelism == 3
+        assert merged.pushdown is False
 
     def test_resolve_options_defaults(self):
         assert resolve_options(None) == ExecutionOptions()
-        assert resolve_options(None, parallelism=2).parallelism == 2
+        assert resolve_options(None, sketch_size=32).sketch_size == 32
 
     def test_cache_fingerprint_covers_result_bytes_knobs(self):
         a = ExecutionOptions(quantile_mode="sketch", sketch_size=64)
@@ -87,33 +91,30 @@ class TestMerged:
         assert a.cache_fingerprint() != b.cache_fingerprint()
         # Plan-structure knobs are the plan hash's job, not the
         # fingerprint's.
-        c = ExecutionOptions(parallelism=4)
+        c = ExecutionOptions(pushdown=False, optimize=False)
         assert c.cache_fingerprint() == \
             ExecutionOptions().cache_fingerprint()
 
 
 class TestWakeContextIntegration:
     def test_legacy_kwargs_still_work(self, catalog):
-        ctx = WakeContext(catalog, parallelism=2, pushdown=False,
+        ctx = WakeContext(catalog, pushdown=False,
                           quantile_mode="sketch", sketch_size=16)
-        assert ctx.options.parallelism == 2
         assert ctx.options.pushdown is False
         assert ctx.options.quantile_mode == "sketch"
         assert ctx.options.sketch_size == 16
 
     def test_options_bundle(self, catalog):
-        opts = ExecutionOptions(parallelism=3, optimize=False)
+        opts = ExecutionOptions(pushdown=False, optimize=False)
         ctx = WakeContext(catalog, options=opts)
         assert ctx.options is opts
 
     def test_kwargs_override_bundle(self, catalog):
-        opts = ExecutionOptions(parallelism=3)
-        ctx = WakeContext(catalog, options=opts, parallelism=5)
-        assert ctx.options.parallelism == 5
+        opts = ExecutionOptions(sketch_size=32)
+        ctx = WakeContext(catalog, options=opts, sketch_size=64)
+        assert ctx.options.sketch_size == 64
 
     def test_legacy_error_messages_preserved(self, catalog):
-        with pytest.raises(QueryError, match="parallelism must be >= 1"):
-            WakeContext(catalog, parallelism=0)
         with pytest.raises(QueryError, match="unknown quantile_mode"):
             WakeContext(catalog, quantile_mode="nope")
         with pytest.raises(QueryError, match="sketch_size must be >= 2"):
@@ -139,12 +140,13 @@ class TestWakeContextIntegration:
         ctx = WakeContext(catalog)
         plan = ctx.table("sales").agg(F.sum("qty").alias("t"),
                                       by=["region"])
-        # options says parallelism=1; the kwarg wins.
-        ctx.run(plan, options=ExecutionOptions(parallelism=1),
-                parallelism=2)
-        names = {ctx.last_executor.graph.node(nid).operator.name
-                 for nid in ctx.last_executor.graph.nodes}
-        assert any("union" in n or "exchange" in n for n in names)
+        # options says pushdown=True; the kwarg wins, so the scan
+        # keeps every column.
+        ctx.run(plan, options=ExecutionOptions(pushdown=True),
+                pushdown=False)
+        graph = ctx.last_executor.graph
+        scans = [graph.node(nid).operator for nid in graph.source_ids()]
+        assert [scan.columns for scan in scans] == [None]
 
     def test_executor_for_and_explain_accept_options(self, catalog):
         ctx = WakeContext(catalog)

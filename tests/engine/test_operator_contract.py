@@ -1,9 +1,8 @@
 """The operator contract: one class is the whole description.
 
-Validation, ``explain``, projection pushdown, plan hashing, CSE and the
-shard rewrite read four overridable methods on the operator class
-(``_derive_info``, ``required_inputs``, ``signature``, ``clone``) and
-nothing else, so an operator defined here — outside ``src/`` — takes
+Validation, ``explain``, projection pushdown, plan hashing and CSE read
+three overridable methods on the operator class (``_derive_info``,
+``required_inputs``, ``signature``) and nothing else, so an operator defined here — outside ``src/`` — takes
 part in all of them, and one that defines only ``_derive_info`` gets the
 conservative defaults.
 """
@@ -25,7 +24,7 @@ from repro.engine.plan_node import (
     plan_hash,
     plans_alpha_equal,
 )
-from repro.errors import PlanValidationError, QueryError
+from repro.errors import PlanValidationError
 from repro.storage.catalog import TableMeta
 
 
@@ -61,11 +60,6 @@ class ClampOperator(Operator):
     def signature(self, alpha):
         return (self.column, self.lo, self.hi)
 
-    def clone(self, tag):
-        return ClampOperator(
-            f"{self.name}{tag}", self.column, self.lo, self.hi
-        )
-
     def _handle_message(self, port, message):
         frame = message.frame
         data = {n: frame.column(n) for n in frame.column_names}
@@ -81,7 +75,6 @@ class BareClampOperator(ClampOperator):
 
     required_inputs = Operator.required_inputs
     signature = Operator.signature
-    clone = Operator.clone
 
 
 def _clamp(frame, column="qty", cls=ClampOperator):
@@ -183,11 +176,6 @@ class TestToyOperator:
             for n in graph.nodes.values()
         ) == 2
 
-    def test_clone_default_refuses(self):
-        assert ClampOperator("c", "qty", 0, 1).clone("[s0]").name == "c[s0]"
-        with pytest.raises(QueryError, match="cannot replicate"):
-            BareClampOperator("c", "qty", 0, 1).clone("[s0]")
-
 
 # ---------------------------------------------------------------------------
 # (b) derivation is pure, for every operator class
@@ -237,10 +225,6 @@ def _cases(catalog):
             ops.SortLimitOperator("so", by=["v"], limit=3), (_DELTA,)),
         ops.DistinctOperator: (
             ops.DistinctOperator("d", ["s"]), (_DELTA,)),
-        ops.ExchangeOperator: (
-            ops.ExchangeOperator("x", ["k"], 0, 2), (_DELTA,)),
-        ops.UnionOperator: (
-            ops.UnionOperator("u", 2), (_REPLACE, _REPLACE)),
     }
 
 
@@ -280,10 +264,9 @@ def test_explain_types_never_binds(ctx, monkeypatch):
         .agg(F.sum("qty").alias("s"), by=["segment"])
         .sort("s", desc=True).limit(2)
     )
-    for parallelism in (1, 4):
-        text = ctx.explain(plan, mode="types", parallelism=parallelism)
-        assert "s: float64*" in text
-        assert "segment: string" in text
+    text = ctx.explain(plan, mode="types")
+    assert "s: float64*" in text
+    assert "segment: string" in text
 
 
 # ---------------------------------------------------------------------------

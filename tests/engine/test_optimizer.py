@@ -260,6 +260,12 @@ def test_unknown_rule_name_rejected_eagerly(catalog):
     assert set(LOGICAL_RULE_NAMES) <= set(RULE_NAMES)
 
 
+def test_exchange_rule_name_is_gone(catalog):
+    assert "exchange" not in RULE_NAMES
+    with pytest.raises(QueryError, match=r"unknown optimizer rule.*exchange"):
+        WakeContext(catalog, optimizer_disable={"exchange"})
+
+
 def test_run_level_optimize_override(catalog):
     ctx = WakeContext(catalog)
     ctx.run(_duplicated_chain_query(ctx), capture_all=False,

@@ -55,14 +55,6 @@ class TestStepParity:
         assert stepped.is_final
         assert_sequences_identical(stepped, base)
 
-    def test_parallelism_and_pushdown_compose(self, catalog):
-        ctx = WakeContext(catalog)
-        plan = ctx.table("sales").agg(F.sum("qty").alias("s"),
-                                      by=["cust"])
-        base = ctx.run(plan, parallelism=4)
-        stepped = ctx.executor_for(plan, parallelism=4).run()
-        assert_sequences_identical(stepped, base)
-
 
 class TestStepping:
     def _executor(self, catalog, **kwargs):

@@ -110,10 +110,10 @@ class TestAttach:
         assert isinstance(b, QuerySession)
         assert a.plan_hash != b.plan_hash
 
-    def test_different_parallelism_does_not_attach(self, catalog):
+    def test_different_pushdown_does_not_attach(self, catalog):
         service = _service(catalog)
         a = service.submit("sum_by_cust")
-        b = service.submit("sum_by_cust", parallelism=2)
+        b = service.submit("sum_by_cust", pushdown=False)
         assert isinstance(b, QuerySession)
         assert a.plan_hash != b.plan_hash
 

@@ -1,5 +1,6 @@
 """FairShareScheduler: fairness, priorities, pause/resume/cancel."""
 
+import math
 import threading
 import time
 
@@ -7,7 +8,7 @@ import pytest
 
 from repro import F, WakeContext
 from repro.errors import QueryError
-from repro.service import FairShareScheduler, SessionState
+from repro.service import FairShareScheduler, QueryService, SessionState
 
 
 def _executor(catalog):
@@ -79,6 +80,25 @@ class TestScheduling:
             return order
 
         assert trace() == trace()
+
+    @pytest.mark.parametrize("priority", [
+        float("nan"), float("inf"), float("-inf"),
+    ])
+    def test_non_finite_priority_rejected(self, catalog, priority):
+        """A NaN priority would copy its NaN virtual time into the
+        scheduler clock, so every later session starts at ``nan``; an
+        infinite one has a zero stride and takes nearly every step."""
+        plans = {"by_cust": lambda ctx: ctx.table("sales").agg(
+            F.sum("qty").alias("s"), by=["cust"])}
+        service = QueryService(WakeContext(catalog), plans=plans)
+        service.submit("by_cust")
+        with pytest.raises(QueryError, match="finite and > 0"):
+            service.submit("by_cust", priority=priority)
+        assert len(service.scheduler.sessions()) == 1
+        service.scheduler.run_once()
+        late = service.submit("by_cust")
+        assert math.isfinite(late.vtime)
+        service.scheduler.run_until_idle()
 
     def test_unknown_session_raises(self, catalog):
         scheduler = FairShareScheduler()

@@ -166,6 +166,50 @@ class TestProtocolErrors:
         # the connection survives both
         assert client.status()["ok"] is True
 
+    @pytest.mark.parametrize("priority", [
+        b"NaN", b"Infinity", b"-Infinity", b'"nan"', b'"inf"',
+    ])
+    def test_non_finite_priority_gets_error_reply(self, server,
+                                                  priority):
+        """``json.loads`` accepts the NaN/Infinity tokens and
+        ``float()`` the strings; none may reach the scheduler."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            file = sock.makefile("rwb")
+            file.write(b'{"op": "submit", "query": "total", '
+                       b'"priority": ' + priority + b'}\n')
+            file.flush()
+            reply = json.loads(file.readline())
+            assert reply["ok"] is False
+            assert "priority must be finite and > 0" in reply["error"]
+            file.write(b'{"op": "status"}\n')
+            file.flush()
+            status = json.loads(file.readline())
+            assert status["ok"] is True
+            assert status["sessions"] == []
+
+    def test_unknown_submit_field_gets_error_reply(self, server):
+        """A field ``submit`` does not know is an error, not silently
+        dropped; the connection stays usable."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            file = sock.makefile("rwb")
+            file.write(b'{"op": "submit", "query": "total", '
+                       b'"parallelism": 4}\n')
+            file.flush()
+            reply = json.loads(file.readline())
+            assert reply == {
+                "ok": False,
+                "error": "submit has no field parallelism; valid "
+                         "fields: op, query, params, priority, pushdown, "
+                         "name, paused, scan_share, result_cache",
+            }
+            file.write(b'{"op": "submit", "query": "total"}\n')
+            file.flush()
+            reply = json.loads(file.readline())
+            assert reply["ok"] is True
+            assert reply["session"]
+
     def test_unknown_tpch_param_names_the_valid_ones(self, tpch):
         """The default registry's submit error is the CLI's one line."""
         catalog, _tables = tpch

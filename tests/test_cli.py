@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 
 
@@ -72,6 +73,25 @@ class TestRun:
     def test_invalid_query_number(self, cli_catalog):
         with pytest.raises(SystemExit):
             main(["run", str(cli_catalog), "99"])
+
+
+@pytest.mark.parametrize("command", ["run", "explain", "profile", "serve"])
+def test_parallelism_flag_is_gone(command, cli_catalog, capsys,
+                                  monkeypatch):
+    """``--parallelism`` is an argparse usage error on every command
+    that used to take it (the handlers never run)."""
+    for name in ("cmd_run", "cmd_explain", "cmd_profile", "cmd_serve"):
+        monkeypatch.setattr(cli, name, _must_not_run)
+    query = [] if command == "serve" else ["6"]
+    with pytest.raises(SystemExit) as info:
+        main([command, str(cli_catalog), *query, "--parallelism", "4"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --parallelism 4" in \
+        capsys.readouterr().err
+
+
+def _must_not_run(args):
+    raise AssertionError(f"{args.command} ran despite a usage error")
 
 
 class TestProfile:

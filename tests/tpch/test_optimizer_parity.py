@@ -1,12 +1,11 @@
 """Optimizer-on vs pre-refactor planner parity over the TPC-H suite.
 
-The rule engine re-expresses the old monolithic planner passes
-(scan pushdown + ``shard_plan``) as rules and adds new logical
-rewrites (combine-filters, aggregate-projection, common-subplan).  None
-of that may perturb a single byte of any snapshot: for every query the
-optimized context run must match a hand-assembled legacy pipeline —
-materialize, pruning_pass, projection_pass, shard_plan, StepExecutor —
-snapshot for snapshot, solo and at ``parallelism=4``.
+The rule engine re-expresses the old monolithic scan-pushdown passes as
+rules and adds new logical rewrites (combine-filters,
+aggregate-projection, common-subplan).  None of that may perturb a
+single byte of any snapshot: for every query the optimized context run
+must match a hand-assembled legacy pipeline — materialize,
+pruning_pass, projection_pass, StepExecutor — snapshot for snapshot.
 """
 
 import pytest
@@ -14,7 +13,7 @@ import pytest
 from repro import WakeContext
 from repro.engine.executor import StepExecutor
 from repro.engine.graph import QueryGraph
-from repro.engine.planner import projection_pass, pruning_pass, shard_plan
+from repro.engine.planner import projection_pass, pruning_pass
 from repro.tpch.queries import QUERIES
 
 from tests.tpch.utils import assert_sequences_byte_identical
@@ -29,15 +28,13 @@ def _build(catalog, number, **ctx_kwargs):
     return ctx, query.build_plan(ctx, **OVERRIDES.get(number, {}))
 
 
-def _legacy_run(catalog, number, parallelism=1):
+def _legacy_run(catalog, number):
     """The pre-refactor pipeline, bypassing the rule engine entirely."""
     _ctx, frame = _build(catalog, number)
     graph = QueryGraph()
     output = frame.plan.materialize(graph, {})
     pruning_pass(graph, output)
     projection_pass(graph, output)
-    if parallelism > 1:
-        graph, output = shard_plan(graph, output, parallelism)
     return StepExecutor(graph, output, capture_all=True).run()
 
 
@@ -48,17 +45,6 @@ def test_optimizer_sequences_match_legacy_planner(number, tpch):
     got = ctx.run(frame)
     assert_sequences_byte_identical(
         got, _legacy_run(catalog, number), f"q{number}"
-    )
-
-
-@pytest.mark.parametrize("number", sorted(QUERIES))
-def test_optimizer_sequences_match_legacy_planner_sharded(number, tpch):
-    catalog, _tables = tpch
-    ctx, frame = _build(catalog, number)
-    got = ctx.run(frame, parallelism=4)
-    assert_sequences_byte_identical(
-        got, _legacy_run(catalog, number, parallelism=4),
-        f"q{number} parallelism=4",
     )
 
 

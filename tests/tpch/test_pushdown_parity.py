@@ -3,8 +3,7 @@
 Projection pushdown only removes columns nothing downstream references,
 and partition pruning is semantically a filter whose progress is
 preserved via empty partials — so for every query the finals must be
-*byte*-identical and the snapshot progress sequences identical, with
-pushdown composing cleanly with sharded execution (``parallelism=4``).
+*byte*-identical and the snapshot progress sequences identical.
 """
 
 import pytest
@@ -42,15 +41,6 @@ def test_pushdown_final_byte_identical(number, tpch):
     pushed = _final(catalog, number)
     baseline = _final(catalog, number, pushdown=False)
     assert_frames_byte_identical(pushed, baseline)
-
-
-@pytest.mark.parametrize("number", [1, 3, 6])
-def test_pushdown_composes_with_sharding(number, tpch):
-    """Pushdown + parallelism=4 together still match the plain engine."""
-    catalog, _tables = tpch
-    sharded = _final(catalog, number, parallelism=4)
-    baseline = _final(catalog, number, pushdown=False)
-    assert_frames_byte_identical(sharded, baseline)
 
 
 @pytest.mark.parametrize("number", [1, 3, 6, 12, 14, 19])

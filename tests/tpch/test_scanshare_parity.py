@@ -4,9 +4,8 @@ The multi-query optimizations must be invisible in the output: with
 scan-share on (solo and four-at-a-time through one shared pool) every
 query's snapshot sequence stays byte-identical to ``WakeContext.run()``,
 and a result-cache attach replays the primary's snapshots verbatim —
-including under ``parallelism=4`` and under seeded transient faults
-where a quarantined partition degrades *every* attached subscriber
-consistently.
+including under seeded transient faults where a quarantined partition
+degrades *every* attached subscriber consistently.
 """
 
 import pytest
@@ -156,35 +155,6 @@ def test_result_cache_attach_parity(number, tpch, baselines):
             f"q{number:02d} cache attach #{i}",
         )
     assert service.cache_stats()["hits"] == 2
-
-
-@pytest.mark.parametrize("number", [1, 3, 6])
-def test_attach_under_parallelism4(number, tpch, baselines):
-    """Sharded submits (parallelism=4) attach too, and the replayed
-    final matches the unsharded baseline's bytes."""
-    catalog, _tables = tpch
-    ctx = WakeContext(
-        catalog,
-        options=ExecutionOptions(scan_share=True, result_cache=True),
-    )
-    service = QueryService(ctx)
-    params = OVERRIDES.get(number)
-    primary = service.submit(f"q{number:02d}", params=params,
-                             parallelism=4)
-    service.scheduler.run_once()
-    attached = service.submit(f"q{number:02d}", params=params,
-                              parallelism=4)
-    assert isinstance(attached, AttachedSession)
-    while service.scheduler.run_once() is not None:
-        pass
-    assert primary.state is SessionState.DONE
-    assert attached.state is SessionState.DONE
-    got = attached.buffer.retained()[-1].frame
-    expected = baselines[number].get_final()
-    assert tuple(got.column_names) == tuple(expected.column_names)
-    for name in expected.column_names:
-        assert (got.column(name).tobytes()
-                == expected.column(name).tobytes())
 
 
 def test_quarantine_degrades_all_attached_consistently(tpch):

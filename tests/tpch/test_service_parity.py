@@ -81,42 +81,3 @@ def test_scheduler_concurrent_parity(batch, tpch, baselines):
             session.executor.edf, baselines[number],
             f"q{number:02d} concurrent",
         )
-
-
-@pytest.mark.parametrize("number", [1, 3, 6])
-def test_scheduler_composes_with_sharding_and_pushdown(number, tpch,
-                                                       baselines):
-    """parallelism=4 + pushdown under the scheduler still produces the
-    byte-identical final (the scheduler drives the rewritten plan)."""
-    catalog, _tables = tpch
-    ctx = WakeContext(catalog)
-    scheduler = FairShareScheduler()
-    session = scheduler.submit(
-        ctx.executor_for(_plan(ctx, number), parallelism=4),
-        name=f"q{number:02d}@4",
-    )
-    scheduler.run_until_idle()
-    got = session.executor.edf.get_final()
-    expected = baselines[number].get_final()
-    assert tuple(got.column_names) == tuple(expected.column_names)
-    for name in expected.column_names:
-        assert (got.column(name).tobytes()
-                == expected.column(name).tobytes())
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("number", sorted(QUERIES))
-def test_scheduler_sharded_parity_full_suite(number, tpch, baselines):
-    """All 22 queries at parallelism=4 under the scheduler (slow tier)."""
-    catalog, _tables = tpch
-    ctx = WakeContext(catalog)
-    scheduler = FairShareScheduler()
-    session = scheduler.submit(
-        ctx.executor_for(_plan(ctx, number), parallelism=4)
-    )
-    scheduler.run_until_idle()
-    got = session.executor.edf.get_final()
-    expected = baselines[number].get_final()
-    for name in expected.column_names:
-        assert (got.column(name).tobytes()
-                == expected.column(name).tobytes())
