@@ -21,6 +21,7 @@ from repro.dataframe.sort import sort_frame
 from repro.core.properties import Delivery, Progress, StreamInfo
 from repro.engine.message import Message
 from repro.engine.ops import DistinctOperator, SortLimitOperator
+from repro.bench.metrics import window_medians
 from repro.bench.report import banner, format_table
 
 N_PARTS = 128
@@ -84,13 +85,6 @@ class SeedStyleDistinct:
         return fresh
 
 
-def _window_medians(times):
-    q = len(times) // 4
-    early = float(np.median(np.array(times[q:2 * q])))
-    late = float(np.median(np.array(times[-q:])))
-    return early, late
-
-
 def test_distinct_latency_flat(distinct_parts, emit, guard):
     op = DistinctOperator("d", subset=["k"])
     op.bind((StreamInfo(schema=distinct_parts[0].schema,
@@ -110,8 +104,8 @@ def test_distinct_latency_flat(distinct_parts, emit, guard):
         seed_times.append(time.perf_counter() - start)
     assert inc_rows == seed_rows
 
-    inc_early, inc_late = _window_medians(inc_times)
-    seed_early, seed_late = _window_medians(seed_times)
+    inc_early, inc_late = window_medians(inc_times)
+    seed_early, seed_late = window_medians(seed_times)
     emit(banner(
         f"E13 — incremental distinct per message ({N_PARTS} partials "
         f"x {ROWS_PER_PART} rows, ~85% unique keys)"
@@ -166,8 +160,8 @@ def test_topk_latency_flat(sort_parts, emit, guard):
     assert answer is not None and seed_answer is not None
     assert answer[0].frame.equals(seed_answer, rtol=0, atol=0)
 
-    inc_early, inc_late = _window_medians(inc_times)
-    seed_early, seed_late = _window_medians(seed_times)
+    inc_early, inc_late = window_medians(inc_times)
+    seed_early, seed_late = window_medians(seed_times)
     emit(banner(
         f"E13 — top-10 sort/limit per message ({N_PARTS} partials x "
         f"{ROWS_PER_PART} rows)"

@@ -29,6 +29,7 @@ import pytest
 
 from repro.core.state import GroupedAggregateState
 from repro.dataframe import AggSpec, DataFrame, JoinIndex, groupby, hash_join
+from repro.bench.metrics import window_medians
 from repro.bench.report import banner, format_table
 
 N_PROBE = 256_000
@@ -185,6 +186,8 @@ def test_aggregate_state_growth_flat(benchmark, emit, guard):
     size = n_rows // n_parts
     parts = [frame.slice(i * size, (i + 1) * size) for i in range(n_parts)]
 
+    passes = []
+
     def consume_all():
         state = GroupedAggregateState(
             by=("k",), specs=(AggSpec("sum", "v", "s"),
@@ -196,14 +199,12 @@ def test_aggregate_state_growth_flat(benchmark, emit, guard):
             state.consume_delta(part)
             times.append(time.perf_counter() - start)
         assert state.n_groups == n_groups
-        return times
+        passes.append(times)
 
-    times = benchmark.pedantic(consume_all, rounds=3, iterations=1)
+    benchmark.pedantic(consume_all, rounds=3, iterations=1)
     # After the dictionary warms up (~first quarter), per-message cost
     # must be flat: the last quarter no slower than 2x the second quarter.
-    q = len(times) // 4
-    early = float(np.median(np.array(times[q:2 * q])))
-    late = float(np.median(np.array(times[-q:])))
+    early, late = window_medians(*passes)
     emit(banner("E11 — aggregate consume_delta growth "
                 f"({n_parts} partials, {n_groups} groups)"))
     emit(format_table(

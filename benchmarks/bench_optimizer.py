@@ -22,7 +22,7 @@ import time
 
 from conftest import BENCH_OVERRIDES
 
-from repro import WakeContext, col
+from repro import ExecutionOptions, WakeContext, col
 from repro.api.functions import F
 from repro.bench.report import banner, format_table
 from repro.engine.graph import QueryGraph
@@ -92,7 +92,8 @@ def _duplicated_chain(ctx):
 
 def _run_wall_clock(catalog, logical: bool):
     disable = () if logical else set(LOGICAL_RULE_NAMES)
-    ctx = WakeContext(catalog, optimizer_disable=disable)
+    ctx = WakeContext(catalog, options=ExecutionOptions(
+        optimizer_disable=disable))
     start = time.perf_counter()
     edf = ctx.run(_duplicated_chain(ctx), capture_all=False)
     return time.perf_counter() - start, edf.get_final(), ctx.last_trace

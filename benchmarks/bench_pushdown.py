@@ -27,7 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from repro import WakeContext
+from repro import ExecutionOptions, WakeContext
 from repro.api.functions import F
 from repro.bench.report import banner, format_table
 from repro.dataframe import DataFrame, col
@@ -120,7 +120,8 @@ def _scan_filter_times(catalog, pushed: bool) -> tuple[list[float], int]:
 
 
 def _run_wall_clock(catalog, pushdown: bool) -> tuple[float, DataFrame]:
-    ctx = WakeContext(catalog, pushdown=pushdown)
+    ctx = WakeContext(catalog,
+                      options=ExecutionOptions(pushdown=pushdown))
     start = time.perf_counter()
     edf = ctx.run(_plan(ctx), capture_all=False)
     return time.perf_counter() - start, edf.get_final()
@@ -201,8 +202,9 @@ def test_end_to_end_and_parity(wide_catalog, guard, emit):
 def test_pruned_progress_matches_unpruned(wide_catalog, guard):
     """Snapshot progress sequences are identical under pruning — the
     growth-inference ``t`` never sees the skipped partitions."""
-    on = WakeContext(wide_catalog, pushdown=True)
-    off = WakeContext(wide_catalog, pushdown=False)
+    on = WakeContext(wide_catalog)
+    off = WakeContext(wide_catalog,
+                      options=ExecutionOptions(pushdown=False))
     seq_on = on.run(_plan(on))
     seq_off = off.run(_plan(off))
     assert len(seq_on) == len(seq_off)

@@ -3,7 +3,7 @@
 from repro.api.context import WakeContext
 from repro.api.frame_api import EdfFrame, PlanNode
 from repro.api.functions import AggExpr, F
-from repro.api.options import ExecutionOptions, resolve_options
+from repro.api.options import ExecutionOptions
 
 __all__ = [
     "AggExpr",
@@ -12,5 +12,4 @@ __all__ = [
     "F",
     "PlanNode",
     "WakeContext",
-    "resolve_options",
 ]

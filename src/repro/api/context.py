@@ -25,7 +25,7 @@ from repro.engine.optimizer import OptimizerTrace, build_optimizer
 from repro.obs import OperatorProfiler, maybe_span
 from repro.storage.catalog import Catalog, TableMeta
 from repro.api.frame_api import EdfFrame, PlanNode
-from repro.api.options import ExecutionOptions, resolve_options
+from repro.api.options import ExecutionOptions
 
 
 def _pull(executor: StepExecutor):
@@ -46,11 +46,9 @@ class WakeContext:
     """A Deep OLA session (paper §7).
 
     Tuning knobs live in one validated
-    :class:`~repro.api.options.ExecutionOptions` bundle (``options=``);
-    every historical keyword argument (``pushdown``, ``optimize``,
-    ``optimizer_disable``, ``validate``, ``quantile_mode``,
-    ``sketch_size``) keeps working and overrides the bundle — one
-    validation path, zero deprecated call sites.
+    :class:`~repro.api.options.ExecutionOptions` bundle: ``options=``
+    here sets the session's, and ``options=`` on ``run`` / ``stream`` /
+    ``explain`` / ``executor_for`` replaces it for one call.
     """
 
     def __init__(
@@ -59,33 +57,13 @@ class WakeContext:
         capture_all: bool = True,
         ci: CIConfig | None = None,
         partition_shuffle_seed: int | None = None,
-        quantile_mode: str | None = None,
-        sketch_size: int | None = None,
-        pushdown: bool | None = None,
-        optimize: bool | None = None,
-        optimizer_disable: Sequence[str] | None = None,
-        validate: bool | None = None,
         options: ExecutionOptions | None = None,
-        scan_share: bool | None = None,
-        result_cache: bool | None = None,
-        telemetry: bool | None = None,
     ) -> None:
         #: Session execution options (see
         #: :class:`~repro.api.options.ExecutionOptions` for per-knob
-        #: semantics).  Legacy kwargs are merged over ``options`` so
-        #: both call styles resolve to this one bundle.
-        self.options = resolve_options(
-            options,
-            quantile_mode=quantile_mode,
-            sketch_size=sketch_size,
-            pushdown=pushdown,
-            optimize=optimize,
-            optimizer_disable=optimizer_disable,
-            validate=validate,
-            scan_share=scan_share,
-            result_cache=result_cache,
-            telemetry=telemetry,
-        )
+        #: semantics).
+        self.options = (options if options is not None
+                        else ExecutionOptions())
         self.catalog = catalog or Catalog()
         self.capture_all = capture_all
         self.ci = ci
@@ -149,30 +127,20 @@ class WakeContext:
         return EdfFrame(self, PlanNode(factory))
 
     # -- execution -----------------------------------------------------------------
-    def _effective(
-        self,
-        options: ExecutionOptions | None,
-        pushdown: bool | None,
-        optimize: bool | None,
-    ) -> ExecutionOptions:
-        """Per-run option resolution: an explicit ``options=`` replaces
-        the session bundle wholesale, then the legacy per-run kwargs
-        override field-wise (all re-validated in one place)."""
-        base = options if options is not None else self.options
-        return base.merged(pushdown=pushdown, optimize=optimize)
-
     def _materialize(
         self,
         frame: EdfFrame,
-        opts: ExecutionOptions,
+        options: ExecutionOptions | None,
         trace=None,
     ) -> tuple[QueryGraph, int]:
         """Instantiate the plan, statically validate it, and run the
         rule optimizer over it (logical rules to fixed point, then the
-        scan pushdowns).  The per-submit trace lands in
+        scan pushdowns) under ``options`` (``None``: the session's
+        :attr:`options`).  The per-submit trace lands in
         :attr:`last_trace`; ``trace`` (a
         :class:`~repro.obs.SessionTrace`, or ``None``) records the
         validate/optimize phases as lifecycle spans."""
+        opts = options if options is not None else self.options
         graph = QueryGraph()
         output = frame.plan.materialize(graph, {})
         if opts.validate:
@@ -196,8 +164,6 @@ class WakeContext:
         self,
         frame: EdfFrame,
         capture_all: bool | None = None,
-        pushdown: bool | None = None,
-        optimize: bool | None = None,
         options: ExecutionOptions | None = None,
     ) -> EvolvingDataFrame:
         """Execute a plan, returning its evolving output.
@@ -205,21 +171,16 @@ class WakeContext:
         The returned :class:`EvolvingDataFrame` holds every intermediate
         snapshot (``capture_all=True``) or just the first estimate and the
         exact final answer (``capture_all=False``).  ``options``
-        replaces the session's :class:`ExecutionOptions` for this run;
-        ``pushdown`` overrides the scan-pushdown setting and
-        ``optimize`` the optimizer switch.
+        replaces the session's :class:`ExecutionOptions` for this run.
         """
         executor = self.last_executor = self.executor_for(
-            frame, capture_all=capture_all, pushdown=pushdown,
-            optimize=optimize, options=options,
+            frame, capture_all=capture_all, options=options,
         )
         return executor.run()
 
     def stream(
         self,
         frame: EdfFrame,
-        pushdown: bool | None = None,
-        optimize: bool | None = None,
         options: ExecutionOptions | None = None,
     ):
         """Execute while *yielding* each snapshot as it is produced.
@@ -234,8 +195,7 @@ class WakeContext:
         closes the executor and with it every open read stream.
         """
         executor = self.last_executor = self.executor_for(
-            frame, capture_all=True, pushdown=pushdown,
-            optimize=optimize, options=options,
+            frame, capture_all=True, options=options,
         )
         return _pull(executor)
 
@@ -244,7 +204,6 @@ class WakeContext:
         frame: EdfFrame,
         capture_all: bool | None = None,
         pushdown: bool | None = None,
-        optimize: bool | None = None,
         options: ExecutionOptions | None = None,
         trace=None,
     ) -> StepExecutor:
@@ -255,18 +214,20 @@ class WakeContext:
         one source partition; stepping to completion yields snapshot
         sequences byte-identical to :meth:`run`.  ``trace`` (a
         :class:`~repro.obs.SessionTrace`) records the validate/optimize
-        lifecycle spans when the service has telemetry enabled."""
-        graph, output = self._materialize(
-            frame,
-            self._effective(options, pushdown, optimize),
-            trace=trace,
-        )
+        lifecycle spans when the service has telemetry enabled.
+
+        ``pushdown`` overrides the scan-pushdown setting of ``options``
+        for this call.  It is kept only because the frozen end-to-end
+        benchmark passes it (ROADMAP item 6(a) removes it); everything
+        else goes through ``options=``."""
+        if pushdown is not None:
+            base = options if options is not None else self.options
+            options = base.merged(pushdown=pushdown)
+        graph, output = self._materialize(frame, options, trace=trace)
         capture = self.capture_all if capture_all is None else capture_all
         return StepExecutor(graph, output, capture_all=capture)
 
     def explain(self, frame: EdfFrame,
-                pushdown: bool | None = None,
-                optimize: bool | None = None,
                 options: ExecutionOptions | None = None,
                 mode: str = "plan") -> str:
         """Human-readable plan: node names, deliveries, schemas (after
@@ -293,16 +254,12 @@ class WakeContext:
             )
         if mode == "profile":
             executor = self.executor_for(
-                frame, capture_all=False, pushdown=pushdown,
-                optimize=optimize, options=options,
+                frame, capture_all=False, options=options,
             )
             executor.profiler = self.last_profile = OperatorProfiler()
             executor.run()
             return self.last_profile.render()
-        graph, output = self._materialize(
-            frame,
-            self._effective(options, pushdown, optimize),
-        )
+        graph, output = self._materialize(frame, options)
         if mode == "types":
             return self._explain_types(graph, output)
         infos = graph.resolve()

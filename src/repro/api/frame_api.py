@@ -445,7 +445,7 @@ class EdfFrame:
     def final(self, **kwargs) -> DataFrame:
         """Convenience: run to completion, return the exact answer.
 
-        Keyword arguments (e.g. ``pushdown=False``) are forwarded to
+        Keyword arguments (e.g. ``options=``) are forwarded to
         :meth:`WakeContext.run`.
         """
         return self._context.run(

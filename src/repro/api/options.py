@@ -1,20 +1,14 @@
 """ExecutionOptions: one validated bundle for every tuning knob.
 
-Before this module the tuning surface lived as nine loose keyword
-arguments on :class:`~repro.api.context.WakeContext` (plus copy-pasted
-per-run overrides on ``run``/``stream``/``explain``/``executor_for``),
-each with its own validation snippet.  :class:`ExecutionOptions`
-consolidates them into one frozen dataclass with a single validation
-path; the legacy kwargs keep working everywhere (they are merged *over*
-an ``options=`` bundle), so no call site has to change.
-
-Layering note: everything here is plan/execution configuration — the
-service layer (:mod:`repro.service`) threads the same object through
-``QueryService.submit`` and ``repro serve``, where the two knobs new in
-this bundle come alive: ``scan_share`` (one physical partition read
-fans out to every concurrent query scanning the same table) and
-``result_cache`` (a submit whose canonical plan hash matches an
-in-flight or retained session attaches to it instead of re-executing).
+``options=`` is the only way to tune a run: :class:`WakeContext` holds
+a session bundle, ``run`` / ``stream`` / ``explain`` / ``executor_for``
+take a per-call replacement, and :class:`~repro.service.QueryService`
+(and through it ``repro serve``) threads the same object through every
+submit.  Two knobs only come alive at the service layer: ``scan_share``
+(one physical partition read fans out to every concurrent query
+scanning the same table) and ``result_cache`` (a submit whose canonical
+plan hash matches an in-flight or retained session attaches to it
+instead of re-executing).
 """
 
 from __future__ import annotations
@@ -29,9 +23,8 @@ from repro.core.orderstat import DEFAULT_SKETCH_SIZE, QUANTILE_MODES
 class ExecutionOptions:
     """Every execution-tuning knob, validated once.
 
-    The fields mirror the historical ``WakeContext`` kwargs (same names,
-    same defaults, same error messages) plus the multi-query sharing
-    knobs ``scan_share`` and ``result_cache``:
+    Every field is checked at construction (boolean fields must be
+    ``bool``), so a bundle that exists is a valid one:
 
     * ``pushdown`` — scan projection + zone-map partition pruning.
     * ``optimize`` / ``optimizer_disable`` — plan-rewrite master switch
@@ -64,6 +57,12 @@ class ExecutionOptions:
     telemetry: bool = False
 
     def __post_init__(self) -> None:
+        for name in _BOOL_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise QueryError(
+                    f"{name} must be a boolean, got {value!r}"
+                )
         if self.quantile_mode not in QUANTILE_MODES:
             raise QueryError(
                 f"unknown quantile_mode {self.quantile_mode!r}; expected "
@@ -84,11 +83,8 @@ class ExecutionOptions:
         )
 
     def merged(self, **overrides) -> "ExecutionOptions":
-        """A copy with the non-``None`` overrides applied (and the whole
-        bundle re-validated).  This is the one merge path all legacy
-        kwargs flow through — ``WakeContext(pushdown=False)``,
-        ``run(pushdown=False)``, and ``QueryService.submit``'s per-call
-        fields all land here."""
+        """A copy with the non-``None`` overrides applied, re-validated
+        as a whole; unknown names are rejected."""
         known = {f.name for f in fields(self)}
         unknown = set(overrides) - known
         if unknown:
@@ -99,10 +95,6 @@ class ExecutionOptions:
         effective = {k: v for k, v in overrides.items() if v is not None}
         if not effective:
             return self
-        if "optimizer_disable" in effective:
-            effective["optimizer_disable"] = frozenset(
-                effective["optimizer_disable"]
-            )
         return replace(self, **effective)
 
     def cache_fingerprint(self) -> tuple:
@@ -113,11 +105,8 @@ class ExecutionOptions:
         return (self.quantile_mode, self.sketch_size)
 
 
-def resolve_options(
-    options: "ExecutionOptions | None", **overrides
-) -> ExecutionOptions:
-    """The canonical ``options=`` + legacy-kwargs resolution: start from
-    ``options`` (or the defaults), then apply the explicitly-passed
-    (non-``None``) keyword overrides."""
-    base = options if options is not None else ExecutionOptions()
-    return base.merged(**overrides)
+#: The fields that must hold a ``bool`` (JSON ``true`` / ``false`` on
+#: the wire); a truthy string such as ``"false"`` is rejected.
+_BOOL_FIELDS = tuple(
+    f.name for f in fields(ExecutionOptions) if f.type == "bool"
+)

@@ -16,6 +16,7 @@ from repro.bench.metrics import (
     recall,
     relative_ci_range,
     time_to_error,
+    window_medians,
 )
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "score_snapshots",
     "time_to_error",
     "timed",
+    "window_medians",
 ]

@@ -121,6 +121,17 @@ def median_or_nan(values: Sequence[float]) -> float:
     return float(np.median(cleaned))
 
 
+def window_medians(*passes: Sequence[float]) -> tuple[float, float]:
+    """Early and late per-message latency of a timed stream: the medians
+    of its second quarter and of its last quarter (the first quarter is
+    warm-up).  Given several passes over the same messages, each message
+    counts with its fastest time, so foreign load landing in one pass's
+    late window does not read as growth."""
+    times = np.min(np.asarray(passes, dtype=np.float64), axis=0)
+    q = len(times) // 4
+    return float(np.median(times[q:2 * q])), float(np.median(times[-q:]))
+
+
 def ratio(numerator: float | None, denominator: float | None) -> float:
     """Safe ratio for speedup/slowdown tables."""
     if (

@@ -24,7 +24,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro import WakeContext
+from repro import ExecutionOptions, WakeContext
 from repro.bench.report import format_table
 from repro.errors import QueryError
 from repro.storage import Catalog, add_catalog_stats
@@ -198,6 +198,23 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return overrides
 
 
+def _options(args: argparse.Namespace) -> ExecutionOptions:
+    """The :class:`ExecutionOptions` a command's flags ask for.  A flag
+    the command does not define keeps the library default, except the
+    multi-query switches, which ``serve`` turns on unless told not to
+    (a serve deployment is exactly the concurrent-duplicate workload
+    they exist for)."""
+    serving = args.command == "serve"
+    return ExecutionOptions(
+        pushdown=not args.no_pushdown,
+        optimize=not getattr(args, "no_optimize", False),
+        optimizer_disable=getattr(args, "disable_rule", ()),
+        scan_share=serving and not args.no_scan_share,
+        result_cache=serving and not args.no_result_cache,
+        telemetry=serving and args.metrics,
+    )
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     catalog, tables = generate_and_load(
         args.directory,
@@ -215,10 +232,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    ctx = WakeContext.from_catalog(args.catalog,
-                                   pushdown=not args.no_pushdown,
-                                   optimize=not args.no_optimize,
-                                   optimizer_disable=args.disable_rule)
+    ctx = WakeContext.from_catalog(args.catalog, options=_options(args))
     query = QUERIES[args.query]
     overrides = _parse_overrides(args.param)
     plan = query.build_plan(ctx, **overrides)
@@ -240,10 +254,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    ctx = WakeContext.from_catalog(args.catalog,
-                                   pushdown=not args.no_pushdown,
-                                   optimize=not args.no_optimize,
-                                   optimizer_disable=args.disable_rule)
+    ctx = WakeContext.from_catalog(args.catalog, options=_options(args))
     query = QUERIES[args.query]
     print(ctx.explain(query.build_plan(ctx),
                       mode="types" if args.types else "plan"))
@@ -251,8 +262,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    ctx = WakeContext.from_catalog(args.catalog,
-                                   pushdown=not args.no_pushdown)
+    ctx = WakeContext.from_catalog(args.catalog, options=_options(args))
     query = QUERIES[args.query]
     overrides = _parse_overrides(args.param)
     plan = query.build_plan(ctx, **overrides)
@@ -295,19 +305,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.api.options import ExecutionOptions
     from repro.service import QueryService, RetryPolicy, SnapshotServer
 
-    # The server defaults both multi-query optimizations ON (the
-    # library-level default is off): a serve deployment is exactly the
-    # concurrent-duplicate workload they exist for.
-    options = ExecutionOptions(
-        pushdown=not args.no_pushdown,
-        scan_share=not args.no_scan_share,
-        result_cache=not args.no_result_cache,
-        telemetry=args.metrics,
-    )
-    ctx = WakeContext.from_catalog(args.catalog, options=options)
+    ctx = WakeContext.from_catalog(args.catalog, options=_options(args))
     retry = RetryPolicy(
         max_attempts=args.retry_max_attempts,
         backoff_base=args.retry_backoff,

@@ -41,9 +41,7 @@ from repro.core.orderstat import (
 from repro.core.properties import Delivery, Progress, StreamInfo
 from repro.core.state import (
     GroupedAggregateState,
-    IntrinsicStore,
     SYNTHETIC_KEY,
-    Version,
 )
 
 __all__ = [
@@ -57,7 +55,6 @@ __all__ = [
     "GroupedAggregateState",
     "GrowthModel",
     "GrowthSnapshot",
-    "IntrinsicStore",
     "MergeableAggregate",
     "OrderStatState",
     "Progress",
@@ -67,7 +64,6 @@ __all__ = [
     "StreamInfo",
     "StreamingLogLogRegression",
     "SYNTHETIC_KEY",
-    "Version",
     "chebyshev_k",
     "estimate_avg",
     "estimate_count",

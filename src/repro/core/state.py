@@ -1,18 +1,13 @@
 """Intrinsic state maintenance: versions × partials (paper §4.2, Fig 5).
 
-Two structures live here:
-
-* :class:`IntrinsicStore` — the generic versions-and-partials bookkeeping an
-  edf exposes.  Appending a partial is an incremental update; beginning a
-  new version is a complete refresh.
-* :class:`GroupedAggregateState` — the aggregate operator's intrinsic
-  state: fixed-slot numpy arrays of mergeable columns keyed by a
-  persistent :class:`~repro.dataframe.groupby.Grouper` slot mapping, plus
-  exact distinct-pair counters for count-distinct and slot-aligned
-  :class:`~repro.core.orderstat.OrderStatState` for order statistics.
-  It supports both update styles: ``consume_delta`` merges a partial in
-  (Case 2 input), ``consume_snapshot`` refreshes from a full snapshot
-  (Case 3 / REPLACE input).
+:class:`GroupedAggregateState` is the aggregate operator's intrinsic
+state: fixed-slot numpy arrays of mergeable columns keyed by a
+persistent :class:`~repro.dataframe.groupby.Grouper` slot mapping, plus
+exact distinct-pair counters for count-distinct and slot-aligned
+:class:`~repro.core.orderstat.OrderStatState` for order statistics.  It
+supports both update styles: ``consume_delta`` merges a partial in (a
+new partial of the current version, Case 2 input), ``consume_snapshot``
+refreshes from a full snapshot (a new version, Case 3 / REPLACE input).
 
 Per-message cost (arXiv:2303.04103 §7.2: it must track the partition,
 never the data consumed so far):
@@ -56,59 +51,6 @@ from repro.core.orderstat import DEFAULT_SKETCH_SIZE, OrderStatState
 #: Constant key column a global (ungrouped) aggregate's ``state_frame()``
 #: carries in place of group keys; it is never encoded.
 SYNTHETIC_KEY = "__group__"
-
-
-class Version:
-    """One version: a list of key-disjoint partials (paper Fig 5)."""
-
-    def __init__(self) -> None:
-        self.partials: list[DataFrame] = []
-
-    @property
-    def n_partials(self) -> int:
-        return len(self.partials)
-
-    def append(self, partial: DataFrame) -> None:
-        self.partials.append(partial)
-
-    def frame(self) -> DataFrame:
-        if not self.partials:
-            raise QueryError("version holds no partials yet")
-        return DataFrame.concat(self.partials)
-
-
-class IntrinsicStore:
-    """Versions-and-partials container for a generic edf."""
-
-    def __init__(self) -> None:
-        self._versions: list[Version] = []
-
-    @property
-    def n_versions(self) -> int:
-        return len(self._versions)
-
-    @property
-    def latest(self) -> Version:
-        if not self._versions:
-            raise QueryError("no versions exist yet")
-        return self._versions[-1]
-
-    def append_partial(self, partial: DataFrame) -> None:
-        """Incremental update: extend the latest version (creating the
-        first version if none exists)."""
-        if not self._versions:
-            self._versions.append(Version())
-        self._versions[-1].append(partial)
-
-    def new_version(self, snapshot: DataFrame | None = None) -> None:
-        """Complete refresh: start a new version (optionally seeded)."""
-        version = Version()
-        if snapshot is not None:
-            version.append(snapshot)
-        self._versions.append(version)
-
-    def latest_frame(self) -> DataFrame:
-        return self.latest.frame()
 
 
 #: Merge-identity value of a freshly-allocated (or reset) state slot;

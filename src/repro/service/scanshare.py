@@ -258,7 +258,7 @@ class ScanShareManager:
 
     # -- introspection -------------------------------------------------------------
     def stats(self) -> Mapping[str, int]:
-        """Counters for the service ``status`` report: physical reads
+        """Counters for the service ``metrics`` report: physical reads
         paid, fetches served from the pool, LRU evictions, and the
         current pool occupancy."""
         with self._lock:

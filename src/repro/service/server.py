@@ -6,7 +6,8 @@ directions.  Requests carry an ``op``:
 * ``{"op": "submit", "query": "q06", "params": {...}, "priority": 2}``
   → ``{"ok": true, "session": "s1", ...}``.  Optional fields:
   ``pushdown``, ``name``, ``paused``, ``scan_share``, ``result_cache``;
-  any other field is an error reply.
+  any other field, or a non-boolean ``paused`` / ``pushdown`` /
+  ``scan_share`` / ``result_cache``, is an error reply.
 * ``{"op": "status"}`` (all sessions) or
   ``{"op": "status", "session": "s1"}``
 * ``{"op": "pause" | "resume" | "cancel", "session": "s1"}``
@@ -24,8 +25,9 @@ directions.  Requests carry an ``op``:
   ``{"op": "trace", "session": "s1"}`` (one session's full span tree:
   submit → validate → optimize → per-step execute → publish).
 * ``{"op": "subscribe", "session": "s1", "start": 0,
-  "include_frame": true}`` → an ack line, then one
-  ``{"event": "snapshot", ...}`` line per snapshot *as it is produced*
+  "include_frame": true}`` (``include_frame`` a boolean) → an ack
+  line, then one ``{"event": "snapshot", ...}`` line per snapshot *as
+  it is produced*
   (snapshots before ``start`` are replayed from the session buffer),
   terminated by ``{"event": "end", "state": "done" | "cancelled" |
   "failed", "error": ...}``.  ``dropped`` on a snapshot counts
@@ -102,8 +104,8 @@ class QueryService:
 
     Two multi-query optimizations live at this layer, both off by
     default and switched through :class:`ExecutionOptions` (``options=``
-    here sets the service default; per-submit ``options``/kwargs
-    override it):
+    here sets the service default — the context's when omitted — and
+    ``options=`` on :meth:`submit` replaces it for one submit):
 
     * ``scan_share`` — every submitted executor joins the service-wide
       :class:`~repro.service.scanshare.ScanShareManager`, so concurrent
@@ -129,22 +131,19 @@ class QueryService:
         buffer_size: int | None = None,
         retry: RetryPolicy | None = None,
         options: ExecutionOptions | None = None,
-        telemetry: bool | None = None,
     ) -> None:
         self.ctx = ctx
         self.plans = (dict(plans) if plans is not None
                       else tpch_plan_registry())
         #: Service-default execution options (the context's unless
-        #: overridden) — per-submit options/kwargs merge over these.
+        #: given); a submit's own ``options=`` replaces them.
         self.options = options if options is not None else ctx.options
         # Telemetry (metrics registry + tracer) is a service-level
-        # switch: ``telemetry=`` here overrides the options bundle (the
-        # ``repro serve`` default is ON).  The sequence of snapshots a
-        # query produces is byte-identical either way — telemetry only
-        # ever *observes* (see benchmarks/bench_obs_overhead.py).
-        enabled = (telemetry if telemetry is not None
-                   else self.options.telemetry)
-        if enabled:
+        # switch read from the service options (the ``repro serve``
+        # default is ON).  The sequence of snapshots a query produces
+        # is byte-identical either way — telemetry only ever
+        # *observes* (see benchmarks/bench_obs_overhead.py).
+        if self.options.telemetry:
             self.registry: MetricsRegistry | None = MetricsRegistry()
             self.instruments: ServiceInstruments | None = (
                 ServiceInstruments(self.registry))
@@ -319,16 +318,14 @@ class QueryService:
         query: str,
         params: Mapping | None = None,
         priority: float = 1.0,
-        pushdown: bool | None = None,
         name: str | None = None,
         paused: bool = False,
         options: ExecutionOptions | None = None,
-        scan_share: bool | None = None,
-        result_cache: bool | None = None,
     ) -> QuerySession | AttachedSession:
         """Build the named plan and register it with the scheduler —
         or, with the result cache on and a plan-hash match against a
-        live/retained identical session, attach to it instead."""
+        live/retained identical session, attach to it instead.
+        ``options`` (default: the service's) tunes this submit."""
         try:
             factory = self.plans[query]
         except KeyError:
@@ -336,11 +333,7 @@ class QueryService:
             raise QueryError(
                 f"unknown query {query!r}; known: {known}"
             ) from None
-        opts = (options if options is not None else self.options).merged(
-            pushdown=pushdown,
-            scan_share=scan_share,
-            result_cache=result_cache,
-        )
+        opts = options if options is not None else self.options
         trace = (self.tracer.begin(name or query)
                  if self.tracer is not None else None)
         with maybe_span(trace, "submit", query=query):
@@ -471,6 +464,15 @@ def snapshot_event(
     if include_frame:
         event["columns"] = snapshot.frame.to_pydict()
     return event
+
+
+def _flag(request: dict, field: str, default: bool) -> bool:
+    """A boolean wire field: JSON ``true`` / ``false`` only, so a
+    truthy string such as ``"false"`` is rejected, not obeyed."""
+    value = request.get(field, default)
+    if not isinstance(value, bool):
+        raise QueryError(f"{field} must be a boolean, got {value!r}")
+    return value
 
 
 def _encode(payload: dict) -> bytes:
@@ -607,15 +609,22 @@ class SnapshotServer:
                     f"submit has no field {', '.join(unknown)}; valid "
                     f"fields: {', '.join(SUBMIT_FIELDS)}"
                 )
+            # The wire's option fields override the service defaults
+            # through the options bundle's own validation, so a
+            # non-boolean (say the string "false") is an error reply
+            # before anything is planned or registered.
+            options = self.service.options.merged(
+                pushdown=request.get("pushdown"),
+                scan_share=request.get("scan_share"),
+                result_cache=request.get("result_cache"),
+            )
             session = self.service.submit(
                 str(request["query"]),
                 params=request.get("params"),
                 priority=float(request.get("priority", 1.0)),
-                pushdown=request.get("pushdown"),
                 name=request.get("name"),
-                paused=bool(request.get("paused", False)),
-                scan_share=request.get("scan_share"),
-                result_cache=request.get("result_cache"),
+                paused=_flag(request, "paused", False),
+                options=options,
             )
             writer.write(_encode({"ok": True, **session.status()}))
         elif op == "status":
@@ -700,13 +709,14 @@ class SnapshotServer:
             if "session" not in request:
                 raise QueryError("subscribe needs a 'session'")
             session = scheduler.get(str(request["session"]))
+            start = int(request.get("start", 0))
+            include_frame = _flag(request, "include_frame", True)
             writer.write(_encode({"ok": True, "subscribed":
                                   session.session_id}))
             await writer.drain()
             await self._stream_snapshots(
                 session, reader, writer,
-                start=int(request.get("start", 0)),
-                include_frame=bool(request.get("include_frame", True)),
+                start=start, include_frame=include_frame,
             )
         else:
             raise QueryError(f"unknown op {op!r}")

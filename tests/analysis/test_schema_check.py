@@ -7,7 +7,7 @@ import socket
 
 import pytest
 
-from repro import F, WakeContext, col
+from repro import ExecutionOptions, F, WakeContext, col
 from repro.analysis import plan_fingerprint, validate_plan
 from repro.engine.graph import QueryGraph
 from repro.errors import PlanValidationError, QueryError
@@ -124,7 +124,8 @@ class TestValidationErrors:
         assert "nope" in detail["message"]
 
     def test_validate_false_escape_hatch(self, catalog):
-        ctx = WakeContext(catalog, validate=False)
+        ctx = WakeContext(catalog,
+                          options=ExecutionOptions(validate=False))
         frame = ctx.table("sales").filter(col("nope") > 1)
         # Submit-time validation off: the error surfaces at bind
         # instead (still a QueryError, just later and less precise).

@@ -1,16 +1,19 @@
-"""ExecutionOptions: one validated bundle, two call styles.
+"""ExecutionOptions: one validated bundle, one call style.
 
-The contract under test: every historical WakeContext kwarg keeps
-working (same defaults, same error messages), an ``options=`` bundle is
-accepted everywhere the kwargs are, and explicit kwargs override the
-bundle field-wise through a single validation path.
+The contract under test: ``options=`` is the only way to tune a run.
+The bundle validates every field once (booleans must be ``bool``), is
+accepted by every entry point, and no entry point takes a loose
+keyword named after one of its fields.
 """
+
+import inspect
+from dataclasses import fields
 
 import pytest
 
 from repro import ExecutionOptions, F, QueryError, WakeContext
-from repro.api.options import resolve_options
 from repro.core.orderstat import DEFAULT_SKETCH_SIZE
+from repro.service import QueryService
 
 
 class TestValidation:
@@ -54,6 +57,15 @@ class TestValidation:
             {"predicate-pushdown"}
         )
 
+    @pytest.mark.parametrize("name", [
+        "pushdown", "optimize", "validate", "scan_share",
+        "result_cache", "telemetry",
+    ])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_bool_fields_reject_non_booleans(self, name, value):
+        with pytest.raises(QueryError, match=f"{name} must be a boolean"):
+            ExecutionOptions(**{name: value})
+
     def test_frozen(self):
         opts = ExecutionOptions()
         with pytest.raises(Exception):
@@ -81,9 +93,9 @@ class TestMerged:
         assert merged.sketch_size == 32
         assert merged.pushdown is False
 
-    def test_resolve_options_defaults(self):
-        assert resolve_options(None) == ExecutionOptions()
-        assert resolve_options(None, sketch_size=32).sketch_size == 32
+    def test_override_type_checked(self):
+        with pytest.raises(QueryError, match="pushdown must be a boolean"):
+            ExecutionOptions().merged(pushdown="false")
 
     def test_cache_fingerprint_covers_result_bytes_knobs(self):
         a = ExecutionOptions(quantile_mode="sketch", sketch_size=64)
@@ -96,13 +108,49 @@ class TestMerged:
             ExecutionOptions().cache_fingerprint()
 
 
+#: The one loose keyword left beside ``options=``: the frozen
+#: end-to-end benchmark passes ``executor_for(pushdown=False)``, and
+#: ROADMAP item 6(a) removes it with the next benchmark change.
+ALLOWED = {("WakeContext.executor_for", "pushdown")}
+
+
+class TestOneOptionsPath:
+    ENTRY_POINTS = {
+        "WakeContext.__init__": WakeContext.__init__,
+        "WakeContext.run": WakeContext.run,
+        "WakeContext.stream": WakeContext.stream,
+        "WakeContext.explain": WakeContext.explain,
+        "WakeContext.executor_for": WakeContext.executor_for,
+        "QueryService.__init__": QueryService.__init__,
+        "QueryService.submit": QueryService.submit,
+    }
+
+    def test_no_parameter_shadows_an_option(self):
+        option_names = {f.name for f in fields(ExecutionOptions)}
+        shadows = sorted(
+            (where, name)
+            for where, fn in self.ENTRY_POINTS.items()
+            for name in inspect.signature(fn).parameters
+            if name in option_names and (where, name) not in ALLOWED
+        )
+        assert shadows == []
+
+    def test_every_entry_point_takes_options(self):
+        for where, fn in self.ENTRY_POINTS.items():
+            assert "options" in inspect.signature(fn).parameters, where
+
+    def test_legacy_kwargs_rejected(self, catalog):
+        with pytest.raises(TypeError, match="pushdown"):
+            WakeContext(catalog, pushdown=False)
+        ctx = WakeContext(catalog)
+        plan = ctx.table("sales").agg(F.sum("qty").alias("t"))
+        with pytest.raises(TypeError, match="optimize"):
+            ctx.run(plan, optimize=False)
+
+
 class TestWakeContextIntegration:
-    def test_legacy_kwargs_still_work(self, catalog):
-        ctx = WakeContext(catalog, pushdown=False,
-                          quantile_mode="sketch", sketch_size=16)
-        assert ctx.options.pushdown is False
-        assert ctx.options.quantile_mode == "sketch"
-        assert ctx.options.sketch_size == 16
+    def test_default_options(self, catalog):
+        assert WakeContext(catalog).options == ExecutionOptions()
 
     def test_options_bundle(self, catalog):
         opts = ExecutionOptions(pushdown=False, optimize=False)
@@ -110,15 +158,25 @@ class TestWakeContextIntegration:
         assert ctx.options is opts
 
     def test_kwargs_override_bundle(self, catalog):
-        opts = ExecutionOptions(sketch_size=32)
-        ctx = WakeContext(catalog, options=opts, sketch_size=64)
-        assert ctx.options.sketch_size == 64
+        """``executor_for(pushdown=)`` — the one keyword left, see
+        :data:`ALLOWED` — overrides the bundle's setting."""
+        ctx = WakeContext(catalog)
+        plan = ctx.table("sales").agg(F.sum("qty").alias("t"),
+                                      by=["region"])
+        executor = ctx.executor_for(
+            plan, options=ExecutionOptions(pushdown=True), pushdown=False
+        )
+        graph = executor.graph
+        scans = [graph.node(nid).operator for nid in graph.source_ids()]
+        assert [scan.columns for scan in scans] == [None]
+        executor.close()
 
     def test_legacy_error_messages_preserved(self, catalog):
         with pytest.raises(QueryError, match="unknown quantile_mode"):
-            WakeContext(catalog, quantile_mode="nope")
+            WakeContext(catalog,
+                        options=ExecutionOptions(quantile_mode="nope"))
         with pytest.raises(QueryError, match="sketch_size must be >= 2"):
-            WakeContext(catalog, sketch_size=1)
+            WakeContext(catalog, options=ExecutionOptions(sketch_size=1))
 
     def test_run_accepts_options(self, catalog):
         ctx = WakeContext(catalog)
@@ -140,10 +198,9 @@ class TestWakeContextIntegration:
         ctx = WakeContext(catalog)
         plan = ctx.table("sales").agg(F.sum("qty").alias("t"),
                                       by=["region"])
-        # options says pushdown=True; the kwarg wins, so the scan
-        # keeps every column.
-        ctx.run(plan, options=ExecutionOptions(pushdown=True),
-                pushdown=False)
+        # The session says pushdown=True; the run's ``options=``
+        # replaces it, so the scan keeps every column.
+        ctx.run(plan, options=ctx.options.merged(pushdown=False))
         graph = ctx.last_executor.graph
         scans = [graph.node(nid).operator for nid in graph.source_ids()]
         assert [scan.columns for scan in scans] == [None]

@@ -122,3 +122,15 @@ class TestHelpers:
         assert metrics.ratio(10.0, 2.0) == 5.0
         assert math.isnan(metrics.ratio(None, 2.0))
         assert math.isnan(metrics.ratio(1.0, 0.0))
+
+
+class TestWindowMedians:
+    def test_second_and_last_quarter(self):
+        times = [9.0] * 4 + [1.0] * 4 + [5.0] * 4 + [2.0] * 4
+        assert metrics.window_medians(times) == (1.0, 2.0)
+
+    def test_each_message_counts_with_its_fastest_pass(self):
+        quiet = [1.0] * 8
+        loaded = [1.0] * 6 + [4.0] * 2  # foreign load in the late window
+        assert metrics.window_medians(loaded) == (1.0, 4.0)
+        assert metrics.window_medians(loaded, quiet) == (1.0, 1.0)

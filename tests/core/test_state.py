@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 
 from repro.dataframe import AggSpec, DataFrame, group_aggregate
 from repro.core.mergeable import CARDINALITY_COLUMN
-from repro.core.state import (
-    GroupedAggregateState,
-    IntrinsicStore,
-    SYNTHETIC_KEY,
-    Version,
-)
+from repro.core.state import GroupedAggregateState, SYNTHETIC_KEY
 from repro.errors import QueryError
 
 
@@ -38,35 +33,6 @@ def students_partition_2():
         }
     )
 
-
-class TestVersionsAndPartials:
-    def test_version_union(self):
-        v = Version()
-        v.append(students_partition_1())
-        v.append(students_partition_2())
-        assert v.n_partials == 2
-        assert v.frame().n_rows == 5
-
-    def test_empty_version_raises(self):
-        with pytest.raises(QueryError):
-            Version().frame()
-
-    def test_store_append_creates_first_version(self):
-        store = IntrinsicStore()
-        store.append_partial(students_partition_1())
-        assert store.n_versions == 1
-        assert store.latest_frame().n_rows == 3
-
-    def test_store_new_version_refreshes(self):
-        store = IntrinsicStore()
-        store.append_partial(students_partition_1())
-        store.new_version(students_partition_2())
-        assert store.n_versions == 2
-        assert store.latest_frame().n_rows == 2
-
-    def test_store_empty_latest_raises(self):
-        with pytest.raises(QueryError):
-            IntrinsicStore().latest
 
 class TestPaperStudentExample:
     """§4.2: α2 after one partition is [(IL,2),(MI,1)]; after merging the

@@ -10,7 +10,7 @@ plan's snapshot for snapshot, byte for byte.
 import numpy as np
 import pytest
 
-from repro import WakeContext, col
+from repro import ExecutionOptions, WakeContext, col
 from repro.api.functions import F
 from repro.errors import QueryError
 from repro.engine.graph import QueryGraph
@@ -25,6 +25,10 @@ from repro.engine.ops import (
     FilterOperator,
     SelectOperator,
 )
+
+
+#: Every rewrite and scan pushdown off: the plan runs as written.
+UNOPTIMIZED = ExecutionOptions(optimize=False, pushdown=False)
 
 
 def _optimized_graph(frame, **kwargs):
@@ -94,7 +98,7 @@ def test_combine_filters_orders_sargable_first(catalog):
 
 def test_combine_filters_sequences_byte_identical(catalog):
     ctx_on = WakeContext(catalog)
-    ctx_off = WakeContext(catalog, optimize=False, pushdown=False)
+    ctx_off = WakeContext(catalog, options=UNOPTIMIZED)
 
     def q(ctx):
         return (
@@ -146,7 +150,7 @@ def test_aggregate_projection_prunes_unused_outputs(catalog):
 
 def test_aggregate_projection_sequences_byte_identical(catalog):
     ctx_on = WakeContext(catalog)
-    ctx_off = WakeContext(catalog, optimize=False, pushdown=False)
+    ctx_off = WakeContext(catalog, options=UNOPTIMIZED)
 
     def q(ctx):
         return (
@@ -192,7 +196,7 @@ def test_cse_merges_duplicate_chains(catalog):
 
 def test_cse_sequences_byte_identical(catalog):
     ctx_on = WakeContext(catalog)
-    ctx_off = WakeContext(catalog, optimize=False, pushdown=False)
+    ctx_off = WakeContext(catalog, options=UNOPTIMIZED)
     _assert_sequences_identical(
         ctx_on.run(_duplicated_chain_query(ctx_on)),
         ctx_off.run(_duplicated_chain_query(ctx_off)),
@@ -229,7 +233,7 @@ def test_cse_never_merges_separate_scans(catalog):
 # ---------------------------------------------------------------------------
 
 def test_optimize_false_disables_every_rule(catalog):
-    ctx = WakeContext(catalog, optimize=False)
+    ctx = WakeContext(catalog, options=ExecutionOptions(optimize=False))
     q = _duplicated_chain_query(ctx)
     final_off = ctx.run(q).get_final()
     assert ctx.last_trace.total_rewrites == 0
@@ -242,7 +246,8 @@ def test_optimize_false_disables_every_rule(catalog):
 
 
 def test_per_rule_disable(catalog):
-    ctx = WakeContext(catalog, optimizer_disable={"common-subplan"})
+    ctx = WakeContext(catalog, options=ExecutionOptions(
+        optimizer_disable={"common-subplan"}))
     ctx.run(_duplicated_chain_query(ctx), capture_all=False)
     assert "common-subplan" not in ctx.last_trace.by_rule()
 
@@ -251,25 +256,25 @@ def test_per_rule_disable(catalog):
     assert "common-subplan" in ctx2.last_trace.by_rule()
 
 
-def test_unknown_rule_name_rejected_eagerly(catalog):
+def test_unknown_rule_name_rejected_eagerly():
     with pytest.raises(QueryError, match="unknown optimizer rule"):
-        WakeContext(catalog, optimizer_disable={"no-such-rule"})
+        ExecutionOptions(optimizer_disable={"no-such-rule"})
     with pytest.raises(QueryError):
         validate_rule_names({"combine-filters", "typo"})
     assert validate_rule_names(RULE_NAMES) == frozenset(RULE_NAMES)
     assert set(LOGICAL_RULE_NAMES) <= set(RULE_NAMES)
 
 
-def test_exchange_rule_name_is_gone(catalog):
+def test_exchange_rule_name_is_gone():
     assert "exchange" not in RULE_NAMES
     with pytest.raises(QueryError, match=r"unknown optimizer rule.*exchange"):
-        WakeContext(catalog, optimizer_disable={"exchange"})
+        ExecutionOptions(optimizer_disable={"exchange"})
 
 
 def test_run_level_optimize_override(catalog):
     ctx = WakeContext(catalog)
     ctx.run(_duplicated_chain_query(ctx), capture_all=False,
-            optimize=False)
+            options=ctx.options.merged(optimize=False))
     assert ctx.last_trace.total_rewrites == 0
 
 

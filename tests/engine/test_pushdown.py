@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import F, WakeContext, col
+from repro import ExecutionOptions, F, WakeContext, col
 from repro.dataframe import DataFrame
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import ReadOperator
@@ -209,8 +209,9 @@ class TestPrunedExecutionParity:
         assert reads["sales"].pruned_partitions() == frozenset({3, 4, 5})
 
     def test_finals_and_progress_identical(self, catalog, plans):
-        on = WakeContext(catalog, pushdown=True)
-        off = WakeContext(catalog, pushdown=False)
+        on = WakeContext(catalog)
+        off = WakeContext(catalog,
+                          options=ExecutionOptions(pushdown=False))
         seq_on = on.run(plans(on))
         seq_off = off.run(plans(off))
         assert len(seq_on) == len(seq_off)
@@ -222,7 +223,7 @@ class TestPrunedExecutionParity:
     def test_shuffled_order_composes_with_pruning(self, catalog, plans):
         on = WakeContext(catalog, partition_shuffle_seed=11)
         off = WakeContext(catalog, partition_shuffle_seed=11,
-                          pushdown=False)
+                          options=ExecutionOptions(pushdown=False))
         assert_frames_byte_identical(
             on.run(plans(on), capture_all=False).get_final(),
             off.run(plans(off), capture_all=False).get_final(),
@@ -235,7 +236,8 @@ class TestPrunedExecutionParity:
         assert "okey < 15" in text
         assert "prune=3/6" in text
         assert "scan" in text
-        off = ctx.explain(plans(ctx), pushdown=False)
+        off = ctx.explain(plans(ctx),
+                          options=ExecutionOptions(pushdown=False))
         assert "prune=" not in off
 
 
@@ -287,7 +289,7 @@ def test_pruned_scan_property(values, threshold):
             )
 
         on = WakeContext(cat)
-        off = WakeContext(cat, pushdown=False)
+        off = WakeContext(cat, options=ExecutionOptions(pushdown=False))
         seq_on = on.run(build(on))
         seq_off = off.run(build(off))
         assert len(seq_on) == len(seq_off)

@@ -113,7 +113,10 @@ class TestAttach:
     def test_different_pushdown_does_not_attach(self, catalog):
         service = _service(catalog)
         a = service.submit("sum_by_cust")
-        b = service.submit("sum_by_cust", pushdown=False)
+        b = service.submit(
+            "sum_by_cust",
+            options=service.options.merged(pushdown=False),
+        )
         assert isinstance(b, QuerySession)
         assert a.plan_hash != b.plan_hash
 

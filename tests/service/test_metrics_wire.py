@@ -7,9 +7,11 @@ import socket
 
 import pytest
 
-from repro import F, WakeContext
+from repro import ExecutionOptions, F, WakeContext
 from repro.errors import ServiceError
 from repro.service import QueryService, ServiceClient, SnapshotServer
+
+TELEMETRY = ExecutionOptions(telemetry=True)
 
 
 def _plans():
@@ -24,7 +26,7 @@ def _plans():
 @pytest.fixture
 def server(catalog):
     ctx = WakeContext(catalog)
-    service = QueryService(ctx, plans=_plans(), telemetry=True)
+    service = QueryService(ctx, plans=_plans(), options=TELEMETRY)
     server = SnapshotServer(service, port=0).start()
     yield server
     server.stop()
@@ -140,7 +142,7 @@ class TestMetricsOp:
         retry = RetryPolicy(max_attempts=3, backoff_base=0.001,
                             backoff_max=0.002)
         service = QueryService(ctx, plans=_plans(), retry=retry,
-                               telemetry=True)
+                               options=TELEMETRY)
         server = SnapshotServer(service, port=0).start()
         try:
             with ServiceClient(port=server.port, timeout=30) as client:
@@ -156,7 +158,7 @@ class TestBufferHealth:
     def test_bounded_buffer_drops_surface_everywhere(self, catalog):
         ctx = WakeContext(catalog)
         service = QueryService(ctx, plans=_plans(), buffer_size=1,
-                               telemetry=True)
+                               options=TELEMETRY)
         server = SnapshotServer(service, port=0).start()
         try:
             with ServiceClient(port=server.port, timeout=30) as client:

@@ -210,6 +210,53 @@ class TestProtocolErrors:
             assert reply["ok"] is True
             assert reply["session"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("paused", b'"false"'),
+        ("pushdown", b'"false"'),
+        ("result_cache", b'"yes"'),
+        ("scan_share", b"1"),
+    ])
+    def test_non_boolean_submit_flag_gets_error_reply(self, server,
+                                                      field, value):
+        """A boolean submit field takes JSON true/false only: the
+        string ``"false"`` is truthy and must not be obeyed as true.
+        Nothing is registered and the connection stays usable."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            file = sock.makefile("rwb")
+            file.write(b'{"op": "submit", "query": "total", "'
+                       + field.encode() + b'": ' + value + b'}\n')
+            file.flush()
+            reply = json.loads(file.readline())
+            assert reply["ok"] is False
+            assert f"{field} must be a boolean" in reply["error"]
+            file.write(b'{"op": "status"}\n')
+            file.flush()
+            status = json.loads(file.readline())
+            assert status["ok"] is True
+            assert status["sessions"] == []
+
+    def test_non_boolean_include_frame_gets_error_reply(self, server):
+        """``include_frame: 0`` is rejected before the subscribe ack,
+        so no stream starts and the connection stays usable."""
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=30) as sock:
+            file = sock.makefile("rwb")
+            file.write(b'{"op": "submit", "query": "total"}\n')
+            file.flush()
+            session = json.loads(file.readline())["session"]
+            file.write(json.dumps({"op": "subscribe", "session": session,
+                                   "include_frame": 0}).encode() + b"\n")
+            file.flush()
+            reply = json.loads(file.readline())
+            assert reply["ok"] is False
+            assert "include_frame must be a boolean" in reply["error"]
+            file.write(b'{"op": "status"}\n')
+            file.flush()
+            status = json.loads(file.readline())
+            assert status["ok"] is True
+            assert [s["session"] for s in status["sessions"]] == [session]
+
     def test_unknown_tpch_param_names_the_valid_ones(self, tpch):
         """The default registry's submit error is the CLI's one line."""
         catalog, _tables = tpch

@@ -10,7 +10,7 @@ pruning_pass, projection_pass, StepExecutor — snapshot for snapshot.
 
 import pytest
 
-from repro import WakeContext
+from repro import ExecutionOptions, WakeContext
 from repro.engine.executor import StepExecutor
 from repro.engine.graph import QueryGraph
 from repro.engine.planner import projection_pass, pruning_pass
@@ -53,7 +53,10 @@ def test_no_optimize_matches_legacy_unpushed(number, tpch):
     """The escape hatch really is the identity: ``optimize=False,
     pushdown=False`` equals materialize-and-execute with no passes."""
     catalog, _tables = tpch
-    ctx, frame = _build(catalog, number, optimize=False, pushdown=False)
+    ctx, frame = _build(
+        catalog, number,
+        options=ExecutionOptions(optimize=False, pushdown=False),
+    )
     got = ctx.run(frame)
     assert ctx.last_trace.total_rewrites == 0
     _ctx2, frame2 = _build(catalog, number)

@@ -8,7 +8,7 @@ preserved via empty partials — so for every query the finals must be
 
 import pytest
 
-from repro import WakeContext
+from repro import ExecutionOptions, WakeContext
 from repro.tpch.queries import QUERIES
 
 #: Same laptop-scale parameter overrides as test_queries.py.
@@ -39,7 +39,8 @@ def _final(catalog, number, **run_kwargs):
 def test_pushdown_final_byte_identical(number, tpch):
     catalog, _tables = tpch
     pushed = _final(catalog, number)
-    baseline = _final(catalog, number, pushdown=False)
+    baseline = _final(catalog, number,
+                      options=ExecutionOptions(pushdown=False))
     assert_frames_byte_identical(pushed, baseline)
 
 
@@ -51,7 +52,8 @@ def test_pushdown_snapshot_sequences_identical(number, tpch):
     query = QUERIES[number]
     overrides = OVERRIDES.get(number, {})
     on_ctx = WakeContext(catalog)
-    off_ctx = WakeContext(catalog, pushdown=False)
+    off_ctx = WakeContext(catalog,
+                          options=ExecutionOptions(pushdown=False))
     seq_on = on_ctx.run(query.build_plan(on_ctx, **overrides))
     seq_off = off_ctx.run(query.build_plan(off_ctx, **overrides))
     assert len(seq_on) == len(seq_off)
