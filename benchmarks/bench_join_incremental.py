@@ -2,7 +2,7 @@
 
 The streamed-partition hot paths this repo's operators sit on
 (arXiv:2303.04103 §7.2): per-message work must track *partition* size,
-not total data consumed.  Three measurements:
+not total data consumed.  Five measurements:
 
 * **probe stream** — a 64+-partition probe stream joined against one
   build side, comparing the prebuilt :class:`JoinIndex` probe path
@@ -13,6 +13,12 @@ not total data consumed.  Three measurements:
   32 probe partitions of 18,750 rows): ``probe_inner`` through the
   build's direct-address rank table against the same index with the
   table bound patched to 0 (the dictionary ``searchsorted`` path).
+* **merge-join release** — the buffers one watermark release of
+  ``MergeJoinOperator`` joins at lineitem ⋈ orders' shape (clustered,
+  ascending keys): the ``merge_join`` kernel (binary search into the
+  already-sorted right buffer) against ``hash_join`` (``np.unique``
+  over both buffers, then a sort of the right codes) on the same
+  frames; the acceptance bar is ≥ 2× lower median.
 * **aggregate growth** — ``GroupedAggregateState.consume_delta`` cost as
   partials accumulate: the slot-based merge must stay flat (no scaling
   with previously-consumed partials), unlike concat + ``np.unique`` over
@@ -28,7 +34,14 @@ import numpy as np
 import pytest
 
 from repro.core.state import GroupedAggregateState
-from repro.dataframe import AggSpec, DataFrame, JoinIndex, groupby, hash_join
+from repro.dataframe import (
+    AggSpec,
+    DataFrame,
+    JoinIndex,
+    groupby,
+    hash_join,
+    merge_join,
+)
 from repro.bench.metrics import window_medians
 from repro.bench.report import banner, format_table
 
@@ -171,6 +184,67 @@ def test_probe_table_vs_search(benchmark, emit, guard):
     emit(f"median per-message speedup: {speedup:.1f}x "
          f"(acceptance bar: >= 3x)")
     guard("probe_table_speedup", speedup, 3.0)
+
+
+def test_merge_join_release_vs_hash_join(emit, guard):
+    """Per-release join cost of the merge-join operator's buffers: the
+    searchsorted kernel vs the shared-factorization hash kernel."""
+    rng = np.random.default_rng(4)
+    n_releases, orders_per_release = 32, 4_700
+    releases = []
+    for i in range(n_releases):
+        okeys = (i * orders_per_release
+                 + np.arange(orders_per_release, dtype=np.int64)) * 4
+        per_order = rng.integers(1, 8, orders_per_release)
+        lkeys = np.repeat(okeys, per_order)
+        left = DataFrame({
+            "l_orderkey": lkeys,
+            "l_extendedprice": rng.normal(3e4, 1e4, len(lkeys)),
+            "l_discount": rng.integers(0, 11, len(lkeys)) / 100.0,
+        })
+        right = DataFrame({
+            "o_orderkey": okeys,
+            "o_custkey": rng.integers(1, 15_000, orders_per_release),
+            "o_orderdate": rng.integers(8_000, 10_500, orders_per_release),
+        })
+        releases.append((left, right))
+    for left, right in releases[:2]:
+        merged = merge_join(left, right, ["l_orderkey"], ["o_orderkey"])
+        hashed = hash_join(left, right, ["l_orderkey"], ["o_orderkey"])
+        for name in hashed.column_names:
+            assert merged.column(name).tobytes() == \
+                hashed.column(name).tobytes()
+
+    def timed(kernel, left, right):
+        start = time.perf_counter()
+        kernel(left, right, ["l_orderkey"], ["o_orderkey"])
+        return time.perf_counter() - start
+
+    merge_passes, hash_passes = [], []
+    for _ in range(3):  # interleaved; each release keeps its fastest
+        merge_passes.append([])
+        hash_passes.append([])
+        for left, right in releases:
+            merge_passes[-1].append(timed(merge_join, left, right))
+            hash_passes[-1].append(timed(hash_join, left, right))
+    merge_times = np.min(np.array(merge_passes), axis=0)
+    hash_times = np.min(np.array(hash_passes), axis=0)
+    rows = []
+    for label, times in (("merge_join (searchsorted)", merge_times),
+                         ("hash_join (shared codes)", hash_times)):
+        p50, p90, p99 = percentiles(list(times))
+        rows.append([label, len(times), p50, p90, p99])
+    emit(banner(
+        f"E11 — merge-join release ({n_releases} releases of "
+        f"~{int(np.mean([l.n_rows for l, _ in releases]))} x "
+        f"{orders_per_release} rows, ascending keys)"
+    ))
+    emit(format_table(["kernel", "releases", "p50 ms", "p90 ms",
+                       "p99 ms"], rows))
+    speedup = float(np.median(hash_times) / np.median(merge_times))
+    emit(f"median per-release speedup: {speedup:.1f}x "
+         f"(acceptance bar: >= 2x)")
+    guard("merge_join_release_speedup", speedup, 2.0)
 
 
 def test_aggregate_state_growth_flat(benchmark, emit, guard):

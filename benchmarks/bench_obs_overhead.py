@@ -8,7 +8,10 @@ registry lookup per message (enforced by the ``metric-hot-lookup``
 lint rule).  This experiment measures it end to end: the same TPC-H
 queries driven through the fair-share scheduler bare vs fully
 instrumented (registry + tracer + scan metrics attached), interleaved
-to cancel drift, medians compared.
+to cancel drift, medians compared.  The rounds run in ``PASSES``
+interleaved passes and each round counts with its fastest pass
+(``fastest_per_sample``), so foreign load that lands in one pass does
+not read as telemetry cost.
 
 Acceptance bar (CI perf guard): **<= 5 % median overhead**.
 
@@ -22,6 +25,7 @@ import time
 import numpy as np
 
 from repro import WakeContext
+from repro.bench.metrics import fastest_per_sample
 from repro.bench.report import banner, format_table
 from repro.obs import MetricsRegistry, ServiceInstruments, Tracer
 from repro.service import FairShareScheduler, SessionState
@@ -29,6 +33,7 @@ from repro.tpch.queries import QUERIES
 
 QUERY_NUMBERS = (1, 6)
 ROUNDS = 5
+PASSES = 3
 
 
 def _run_once(catalog, number, telemetry):
@@ -62,18 +67,21 @@ def test_telemetry_overhead_under_5_percent(bench_data, guard, emit):
     catalog, _tables = bench_data
     for number in QUERY_NUMBERS:  # warm page cache + imports
         _run_once(catalog, number, False)
-    plain: dict[int, list[float]] = {n: [] for n in QUERY_NUMBERS}
-    metered: dict[int, list[float]] = {n: [] for n in QUERY_NUMBERS}
-    for _ in range(ROUNDS):  # interleaved: drift hits both arms alike
-        for number in QUERY_NUMBERS:
-            plain[number].append(_run_once(catalog, number, False)[0])
-            metered[number].append(_run_once(catalog, number, True)[0])
+    plain = {n: [[] for _ in range(PASSES)] for n in QUERY_NUMBERS}
+    metered = {n: [[] for _ in range(PASSES)] for n in QUERY_NUMBERS}
+    for pass_no in range(PASSES):
+        for _ in range(ROUNDS):  # interleaved: drift hits both arms alike
+            for number in QUERY_NUMBERS:
+                plain[number][pass_no].append(
+                    _run_once(catalog, number, False)[0])
+                metered[number][pass_no].append(
+                    _run_once(catalog, number, True)[0])
 
     rows = []
     base_total = obs_total = 0.0
     for number in QUERY_NUMBERS:
-        base = float(np.median(plain[number]))
-        with_obs = float(np.median(metered[number]))
+        base = float(np.median(fastest_per_sample(*plain[number])))
+        with_obs = float(np.median(fastest_per_sample(*metered[number])))
         base_total += base
         obs_total += with_obs
         rows.append([f"q{number:02d}", base * 1000.0,
@@ -87,7 +95,7 @@ def test_telemetry_overhead_under_5_percent(bench_data, guard, emit):
 
     emit(banner(
         f"E16 — telemetry overhead, full instrumentation ({ROUNDS} "
-        f"rounds, median wall clock)"
+        f"rounds x {PASSES} passes, median of each round's fastest)"
     ))
     emit(format_table(
         ["query", "bare ms", "instrumented ms", "ratio"], rows

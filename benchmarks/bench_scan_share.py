@@ -18,14 +18,19 @@ Two guards for the multi-query scan layer:
   milliseconds (generous 50 ms bound for CI noise) and to a large
   multiple cheaper than the primary's execution.
 
-Wall-clocks are best-of-``REPEATS`` per side (standard bench practice:
-the minimum is the least-noise estimate of the true cost).  Both tests
-record into ``benchmarks/results/BENCH_summary.json`` via the ``guard``
-fixture.
+Wall-clocks come from ``PASSES`` interleaved passes of ``REPEATS``
+share-off / share-on batch pairs: each repeat counts with its fastest
+pass (``fastest_per_sample``, the least-noise estimate of the true
+cost) and the speedup is the ratio of the medians, so foreign load that
+lands on one side of one pass does not read as a regression.  Both
+tests record into ``benchmarks/results/BENCH_summary.json`` via the
+``guard`` fixture.
 """
 
 import gc
 import time
+
+import numpy as np
 
 from repro import ExecutionOptions, WakeContext
 from repro.service import (
@@ -37,13 +42,15 @@ from repro.service import (
 from repro.tpch.queries import QUERIES
 
 from benchmarks.conftest import BENCH_OVERRIDES
+from repro.bench.metrics import fastest_per_sample
 from repro.bench.report import banner, format_table
 
 #: Copies of the query per batch — the fan-out width.
 BATCH_WIDTH = 8
 
-#: Best-of-N wall-clock measurements per batch configuration.
-REPEATS = 3
+#: Share-off / share-on batch pairs per pass, and interleaved passes.
+REPEATS = 2
+PASSES = 3
 
 #: Aggregate wall-clock speedup floor for the scan-dominated batch
 #: (ideal is ~BATCH_WIDTH on the read portion; per-session dispatch,
@@ -88,14 +95,21 @@ def _run_batch(catalog, build, share, options=None):
     return elapsed, (dict(manager.stats()) if manager else None)
 
 
-def _best_of(catalog, build, share, options=None):
-    best, stats = None, None
-    for _ in range(REPEATS):
-        elapsed, run_stats = _run_batch(catalog, build, share,
+def _interleaved(catalog, build, options=None):
+    """(share-off seconds, share-on seconds, pool stats): per repeat the
+    fastest of ``PASSES`` interleaved passes, then the median."""
+    off = [[] for _ in range(PASSES)]
+    on = [[] for _ in range(PASSES)]
+    stats = None
+    for pass_no in range(PASSES):
+        for _ in range(REPEATS):
+            off[pass_no].append(_run_batch(catalog, build, share=False,
+                                          options=options)[0])
+            elapsed, stats = _run_batch(catalog, build, share=True,
                                         options=options)
-        if best is None or elapsed < best:
-            best, stats = elapsed, run_stats
-    return best, stats
+            on[pass_no].append(elapsed)
+    return (float(np.median(fastest_per_sample(*off))),
+            float(np.median(fastest_per_sample(*on))), stats)
 
 
 def test_scan_share_speedup(bench_data, emit, guard):
@@ -123,9 +137,7 @@ def test_scan_share_speedup(bench_data, emit, guard):
     for label, build, options, floor in workloads:
         _run_batch(catalog, build, share=False,
                    options=options)  # warm the page cache
-        off, _ = _best_of(catalog, build, share=False, options=options)
-        on, stats = _best_of(catalog, build, share=True,
-                             options=options)
+        off, on, stats = _interleaved(catalog, build, options=options)
         ratio = off / max(on, 1e-9)
         measured.append((label, ratio, floor))
         rows.append([

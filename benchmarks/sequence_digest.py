@@ -3,9 +3,13 @@
 One sha256 per sequence, over each snapshot's sequence number, progress
 (done and total per source) and column names, dtypes and bytes:
 
-* all 22 TPC-H queries (``capture_all``), named ``tpch/qNN/k1`` so
-  they match the digests of trees that also ran a ``k4`` arm,
-* the §8.6 deep chain at depths 0-8.
+* all 22 TPC-H queries, named ``tpch/qNN/k1`` so they match the
+  digests of trees that also ran a ``k4`` arm,
+* the §8.6 deep chain at depths 0-8, named ``deep/depthN``,
+
+each twice: with ``capture_all=True`` (every snapshot) and, under the
+same name plus ``/ff``, with ``capture_all=False`` (the first estimate
+and the final), the run that builds only the versions a reader sees.
 
 Inputs are the repo benchmark's full preset (TPC-H SF 0.1 with 32 fact
 partitions; a 1 M-row, 128-partition deep table), seed 42.  Run it on
@@ -71,14 +75,14 @@ def tpch_digests(workdir: Path) -> dict[str, str]:
     # (a fixed fraction selects nothing at SF 0.1), q18 a lower bar.
     overrides = {11: {"fraction": 0.0001 / SCALE_FACTOR},
                  18: {"threshold": 200}}
-    out = {}
     ctx = WakeContext(catalog)
-    for number in sorted(QUERIES):
-        plan = QUERIES[number].build_plan(ctx, **overrides.get(number, {}))
-        name = f"tpch/q{number:02d}/k1"
-        out[name] = digest(ctx.run(plan, capture_all=True))
-        print(out[name], name, flush=True)
-    return out
+    return both_arms(ctx, {
+        f"tpch/q{number:02d}/k1": (
+            lambda number=number: QUERIES[number].build_plan(
+                ctx, **overrides.get(number, {}))
+        )
+        for number in sorted(QUERIES)
+    })
 
 
 def deep_digests(workdir: Path) -> dict[str, str]:
@@ -87,12 +91,22 @@ def deep_digests(workdir: Path) -> dict[str, str]:
         seed=SEED,
     )
     ctx = WakeContext(dataset.catalog)
+    return both_arms(ctx, {
+        f"deep/depth{depth}": (
+            lambda depth=depth: build_deep_query(ctx, depth)
+        )
+        for depth in DEEP_DEPTHS
+    })
+
+
+def both_arms(ctx, builds: dict) -> dict[str, str]:
+    """Digest every plan run with ``capture_all=True`` (under its name)
+    and with ``capture_all=False`` (under its name plus ``/ff``)."""
     out = {}
-    for depth in DEEP_DEPTHS:
-        name = f"deep/depth{depth}"
-        out[name] = digest(ctx.run(build_deep_query(ctx, depth),
-                                   capture_all=True))
-        print(out[name], name, flush=True)
+    for base, build in builds.items():
+        for name, capture_all in ((base, True), (base + "/ff", False)):
+            out[name] = digest(ctx.run(build(), capture_all=capture_all))
+            print(out[name], name, flush=True)
     return out
 
 

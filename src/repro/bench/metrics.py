@@ -121,13 +121,21 @@ def median_or_nan(values: Sequence[float]) -> float:
     return float(np.median(cleaned))
 
 
+def fastest_per_sample(*passes: Sequence[float]) -> np.ndarray:
+    """Each sample's fastest time over several passes that time the same
+    samples in the same order: foreign load landing in one pass reads
+    as noise in that pass only, not as a slower sample."""
+    return np.min(np.asarray(passes, dtype=np.float64), axis=0)
+
+
 def window_medians(*passes: Sequence[float]) -> tuple[float, float]:
     """Early and late per-message latency of a timed stream: the medians
     of its second quarter and of its last quarter (the first quarter is
     warm-up).  Given several passes over the same messages, each message
-    counts with its fastest time, so foreign load landing in one pass's
-    late window does not read as growth."""
-    times = np.min(np.asarray(passes, dtype=np.float64), axis=0)
+    counts with its fastest time (:func:`fastest_per_sample`), so
+    foreign load landing in one pass's late window does not read as
+    growth."""
+    times = fastest_per_sample(*passes)
     q = len(times) // 4
     return float(np.median(times[q:2 * q])), float(np.median(times[-q:]))
 

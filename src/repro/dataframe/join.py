@@ -1,6 +1,6 @@
 """Join kernels: hash (equi) joins plus semi/anti/left variants.
 
-Two physical strategies live here:
+Three physical strategies live here:
 
 * :func:`hash_join` — one-shot vectorized join: both key sides are
   factorized into one shared code space, the right side is sorted, and
@@ -13,12 +13,15 @@ Two physical strategies live here:
   direct-address table of the build keys when they are integers packing
   into ``SLOT_TABLE_SIZE`` entries (O(|partition| · keys)), a dictionary
   ``searchsorted`` per key column otherwise (O(|partition| log |build
-  uniques|)).  This is what the streaming join operators use so that
+  uniques|)).  This is what the streaming hash join uses so that
   per-message cost tracks partition size rather than total data consumed
   (paper §3.2 / §7.2).
-
-The progressive merge join *operator* (paper §3.2) reuses these kernels on
-watermark-bounded buffers; see ``repro.engine.ops.join``.
+* :func:`merge_join` — one key column, no factorization: each left key
+  finds its run of equal right keys by binary search into the right
+  side, which is argsorted only when it is not already ascending.  The
+  progressive merge join *operator* (paper §3.2) runs it on every
+  watermark release of its clustered buffers; see
+  ``repro.engine.ops.join``.
 """
 
 from __future__ import annotations
@@ -491,6 +494,17 @@ def hash_join(
     return _assemble_left(left, right, li, ri, unmatched, name_map)
 
 
+def is_ascending(keys: np.ndarray) -> bool:
+    """True when ``keys`` is in ascending order with no NaN, so binary
+    search can run on it as it stands (an unsorted or NaN-holding
+    array needs a sort, which puts NaNs last)."""
+    if not len(keys):
+        return True
+    if keys.dtype.kind == "f" and np.isnan(keys[0]):
+        return False
+    return bool(np.all(keys[:-1] <= keys[1:]))
+
+
 def merge_join(
     left: DataFrame,
     right: DataFrame,
@@ -498,11 +512,52 @@ def merge_join(
     right_on: Sequence[str],
     suffix: str = "_right",
 ) -> DataFrame:
-    """Sort-merge inner join for inputs clustered on the join key.
+    """Inner equi-join on one key column by binary search into the
+    right side.
 
-    The output of an equi-join does not depend on the physical algorithm, so
-    this delegates to the vectorized hash kernel; the *streaming* benefit of
-    merge joins lives in the progressive merge join operator, which calls
-    this on watermark-bounded buffers.
+    Each left key finds its run of equal right keys with two
+    ``searchsorted`` calls on the raw keys — one plus an equality check
+    when the right keys are unique, as an orders buffer's are; the
+    right side is stable argsorted first only when it is not already
+    ascending (a clustered buffer usually is).  There is no shared
+    factorization, so a call costs O(|right|) to check the order plus
+    O(|left| log |right|) — against :func:`hash_join`'s ``np.unique``
+    over both sides and a sort of the right codes.  The output is
+    byte-identical to ``hash_join(..., how="inner")``: left rows in
+    order, each followed by its matches in right-row order; int and
+    float keys compare by value and NaN keys match NaN keys, as
+    ``np.unique`` decides there.
     """
-    return hash_join(left, right, left_on, right_on, "inner", suffix)
+    if len(left_on) != 1 or len(right_on) != 1:
+        raise QueryError("merge join requires a single key pair")
+    l_keys = left.column(left_on[0])
+    r_keys = right.column(right_on[0])
+    _check_key_dtypes(l_keys, r_keys)
+    if l_keys.dtype.kind != r_keys.dtype.kind:
+        # Order and compare int against float keys in the dtype
+        # ``np.unique`` would see them in.
+        r_keys = r_keys.astype(np.result_type(l_keys, r_keys),
+                               copy=False)
+    order = None if is_ascending(r_keys) else np.argsort(r_keys,
+                                                         kind="stable")
+    sorted_right = r_keys if order is None else r_keys[order]
+    starts = np.searchsorted(sorted_right, l_keys, side="left")
+    if (len(sorted_right) and sorted_right[-1] == sorted_right[-1]
+            and bool(np.all(sorted_right[:-1] < sorted_right[1:]))):
+        # Unique, NaN-free right keys: a left row meets one right row
+        # or none.
+        found = sorted_right[np.minimum(starts, len(sorted_right) - 1)]
+        li = np.flatnonzero(found == l_keys)
+        ri = starts[li]
+    else:
+        ends = np.searchsorted(sorted_right, l_keys, side="right")
+        counts = ends - starts
+        li = np.repeat(np.arange(len(l_keys), dtype=np.int64), counts)
+        # Each pair's right row: its run's start plus its offset in it.
+        offsets = np.cumsum(counts) - counts
+        ri = (np.arange(len(li), dtype=np.int64)
+              + np.repeat(starts - offsets, counts))
+    if order is not None:
+        ri = order[ri]
+    name_map = _resolve_output_names(left, right, right_on, suffix)
+    return _assemble_inner(left, right, li, ri, name_map)

@@ -7,6 +7,16 @@ subtrees) drain fully, then the remaining sources round-robin one
 partition at a time, every message flushed breadth-first through the
 graph.  ``run()``, ``WakeContext.stream()`` and the multi-query service
 all step this one engine, so their snapshot sequences are identical.
+
+Estimates are pull-driven: before each step the executor tells every
+operator whether a reader wants each version it builds
+(``Operator.versions_wanted``).  The sink wants every version with
+``capture_all=True``, and with ``capture_all=False`` every version until
+its first snapshot, then only the final; each operator's
+``reads_versions`` declarations carry that upstream.  A shuffle
+aggregate skips ``infer`` for an unwanted t < 1 version and emits
+nothing, so a version nobody reads costs no refresh downstream either.
+The snapshots a reader does see are unchanged.
 """
 
 from __future__ import annotations
@@ -180,6 +190,10 @@ class StepExecutor:
         self._build: deque[int] = deque()
         self._round_robin: deque[int] = deque()
         self._opened = False
+        #: What the sink last asked of the output: every version
+        #: (``True``) or only the final (``False``); ``None`` before
+        #: the first step.
+        self._sink_wants: bool | None = None
         self._finished = False
         self._closed = False
         self._steps = 0
@@ -274,6 +288,10 @@ class StepExecutor:
         self._retry_safe = False
         self._failed_source = None
         self._open_streams()
+        sink_wants = self.capture_all or not len(self.edf)
+        if sink_wants is not self._sink_wants:
+            self._sink_wants = sink_wants
+            self._set_demand(sink_wants)
         if self._build:
             source_id = self._build[0]
             if not self._pump(source_id):
@@ -291,6 +309,27 @@ class StepExecutor:
         if not self._build and not self._round_robin:
             self._finalize()
         return True
+
+    def _set_demand(self, sink_wants: bool) -> None:
+        """Tell every operator whether a reader wants each version it
+        builds: the sink (``sink_wants``) for the output node, and for
+        every other node whether any subscriber port
+        (``Operator.reads_versions``) wants it.  Node ids are
+        topological, so one pass from the highest id settles every
+        consumer before its producers."""
+        graph = self.graph
+        subscribers = self._subscribers
+        assert graph is not None and subscribers is not None
+        wanted: dict[int, bool] = {}
+        for nid in sorted(graph.nodes, reverse=True):
+            want = sink_wants and nid == self.output
+            for sub_id, port in subscribers[nid]:
+                if want:
+                    break
+                want = graph.node(sub_id).operator.reads_versions(
+                    port, wanted[sub_id])
+            wanted[nid] = want
+            graph.node(nid).operator.versions_wanted = want
 
     def _pump(self, source_id: int) -> bool:
         """One partition from ``source_id``; False once it hits EOF."""

@@ -205,6 +205,18 @@ class AggregateOperator(Operator):
                 needed.add(spec.column)
         return [needed]
 
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        # A REPLACE input restarts the accumulators per version, so an
+        # unread output version needs no input version — except for a
+        # sketch quantile, whose reservoir RNG runs across versions.
+        sketch = self.quantile_mode == "sketch" and any(
+            spec.agg in ("median", "quantile") for spec in self.specs
+        )
+        if (self.local_mode or sketch
+                or self.input_infos[0].delivery != Delivery.REPLACE):
+            return True
+        return wanted
+
     def signature(self, alpha: bool) -> tuple:
         specs = tuple(
             (s.agg, s.column, s.alias, s.param) for s in self.specs
@@ -222,9 +234,17 @@ class AggregateOperator(Operator):
             self._state.consume_snapshot(message.frame)
         else:
             self._state.consume_delta(message.frame)
+        t = self.progress.fraction
+        if t < 1.0 and not self.versions_wanted:
+            # No reader sees this version: keep the state and the growth
+            # fit current but build nothing (the t = 1 version always
+            # is built).
+            if self._state.n_groups:
+                self._inference.observe(self._state, t)
+                self._has_emitted = True
+            return []
         if self._state.n_groups == 0:
             return self._emit_empty()
-        t = self.progress.fraction
         self._inference.observe(self._state, t)
         out = self._inference.infer(self._state, t)
         if t >= 1.0:

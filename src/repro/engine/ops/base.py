@@ -52,6 +52,11 @@ class Operator:
     #: Input ports buffered to EOF before the other ports stream; the
     #: executor drains the sources feeding them first.
     build_ports: tuple[int, ...] = ()
+    #: Whether some reader wants every version this operator builds
+    #: before its final one; the executor sets it from the
+    #: :meth:`reads_versions` declarations downstream.  Only the shuffle
+    #: aggregate acts on it: an unwanted t < 1 version is not built.
+    versions_wanted: bool = True
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -80,6 +85,16 @@ class Operator:
         does not override it blocks projection pushdown below itself
         but can never be starved of a column."""
         return [None] * self.n_inputs
+
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        """Whether input ``port`` needs every REPLACE version its
+        producer builds, given whether every version of this operator's
+        own output is ``wanted``.  ``False`` means only the version
+        standing at the port's EOF is read.  Operators that answer each
+        version from that version alone return ``wanted``.  The default
+        reads every version, right for any operator whose state carries
+        across versions."""
+        return True
 
     def signature(self, alpha: bool) -> tuple:
         """Plain hashable values that, with the input subtrees, decide

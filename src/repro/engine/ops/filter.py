@@ -78,6 +78,9 @@ class FilterOperator(Operator):
             return [None]
         return [required | set(self.predicate.columns())]
 
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        return wanted
+
     def signature(self, alpha: bool) -> tuple:
         return (canon_expr(self.predicate),)
 

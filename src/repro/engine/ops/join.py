@@ -11,8 +11,11 @@
   streams clustered/sorted on the same single join key: joins are emitted
   up to the minimum key watermark of the two sides, giving fully
   incremental DELTA output (the lineitem ⋈ orders path of Fig 6).
-  Pending rows are buffered as part lists; concatenation happens only
-  when a watermark actually releases rows, never per message.
+  Pending rows are buffered as part lists; a release joins the ready
+  rows with the :func:`~repro.dataframe.join.merge_join` kernel (binary
+  search, no factorization), and while the buffered keys are ascending
+  the ready rows are a prefix of the parts, so the leftovers stay as
+  slices.
 * :class:`CrossJoinOperator` — cartesian product against a small right
   side; with a REPLACE right input it re-emits on every right refresh,
   which is how decorrelated scalar subqueries (Q11, Q14, Q17, Q22) stay
@@ -22,12 +25,14 @@
 
 from __future__ import annotations
 
+import math
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.join import JoinIndex, hash_join
+from repro.dataframe.join import JoinIndex, is_ascending, merge_join
 from repro.dataframe.schema import DType, Field, Schema
 from repro.core.properties import Delivery, StreamInfo
 from repro.engine.message import Message
@@ -191,6 +196,11 @@ class HashJoinOperator(_JoinOperator):
             input_schemas, required, self.left_on, self.right_on
         )
 
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        # The build side is indexed once, from the version standing at
+        # its EOF; each probe version is joined on its own.
+        return wanted if port == 0 else False
+
     def signature(self, alpha: bool) -> tuple:
         pairs = tuple(zip(self.left_on, self.right_on))
         if alpha:
@@ -277,6 +287,13 @@ class MergeJoinOperator(_JoinOperator):
         self.suffix = suffix
         self._parts: tuple[list[DataFrame], list[DataFrame]] = ([], [])
         self._part_mins: tuple[list[float], list[float]] = ([], [])
+        #: Per side: every buffered part is ascending (int or float
+        #: keys, no NaN) and starts at or after the previous one's last
+        #: key, so the rows a watermark releases are a prefix.
+        self._ascending = [True, True]
+        #: Per side: the column dtypes of the last release's buffer
+        #: while rows stayed behind (``None`` once it emptied).
+        self._carried: list[dict | None] = [None, None]
         self._watermarks = [-np.inf, -np.inf]
         self._closed = [False, False]
 
@@ -336,21 +353,87 @@ class MergeJoinOperator(_JoinOperator):
         if not frame.n_rows:
             return
         keys = frame.column(self._key(port))
-        self._parts[port].append(frame)
-        self._part_mins[port].append(float(keys.min()))
-        self._watermarks[port] = max(
-            self._watermarks[port], float(keys.max())
+        parts = self._parts[port]
+        ascending = (
+            self._ascending[port] and keys.dtype.kind in "if"
+            and (not parts or keys[0] >= parts[-1].column(
+                self._key(port))[-1])
+            and is_ascending(keys)
         )
-
-    def _pending(self, port: int) -> DataFrame:
-        if not self._parts[port]:
-            return DataFrame.empty(self.input_infos[port].schema)
-        if len(self._parts[port]) == 1:
-            return self._parts[port][0]
-        return DataFrame.concat(self._parts[port])
+        if ascending:
+            low, high = keys[0], keys[-1]
+        else:
+            self._ascending[port] = False
+            low, high = keys.min(), keys.max()
+        parts.append(frame)
+        self._part_mins[port].append(float(low))
+        self._watermarks[port] = max(self._watermarks[port], float(high))
 
     def _has_ready(self, port: int, threshold: float) -> bool:
         return any(m <= threshold for m in self._part_mins[port])
+
+    def _release(self, port: int, threshold: float) -> DataFrame:
+        """Take the buffered rows whose key is at or below ``threshold``
+        (as float64, NaN never) off ``port``'s buffer; the rest stay.
+
+        While the buffer is ascending the ready rows are a prefix of the
+        parts: whole parts plus a head slice of the boundary part are
+        taken and the leftovers stay as slices, with no mask copies.
+        Otherwise the parts are concatenated and masked.  Either way the
+        released columns carry the dtypes a concatenation of everything
+        buffered would have (string widths grow to the widest part
+        buffered since the buffer was last empty), so the output never
+        depends on the path."""
+        parts, mins = self._parts[port], self._part_mins[port]
+        if not parts:
+            return DataFrame.empty(self.input_infos[port].schema)
+        key = self._key(port)
+        carried = self._carried[port]
+        dtypes = self._carried[port] = {
+            name: reduce(np.promote_types,
+                         [part.column(name).dtype for part in parts],
+                         parts[0].column(name).dtype if carried is None
+                         else carried[name])
+            for name in parts[0].column_names
+        }
+        if self._ascending[port]:
+            ready: list[DataFrame] = []
+            while parts:
+                part = parts[0]
+                cut = _ready_count(part.column(key), threshold)
+                if cut < part.n_rows:
+                    if cut:
+                        ready.append(part.head(cut))
+                        parts[0] = part.slice(cut, part.n_rows)
+                        mins[0] = float(part.column(key)[cut])
+                    break
+                ready.append(parts.pop(0))
+                mins.pop(0)
+            out = DataFrame.concat(ready) if ready else parts[0].head(0)
+        else:
+            pending = DataFrame.concat(parts)
+            keys = pending.column(key).astype(np.float64)
+            ready_mask = keys <= threshold
+            out = pending.mask(ready_mask)
+            parts.clear()
+            mins.clear()
+            if not ready_mask.all():
+                leftover = pending.mask(~ready_mask)
+                parts.append(leftover)
+                mins.append(float(leftover.column(key).min()))
+        if not parts:
+            # Empty again: later parts start a fresh ascending run and
+            # a fresh dtype history.
+            self._ascending[port] = True
+            self._carried[port] = None
+        if any(out.column(name).dtype != dtype
+               for name, dtype in dtypes.items()):
+            out = DataFrame(
+                {name: out.column(name).astype(dtype, copy=False)
+                 for name, dtype in dtypes.items()},
+                schema=out.schema,
+            )
+        return out
 
     def _emitable(self, force: bool = False) -> list[Message]:
         """Join and release all buffered rows at or below the completed
@@ -364,28 +447,13 @@ class MergeJoinOperator(_JoinOperator):
             self._has_ready(0, threshold) and self._has_ready(1, threshold)
         ):
             return []
-        left, right = self._pending(0), self._pending(1)
-        l_keys = left.column(self.left_on).astype(np.float64)
-        r_keys = right.column(self.right_on).astype(np.float64)
-        l_ready = l_keys <= threshold
-        r_ready = r_keys <= threshold
-        joined = hash_join(
-            left.mask(l_ready),
-            right.mask(r_ready),
+        joined = merge_join(
+            self._release(0, threshold),
+            self._release(1, threshold),
             [self.left_on],
             [self.right_on],
-            how="inner",
             suffix=self.suffix,
         )
-        for port, leftover in ((0, left.mask(~l_ready)),
-                               (1, right.mask(~r_ready))):
-            self._parts[port].clear()
-            self._part_mins[port].clear()
-            if leftover.n_rows:
-                self._parts[port].append(leftover)
-                self._part_mins[port].append(
-                    float(leftover.column(self._key(port)).min())
-                )
         return [
             Message(frame=joined, progress=self.progress,
                     kind=Delivery.DELTA)
@@ -400,6 +468,23 @@ class MergeJoinOperator(_JoinOperator):
         # Force a flush once both sides closed so the final (complete)
         # progress propagates even when nothing remains to join.
         return self._emitable(force=all(self._closed))
+
+
+def _ready_count(keys: np.ndarray, threshold: float) -> int:
+    """How many of the ascending, NaN-free ``keys`` are at or below
+    ``threshold`` when cast to float64 — the masked path's test — found
+    by binary search on the keys as they are."""
+    if threshold == np.inf:
+        return len(keys)
+    if keys.dtype.kind == "f":
+        return int(np.searchsorted(keys, np.float64(threshold),
+                                   side="right"))
+    if abs(threshold) < 2.0 ** 53:
+        # Below 2**53 an integer is at most ``threshold`` as a float
+        # exactly when it is at most its floor.
+        return int(np.searchsorted(keys, math.floor(threshold),
+                                   side="right"))
+    return int(np.count_nonzero(keys.astype(np.float64) <= threshold))
 
 
 class CrossJoinOperator(_JoinOperator):
@@ -449,6 +534,10 @@ class CrossJoinOperator(_JoinOperator):
 
     def required_inputs(self, input_schemas, required):
         return self._split_required(input_schemas, required)
+
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        # Every product is of the latest version of a REPLACE side.
+        return wanted
 
     def signature(self, alpha: bool) -> tuple:
         return (self.suffix,)

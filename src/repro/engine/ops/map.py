@@ -135,6 +135,9 @@ class SelectOperator(Operator):
             needed |= set(expr.columns())
         return [needed]
 
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        return wanted
+
     def signature(self, alpha: bool) -> tuple:
         exprs = [(name, canon_expr(expr)) for name, expr in self.exprs]
         if alpha:

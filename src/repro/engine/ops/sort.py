@@ -80,6 +80,9 @@ class SortLimitOperator(Operator):
             return [None]
         return [required | set(self.by)]
 
+    def reads_versions(self, port: int, wanted: bool) -> bool:
+        return wanted
+
     def signature(self, alpha: bool) -> tuple:
         ascending = self.ascending
         if not isinstance(ascending, bool):

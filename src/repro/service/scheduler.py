@@ -464,7 +464,11 @@ class FairShareScheduler:
                 with self._work:
                     if self._stopping:
                         return
-                    self._work.wait(wait)
+                    # A submit / resume that landed since run_once()
+                    # notified nobody: its push is in the heap, so step
+                    # it now instead of dozing through the lost wakeup.
+                    if not self._heap:
+                        self._work.wait(wait)
 
     def stop(self, timeout: float = 10.0) -> None:
         """Stop the background loop (sessions keep their state; call

@@ -9,6 +9,7 @@ import pytest
 from repro import F, WakeContext
 from repro.errors import QueryError
 from repro.service import FairShareScheduler, QueryService, SessionState
+from repro.service import scheduler as scheduler_mod
 
 
 def _executor(catalog):
@@ -222,3 +223,45 @@ class TestBackgroundThread:
             t.name == "wake-scheduler" and t.is_alive()
             for t in threading.enumerate()
         )
+
+    def test_resume_between_idle_check_and_wait_is_not_lost(
+        self, catalog, monkeypatch
+    ):
+        """A resume that lands after ``run_once()`` found nothing but
+        before the loop waits notifies nobody; the loop must still see
+        the pushed session instead of dozing the whole idle wait."""
+        monkeypatch.setattr(scheduler_mod, "_IDLE_WAIT", 5.0)
+        scheduler = FairShareScheduler()
+        session = scheduler.submit(_executor(catalog), paused=True)
+        resumed_at: list[float] = []
+        first_step: list[float] = []
+        original_ready_in = scheduler.next_ready_in
+        original_run_once = scheduler.run_once
+
+        def ready_in():
+            # Called by the loop right after run_once() returned None:
+            # exactly the window the lost wakeup needs.
+            if not resumed_at:
+                scheduler.resume(session.session_id)
+                resumed_at.append(time.monotonic())
+            return original_ready_in()
+
+        def run_once():
+            stepped = original_run_once()
+            if stepped is not None and not first_step:
+                first_step.append(time.monotonic())
+            return stepped
+
+        monkeypatch.setattr(scheduler, "next_ready_in", ready_in)
+        monkeypatch.setattr(scheduler, "run_once", run_once)
+        scheduler.start()
+        try:
+            deadline = time.monotonic() + 10
+            while not first_step and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            scheduler.stop()
+        assert resumed_at and first_step
+        assert first_step[0] - resumed_at[0] < 1.0
+        scheduler.run_until_idle()
+        assert session.state is SessionState.DONE
