@@ -16,7 +16,10 @@ through one query's graph) is the indivisible quantum, executed under
 the scheduler lock.  Control operations (pause/resume/cancel/submit)
 take the same lock, so a cancel can never race the step it interrupts —
 cancellation closes the executor's read streams and releases its
-operator state before returning.  Subscribers never take this lock;
+operator state before returning.  The lock hands over at the end of a
+step: a control call that is waiting gets it before the loop can start
+the next step, so it waits at most one step however busy the loop is
+(:class:`_HandoffLock`).  Subscribers never take this lock;
 they wait on the per-session buffer instead, so a slow consumer cannot
 block execution.
 
@@ -55,6 +58,51 @@ from repro.service.session import (
 _IDLE_WAIT = 0.05
 
 
+class _HandoffLock:
+    """The scheduler lock: reentrant, and a thread that is waiting for
+    it gets it before the thread that just released it can take it back.
+
+    A plain lock lets the releasing thread win: the step loop lets go
+    at the end of a step and re-takes it within microseconds, long
+    before a control call that was woken can run.  So a ``subscribe``
+    waited for the whole query to finish, and the server's event loop
+    waited with it.  Here a first-time acquire passes through ``_gate``.
+    A waiter holds the gate while it waits, so the loop stops at the
+    gate until the waiter has had its turn.  Re-entry skips the gate: a
+    holder waiting at it would deadlock against the waiter it lets in.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.RLock()
+        self._gate = threading.Lock()
+
+    def acquire(self) -> bool:
+        if self._lock._is_owned():
+            return self._lock.acquire()
+        with self._gate:
+            return self._lock.acquire()
+
+    def release(self) -> None:
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+    # threading.Condition: wait() drops every level and takes them back.
+    def _is_owned(self) -> bool:
+        return self._lock._is_owned()
+
+    def _release_save(self):
+        return self._lock._release_save()
+
+    def _acquire_restore(self, state) -> None:
+        with self._gate:
+            self._lock._acquire_restore(state)
+
+
 class FairShareScheduler:
     """Time-slices partition-steps across registered query sessions."""
 
@@ -64,7 +112,7 @@ class FairShareScheduler:
         retry: RetryPolicy | None = None,
         metrics=None,
     ) -> None:
-        self._lock = threading.RLock()
+        self._lock = _HandoffLock()
         self._work = threading.Condition(self._lock)
         self._sessions: dict[str, QuerySession] = {}
         self._heap: list[tuple[float, int, str, int]] = []

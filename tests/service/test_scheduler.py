@@ -265,3 +265,44 @@ class TestBackgroundThread:
         assert first_step[0] - resumed_at[0] < 1.0
         scheduler.run_until_idle()
         assert session.state is SessionState.DONE
+
+    @pytest.mark.parametrize("attempt", range(5))
+    def test_control_call_waits_at_most_one_step(self, catalog, attempt):
+        """A control call that starts waiting for the lock during a step
+        gets it before the loop starts the next one.  A plain lock let
+        the loop take it straight back step after step, so a
+        ``subscribe`` waited for the whole query; whether the waiter
+        got in first depended on how fast its thread woke, hence the
+        repeats."""
+        scheduler = FairShareScheduler()
+        executor = _executor(catalog)
+        session = scheduler.submit(executor, paused=True)
+        original_step = executor.step
+        callers: list[threading.Thread] = []
+
+        def step():
+            if not callers:
+                caller = threading.Thread(
+                    target=scheduler.pause, args=(session.session_id,))
+                callers.append(caller)
+                caller.start()
+                time.sleep(0.1)  # the caller is now waiting for the lock
+            return original_step()
+
+        executor.step = step
+        scheduler.start()
+        try:
+            scheduler.resume(session.session_id)
+            deadline = time.monotonic() + 10
+            while not callers and time.monotonic() < deadline:
+                time.sleep(0.005)
+            callers[0].join(10)
+            assert session.state is SessionState.PAUSED
+            assert session.steps == 1
+        finally:
+            scheduler.stop()
+        scheduler.resume(session.session_id)
+        scheduler.run_until_idle()
+        assert session.state is SessionState.DONE
+        assert (session.executor.edf.get_final().column("s").tobytes()
+                == _reference_final(catalog).column("s").tobytes())
