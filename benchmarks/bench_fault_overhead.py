@@ -6,7 +6,12 @@ executor, and a peek at an (empty) cooling heap — no extra reads, no
 allocation on the hot path.  This experiment measures it end to end:
 the same TPC-H queries driven through the fair-share scheduler with
 retries disabled vs a full :class:`RetryPolicy` attached (and zero
-injected faults), interleaved to cancel drift, medians compared.
+injected faults).  The two arms run as back-to-back pairs, in
+alternating order, and the guard reads the median of the per-pair
+ratios.  On a shared 2-cpu VM the same run's wall time shifts by up to
+a third within seconds; comparing each arm's own median (even over
+each sample's fastest of several passes) read that as up to ±7 %
+overhead, while the two runs of a pair share the machine's state.
 
 Acceptance bar (CI perf guard): **< 5 % median overhead**.
 
@@ -26,7 +31,7 @@ from repro.testing import FaultInjector
 from repro.tpch.queries import QUERIES
 
 QUERY_NUMBERS = (1, 6)
-ROUNDS = 5
+ROUNDS = 15
 
 #: Production-shaped policy; backoff values never fire in the
 #: no-fault measurement.
@@ -52,33 +57,37 @@ def test_no_fault_overhead_under_5_percent(bench_data, guard, emit):
         _run_once(catalog, number, None)
     plain: dict[int, list[float]] = {n: [] for n in QUERY_NUMBERS}
     guarded: dict[int, list[float]] = {n: [] for n in QUERY_NUMBERS}
-    for _ in range(ROUNDS):  # interleaved: drift hits both arms alike
+    for round_no in range(ROUNDS):  # interleaved pairs, ABAB / BABA
         for number in QUERY_NUMBERS:
-            plain[number].append(_run_once(catalog, number, None))
-            guarded[number].append(_run_once(catalog, number, POLICY))
+            arms = [(None, plain), (POLICY, guarded)]
+            if round_no % 2:
+                arms.reverse()
+            for retry, times in arms:
+                times[number].append(_run_once(catalog, number, retry))
 
     rows = []
-    base_total = retry_total = 0.0
+    ratios: list[float] = []
     for number in QUERY_NUMBERS:
-        base = float(np.median(plain[number]))
-        with_retry = float(np.median(guarded[number]))
-        base_total += base
-        retry_total += with_retry
-        rows.append([f"q{number:02d}", base * 1000.0,
-                     with_retry * 1000.0, with_retry / max(base, 1e-9)])
-    # Guard the aggregate: per-query medians on ~20 ms runs carry a few
-    # percent of scheduler-noise jitter; the sum across queries is the
-    # stable signal a real regression would move.
-    ratio = retry_total / max(base_total, 1e-9)
-    rows.append(["total", base_total * 1000.0, retry_total * 1000.0,
-                 ratio])
+        pairs = (np.asarray(guarded[number])
+                 / np.maximum(plain[number], 1e-9))
+        ratios.extend(pairs)
+        rows.append([f"q{number:02d}", np.median(plain[number]) * 1000.0,
+                     np.median(guarded[number]) * 1000.0,
+                     float(np.median(pairs))])
+    # Guard the median over every pair of both queries: one pair's
+    # ratio carries a few percent of scheduler jitter, the median of
+    # 2 x ROUNDS of them is the stable signal a regression would move.
+    ratio = float(np.median(ratios))
+    rows.append(["all pairs", np.median(sum(plain.values(), [])) * 1000.0,
+                 np.median(sum(guarded.values(), [])) * 1000.0, ratio])
 
     emit(banner(
         f"E15 — retry-layer overhead, zero faults ({ROUNDS} rounds, "
-        f"median wall clock)"
+        f"median of per-pair ratios)"
     ))
     emit(format_table(
-        ["query", "no retry ms", "retry attached ms", "ratio"], rows
+        ["query", "no retry ms", "retry attached ms", "median ratio"],
+        rows
     ))
     guard("fault_overhead_ratio", ratio, 1.05, op="<=")
 

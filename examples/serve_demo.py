@@ -57,8 +57,7 @@ def dashboard(port: int, stop: threading.Event) -> None:
                 print(f"  [metrics] {rate:4.0f} steps/s  "
                       f"queue={report['run_queue_depth']}  "
                       f"snapshots={report['snapshots_published_total']:.0f}  "
-                      f"worst-lag={worst:5.1f} ms  "
-                      f"drops={report['buffer_drops_total']:.0f}")
+                      f"worst-lag={worst:5.1f} ms")
             if stop.wait(1.0):
                 return
 

@@ -122,10 +122,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765,
                    help="TCP port (0 picks an ephemeral port)")
-    p.add_argument("--buffer-size", type=int, default=None,
-                   help="bound per-session snapshot buffers (slow "
-                        "subscribers then skip evicted snapshots; "
-                        "default: unbounded)")
     p.add_argument("--no-pushdown", action="store_true",
                    help="disable scan pushdown for submitted queries")
     p.add_argument("--no-scan-share", action="store_true",
@@ -315,8 +311,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         retry_budget=args.retry_budget,
         on_partition_error=args.on_partition_error,
     )
-    service = QueryService(ctx, buffer_size=args.buffer_size,
-                           retry=retry)
+    service = QueryService(ctx, retry=retry)
     server = SnapshotServer(service, host=args.host, port=args.port)
 
     async def _serve() -> None:

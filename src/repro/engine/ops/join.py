@@ -364,7 +364,7 @@ class MergeJoinOperator(_JoinOperator):
             low, high = keys[0], keys[-1]
         else:
             self._ascending[port] = False
-            low, high = keys.min(), keys.max()
+            low, high = _key_range(keys)
         parts.append(frame)
         self._part_mins[port].append(float(low))
         self._watermarks[port] = max(self._watermarks[port], float(high))
@@ -374,7 +374,8 @@ class MergeJoinOperator(_JoinOperator):
 
     def _release(self, port: int, threshold: float) -> DataFrame:
         """Take the buffered rows whose key is at or below ``threshold``
-        (as float64, NaN never) off ``port``'s buffer; the rest stay.
+        (as float64; NaN only at the EOF flush, whose threshold is inf)
+        off ``port``'s buffer; the rest stay.
 
         While the buffer is ascending the ready rows are a prefix of the
         parts: whole parts plus a head slice of the boundary part are
@@ -413,14 +414,15 @@ class MergeJoinOperator(_JoinOperator):
         else:
             pending = DataFrame.concat(parts)
             keys = pending.column(key).astype(np.float64)
-            ready_mask = keys <= threshold
+            ready_mask = (keys <= threshold if threshold < np.inf
+                          else np.ones(len(keys), dtype=bool))
             out = pending.mask(ready_mask)
             parts.clear()
             mins.clear()
             if not ready_mask.all():
                 leftover = pending.mask(~ready_mask)
                 parts.append(leftover)
-                mins.append(float(leftover.column(key).min()))
+                mins.append(float(_key_range(leftover.column(key))[0]))
         if not parts:
             # Empty again: later parts start a fresh ascending run and
             # a fresh dtype history.
@@ -468,6 +470,17 @@ class MergeJoinOperator(_JoinOperator):
         # Force a flush once both sides closed so the final (complete)
         # progress propagates even when nothing remains to join.
         return self._emitable(force=all(self._closed))
+
+
+def _key_range(keys: np.ndarray) -> tuple:
+    """A part's lowest and highest key.  Float keys skip NaN: a NaN row
+    waits for the EOF flush and moves no watermark, so an all-NaN part
+    reads ``(inf, -inf)``."""
+    if keys.dtype.kind == "f":
+        keys = keys[~np.isnan(keys)]
+        if not len(keys):
+            return np.inf, -np.inf
+    return keys.min(), keys.max()
 
 
 def _ready_count(keys: np.ndarray, threshold: float) -> int:

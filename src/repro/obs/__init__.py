@@ -14,8 +14,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    NULL_INSTRUMENT,
 )
 from repro.obs.instruments import (
     BufferInstruments,
@@ -32,8 +30,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_INSTRUMENT",
     "BufferInstruments",
     "ScanInstruments",
     "SchedulerInstruments",

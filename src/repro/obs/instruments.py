@@ -19,10 +19,8 @@ name                                      kind       meaning
 ``repro_step_retries_total``              counter    step retries consumed
 ``repro_step_backoff_seconds_total``      counter    backoff delay scheduled
 ``repro_partitions_quarantined_total``    counter    partitions skipped (degrade mode)
-``repro_snapshots_published_total``       counter    snapshots appended to buffers
-``repro_snapshot_lag_seconds``            histogram  produce-to-consume delay
-``repro_buffer_drops_total``              counter    snapshots subscribers missed
-``repro_buffer_evictions_total``          counter    snapshots evicted (bounded buffers)
+``repro_snapshots_published_total``       counter    snapshots published to subscribers
+``repro_snapshot_lag_seconds``            histogram  publish-to-consume delay
 ``repro_partitions_read_total``           counter    partitions delivered to scans
 ``repro_partitions_pruned_total``         counter    partitions skipped by zone maps
 ``repro_scan_rows_total``                 counter    rows delivered to scans
@@ -62,30 +60,21 @@ class ScanInstruments:
 
 
 class BufferInstruments:
-    """Snapshot-buffer lifecycle: publishes, consume lag, drops,
-    evictions.  Carries the registry clock so buffers can stamp
-    produce times without importing the registry."""
+    """Snapshot-buffer lifecycle: publishes and consume lag.  Carries
+    the registry clock so buffers can stamp publish times without
+    importing the registry."""
 
-    __slots__ = ("clock", "snapshots", "lag", "drops", "evictions")
+    __slots__ = ("clock", "snapshots", "lag")
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.clock = registry.clock
         self.snapshots = registry.counter(
             "repro_snapshots_published_total",
-            help="snapshots appended to session buffers",
+            help="snapshots published to session subscribers",
         )
         self.lag = registry.histogram(
             "repro_snapshot_lag_seconds",
             help="delay between a snapshot's publish and its consume",
-        )
-        self.drops = registry.counter(
-            "repro_buffer_drops_total",
-            help="snapshots subscribers missed to bounded-buffer "
-                 "eviction",
-        )
-        self.evictions = registry.counter(
-            "repro_buffer_evictions_total",
-            help="snapshots evicted from bounded session buffers",
         )
 
 

@@ -9,10 +9,9 @@ Design constraints, in order:
   allocation, no string formatting.  The ``metric-hot-lookup`` lint
   rule (:mod:`repro.analysis.lint`) enforces this shape for
   ``consume*``/``step()``/``__next__`` bodies.
-* **Zero cost when off.**  The disabled path uses
-  :class:`NullRegistry`, whose instruments are shared no-op singletons;
+* **Zero cost when off.**  Telemetry off means no registry at all:
   the only residual cost at an instrumented call site is one ``is not
-  None`` (or attribute) check.
+  None`` check.
 * **Determinism.**  The clock is injectable (``clock=``, default
   ``time.monotonic``), so replay-critical callers can pass a virtual
   clock and the PR 8 ``unseeded-random`` lint stays satisfiable.
@@ -202,10 +201,6 @@ class MetricsRegistry:
     as another.
     """
 
-    #: Discriminates a live registry from :class:`NullRegistry` without
-    #: an isinstance check at call sites.
-    enabled = True
-
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self.clock = clock
         self.created_at = clock()
@@ -375,71 +370,3 @@ def _label_str(labels: LabelSet,
         f'{key}="{_escape_label(str(value))}"' for key, value in items
     )
     return "{" + body + "}"
-
-
-# ---------------------------------------------------------------------------
-# Disabled path: shared no-op singletons
-# ---------------------------------------------------------------------------
-
-class NullInstrument:
-    """Accepts every instrument method as a no-op; a single shared
-    instance backs every disabled call site."""
-
-    kind = "null"
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    @property
-    def value(self) -> float:
-        return 0.0
-
-
-NULL_INSTRUMENT = NullInstrument()
-
-
-class NullRegistry:
-    """The telemetry-off registry: same surface, no state, no cost."""
-
-    enabled = False
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self.clock = clock
-        self.created_at = 0.0
-
-    def counter(self, name: str, help: str = "",
-                labels: Mapping[str, str] | None = None) -> NullInstrument:
-        return NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "",
-              labels: Mapping[str, str] | None = None) -> NullInstrument:
-        return NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets: Sequence[float] = (),
-                  help: str = "",
-                  labels: Mapping[str, str] | None = None) -> NullInstrument:
-        return NULL_INSTRUMENT
-
-    def register_view(self, name: str, fn: Callable[[], object],
-                      kind: str = "gauge", help: str = "") -> None:
-        pass
-
-    def uptime(self) -> float:
-        return 0.0
-
-    def to_dict(self) -> dict:
-        return {}
-
-    def render_prometheus(self) -> str:
-        return ""

@@ -6,8 +6,9 @@ Layering (bottom-up):
 * :class:`repro.engine.executor.StepExecutor` — the resumable executor
   whose quantum is one source partition;
 * :mod:`repro.service.session` — query lifecycle (SUBMITTED → RUNNING →
-  PAUSED/DONE/CANCELLED/FAILED) plus per-session snapshot buffers with
-  non-blocking subscription cursors;
+  PAUSED/DONE/CANCELLED/FAILED) plus per-session snapshot buffers —
+  views over the executor's edf — with non-blocking subscription
+  cursors;
 * :mod:`repro.service.scheduler` — a cooperative fair-share (stride)
   scheduler time-slicing partition-steps across sessions, with
   optional fault tolerance (:mod:`repro.service.retry`): transient

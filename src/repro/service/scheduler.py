@@ -21,7 +21,8 @@ step: a control call that is waiting gets it before the loop can start
 the next step, so it waits at most one step however busy the loop is
 (:class:`_HandoffLock`).  Subscribers never take this lock;
 they wait on the per-session buffer instead, so a slow consumer cannot
-block execution.
+block execution, and :meth:`FairShareScheduler.get` reads the session
+table without it.
 
 **Fault tolerance.**  With a :class:`~repro.service.retry.RetryPolicy`
 attached, a step that raises a *retry-safe transient* error (the
@@ -108,7 +109,6 @@ class FairShareScheduler:
 
     def __init__(
         self,
-        buffer_size: int | None = None,
         retry: RetryPolicy | None = None,
         metrics=None,
     ) -> None:
@@ -125,7 +125,6 @@ class FairShareScheduler:
         self._next_id = 1
         self._thread: threading.Thread | None = None
         self._stopping = False
-        self._buffer_size = buffer_size
         #: Fault-tolerance policy; ``None`` = fail-fast (no retries).
         self.retry = retry
         #: Optional :class:`repro.obs.instruments.ServiceInstruments`
@@ -161,7 +160,6 @@ class FairShareScheduler:
                 name or session_id,
                 executor,
                 priority=priority,
-                buffer_size=self._buffer_size,
                 buffer_metrics=self._buffer_metrics,
             )
             session.trace = trace
@@ -178,37 +176,17 @@ class FairShareScheduler:
         self,
         primary: QuerySession,
         name: str | None = None,
-    ) -> AttachedSession | None:
+    ) -> AttachedSession:
         """Register a new session that *replays* ``primary`` instead of
-        executing (the result-cache hit path).
-
-        The primary's retained snapshot prefix seeds the new session's
-        buffer and the primary's pump fans every later snapshot out to
-        it — all by reference, under the same lock the step loop uses,
-        so no snapshot can be missed or duplicated.  Returns ``None``
-        when the attach is impossible: bounded-buffer eviction already
-        dropped the primary's prefix (a replay could not be
-        byte-identical), which callers treat as a cache miss."""
-        with self._work:
-            if primary.buffer.evicted:
-                return None
+        executing (the result-cache hit path).  The new session reads
+        the primary's edf through a view of its buffer, so attaching is
+        O(1) and every snapshot it serves is the primary's own."""
+        with self._lock:
             session_id = f"s{self._next_id}"
             self._next_id += 1
-            attached = AttachedSession(
-                session_id,
-                name or primary.name,
-                primary,
-                buffer_size=self._buffer_size,
-                buffer_metrics=self._buffer_metrics,
-            )
-            for snapshot in primary.buffer.retained():
-                attached.buffer.append(snapshot)
+            attached = AttachedSession(session_id, name or primary.name,
+                                       primary)
             self._sessions[session_id] = attached
-            if primary.terminal:
-                attached.finish_from_primary(primary.state,
-                                             primary.error)
-            else:
-                primary.fanout.append(attached)
             return attached
 
     def _push(self, session: QuerySession) -> None:
@@ -221,14 +199,14 @@ class FairShareScheduler:
         )
 
     # -- lookup -------------------------------------------------------------------
-    def get(self, session_id: str) -> QuerySession:
-        with self._lock:
-            try:
-                return self._sessions[session_id]
-            except KeyError:
-                raise QueryError(
-                    f"no session {session_id!r}"
-                ) from None
+    def get(self, session_id: str) -> QuerySession | AttachedSession:
+        """The session registered as ``session_id``.  A plain dict read,
+        without the scheduler lock, so a lookup on the server's event
+        loop never waits out a running step."""
+        try:
+            return self._sessions[session_id]
+        except KeyError:
+            raise QueryError(f"no session {session_id!r}") from None
 
     def sessions(self) -> list[QuerySession]:
         with self._lock:
@@ -305,7 +283,6 @@ class FairShareScheduler:
                 session.detach()
                 return session.state
             session.epoch += 1
-            session.pump_snapshots()
             session.executor.close()
             session.finish(SessionState.CANCELLED)
             return session.state
@@ -365,7 +342,7 @@ class FairShareScheduler:
             session.steps += 1
             session.attempt = 0  # the current step succeeded
             session.vtime += 1.0 / session.priority
-            moved = session.pump_snapshots()
+            moved = session.buffer.publish()
             if trace is not None and moved:
                 trace.record_publish(moved)
             if session.executor.done:
@@ -411,13 +388,12 @@ class FairShareScheduler:
                 self._push(session)
                 self._work.notify_all()
                 return session
-        session.pump_snapshots()
         try:
             session.executor.close()
         finally:
-            # Seal with the error (propagated to attached sessions
-            # too): subscribers receive a terminal error event instead
-            # of inferring failure from silence.
+            # Seal with the error (attached sessions read the same
+            # buffer): subscribers receive a terminal error event
+            # instead of inferring failure from silence.
             session.finish(SessionState.FAILED, error=exc)
         return session
 

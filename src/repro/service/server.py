@@ -16,9 +16,10 @@ directions.  Requests carry an ``op``:
   memory; returns the removed session ids.
 * ``{"op": "metrics"}`` — the observability report: steps/s, retry/
   backoff counts, partitions read/pruned/quarantined, scan-share and
-  result-cache counters, per-session snapshot lag/drops/evictions,
-  plus the full registry series dump.  ``"format": "prometheus"``
-  returns the text exposition in a ``prometheus`` field instead; a
+  result-cache counters, per-session snapshot lag and subscriber
+  counts, plus the full registry series dump.
+  ``"format": "prometheus"`` returns the text exposition in a
+  ``prometheus`` field instead; a
   plain HTTP ``GET /metrics`` on the same port gets the text format
   directly (one-shot, for Prometheus scrapers).
 * ``{"op": "trace"}`` (retained trace summaries) or
@@ -27,11 +28,11 @@ directions.  Requests carry an ``op``:
 * ``{"op": "subscribe", "session": "s1", "start": 0,
   "include_frame": true}`` (``include_frame`` a boolean) → an ack
   line, then one ``{"event": "snapshot", ...}`` line per snapshot *as
-  it is produced*
-  (snapshots before ``start`` are replayed from the session buffer),
+  it is published*
+  (snapshots before ``start`` are replayed from the query's edf),
   terminated by ``{"event": "end", "state": "done" | "cancelled" |
-  "failed", "error": ...}``.  ``dropped`` on a snapshot counts
-  evictions a slow subscriber skipped (bounded buffers only); a
+  "failed", "error": ...}``.  Every published snapshot is delivered:
+  a slow subscriber falls behind but never skips one.  A
   ``degraded`` field appears once skip-and-degrade mode quarantines
   partitions (see :mod:`repro.service.retry`), and a FAILED session's
   stream always terminates with the ``end`` event carrying its error.
@@ -68,7 +69,6 @@ from repro.service.session import (
     AttachedSession,
     QuerySession,
     SessionState,
-    Subscription,
 )
 
 #: Poll interval for subscription reads — short enough that server
@@ -115,20 +115,18 @@ class QueryService:
       :func:`~repro.engine.plan_node.plan_hash` of their *optimized*
       plan (plus the option fingerprint that can change result bytes);
       a key match *attaches* to the in-flight or retained session —
-      replaying its snapshot prefix, O(prefix), zero execution —
-      instead of re-executing.  The cache is advisory: entries whose
-      session failed, was cancelled, was pruned, or whose buffer
-      evicted its prefix fall back to a fresh execution (and re-prime
-      the cache).  After mutating the catalog's underlying files,
-      call :meth:`invalidate_cache` — the plan hash keys table *names*,
-      not file contents.
+      reading its edf, O(1), zero execution — instead of
+      re-executing.  The cache is advisory: entries whose session
+      failed, was cancelled or was pruned fall back to a fresh
+      execution (and re-prime the cache).  After mutating the
+      catalog's underlying files, call :meth:`invalidate_cache` — the
+      plan hash keys table *names*, not file contents.
     """
 
     def __init__(
         self,
         ctx: WakeContext,
         plans: Mapping[str, Callable[..., EdfFrame]] | None = None,
-        buffer_size: int | None = None,
         retry: RetryPolicy | None = None,
         options: ExecutionOptions | None = None,
     ) -> None:
@@ -153,10 +151,8 @@ class QueryService:
             self.registry = None
             self.instruments = None
             self.tracer = None
-        self.scheduler = FairShareScheduler(
-            buffer_size=buffer_size, retry=retry,
-            metrics=self.instruments,
-        )
+        self.scheduler = FairShareScheduler(retry=retry,
+                                            metrics=self.instruments)
         #: Service-wide shared-scan pool (active only for sessions
         #: submitted with ``scan_share=True``).
         self.scan_share = ScanShareManager()
@@ -228,16 +224,6 @@ class QueryService:
             help="registered sessions by lifecycle state",
         )
         registry.register_view(
-            "repro_session_buffer_drops_total",
-            lambda: [
-                ({"session": s.session_id}, s.buffer.drops)
-                for s in self.scheduler.sessions()
-            ],
-            kind="counter",
-            help="snapshots subscribers of one session missed to "
-                 "eviction",
-        )
-        registry.register_view(
             "repro_session_snapshot_lag_seconds",
             lambda: [
                 ({"session": s.session_id}, s.buffer.last_lag)
@@ -269,8 +255,6 @@ class QueryService:
                 "steps": session.steps,
                 "snapshots": len(buffer),
                 "snapshot_lag_seconds": buffer.last_lag,
-                "drops": buffer.drops,
-                "evictions": buffer.evictions,
                 "subscribers": buffer.subscribers,
             }
         cache = self.cache_stats()
@@ -306,9 +290,10 @@ class QueryService:
             "scan_bytes_total": instruments.scan.bytes_read.value,
             "snapshots_published_total":
                 instruments.buffer.snapshots.value,
-            "buffer_drops_total": instruments.buffer.drops.value,
-            "buffer_evictions_total":
-                instruments.buffer.evictions.value,
+            # Every published snapshot is delivered, so nothing is
+            # ever dropped; the field stays for the end-to-end
+            # benchmark that reads it (ROADMAP item 6(a) retires it).
+            "buffer_drops_total": 0,
             "series": registry.to_dict(),
         })
         return report
@@ -383,8 +368,8 @@ class QueryService:
         self, cache_key: tuple, name: str
     ) -> AttachedSession | None:
         """Attach to the cached session for ``cache_key`` if it is
-        still usable; any dead entry (pruned, failed, cancelled,
-        prefix evicted) counts as a miss and is dropped."""
+        still usable; any dead entry (pruned, failed, cancelled) counts
+        as a miss and is dropped."""
         with self._cache_lock:
             primary_id = self._result_cache.get(cache_key)
         attached = None
@@ -437,9 +422,8 @@ class QueryService:
 
 
 def snapshot_event(
-    session: QuerySession,
+    session: QuerySession | AttachedSession,
     snapshot: EdfSnapshot,
-    dropped: int = 0,
     include_frame: bool = True,
 ) -> dict:
     """Serialize one snapshot as a wire event."""
@@ -454,8 +438,6 @@ def snapshot_event(
         "n_rows": snapshot.frame.n_rows,
         "final": snapshot.is_final,
     }
-    if dropped:
-        event["dropped"] = dropped
     degraded = session.degraded()
     if degraded is not None:
         # Skip-and-degrade mode: the answer is refining but is missing
@@ -723,30 +705,27 @@ class SnapshotServer:
 
     async def _stream_snapshots(
         self,
-        session: QuerySession,
+        session: QuerySession | AttachedSession,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
         start: int,
         include_frame: bool,
     ) -> None:
-        """Stream buffered + live snapshots until the session ends."""
+        """Stream published + live snapshots until the session ends."""
         loop = asyncio.get_running_loop()
-        subscription = Subscription(session.buffer, start=start)
+        subscription = session.subscribe(start=start)
         while True:
             # A subscriber that disconnects while the session is idle
             # (paused, or between snapshots) would otherwise keep this
             # polling coroutine alive until server shutdown.
             if reader.at_eof() or writer.is_closing():
                 return
-            seen_dropped = subscription.dropped
             snapshot = await loop.run_in_executor(
                 None, subscription.next, _SUBSCRIBE_POLL
             )
             if snapshot is not None:
                 writer.write(_encode(snapshot_event(
-                    session, snapshot,
-                    dropped=subscription.dropped - seen_dropped,
-                    include_frame=include_frame,
+                    session, snapshot, include_frame=include_frame,
                 )))
                 await writer.drain()
                 continue

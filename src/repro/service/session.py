@@ -1,25 +1,27 @@
-"""Query sessions: lifecycle state machine + snapshot buffers.
+"""Query sessions: lifecycle state machine + snapshot views.
 
 A :class:`QuerySession` wraps one :class:`~repro.engine.executor.
 StepExecutor` submitted to the service.  The scheduler thread drives it
 (``RUNNING`` → ``DONE``/``FAILED``); the control plane pauses, resumes,
-or cancels it.  Snapshots produced by the executor are pumped into a
-:class:`SnapshotBuffer` from which any number of subscribers read at
-their own pace — execution appends without ever blocking on a consumer,
-so a slow subscriber can never stall a query (backpressure is handled
-by eviction when the buffer is bounded, never by stalling the
-producer).
+or cancels it.  The executor's edf is the one list of a query's
+snapshots: the session's :class:`SnapshotBuffer` stores none of its own,
+it marks how much of the edf is published and lets any number of
+subscribers read that prefix at their own pace.  Execution publishes
+without ever blocking on a consumer, so a slow subscriber can never
+stall a query.  A result-cache hit (:class:`AttachedSession`) reads its
+primary's edf the same way.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 import time
 from enum import Enum
 from typing import Iterator
 
-from repro.core.edf import EdfSnapshot
+from repro.core.edf import EdfSnapshot, EvolvingDataFrame
 from repro.engine.executor import StepExecutor
 from repro.errors import QueryError
 
@@ -43,60 +45,68 @@ TERMINAL_STATES = frozenset(
 )
 
 
-class SnapshotBuffer:
-    """Append-only snapshot sequence with independent read cursors.
 
-    The producer (the scheduler thread) appends and never blocks; each
-    subscriber holds a cursor — the index of the next snapshot it wants
-    — and blocks (with optional timeout) only on *its own* reads.  With
-    ``maxlen`` set, only the newest ``maxlen`` snapshots are retained:
-    a lagging cursor skips forward and is told how many snapshots it
-    dropped.  ``close()`` wakes every waiting subscriber; a closed
-    buffer still serves the snapshots it retains.
+
+class SnapshotBuffer:
+    """The published prefix of one executor's edf, read through
+    independent cursors.
+
+    The buffer stores no snapshots: the edf is the one list.  The
+    producer (the scheduler thread) calls :meth:`publish` after each
+    step and never blocks; readers see only published indices — never a
+    snapshot the edf gained mid-step — and each blocks (with optional
+    timeout) only on *its own* reads.  ``close()`` wakes every waiting
+    reader; a closed buffer still serves everything it published.
+
+    :meth:`view` gives a result-cache hit its own handle on the same
+    prefix, with its own subscriber count and lag; :meth:`cut` ends a
+    view where its source stands without ending the source.
     """
 
-    def __init__(self, maxlen: int | None = None,
-                 metrics=None) -> None:
-        if maxlen is not None and maxlen < 1:
-            raise QueryError(f"buffer maxlen must be >= 1, got {maxlen}")
+    def __init__(self, edf: EvolvingDataFrame, metrics=None) -> None:
         self._cond = threading.Condition()
-        self._snapshots: list[EdfSnapshot] = []
-        self._base = 0  # global index of _snapshots[0]
-        self._maxlen = maxlen
+        self._edf = edf
+        #: The buffer whose publish()/close() this one follows (itself
+        #: unless it is a view).
+        self._source = self
+        self._published = 0
+        #: Where a cut view ends (None while it follows its source).
+        self._stop: int | None = None
         self._closed = False
         self._error: BaseException | None = None
-        # Cumulative server-side counters.  Always maintained (they are
-        # plain int adds) so `status` can report slow consumers even
-        # with telemetry off; the optional pre-bound BufferInstruments
-        # bundle additionally feeds the metrics registry and stamps
-        # produce times for the snapshot-lag histogram.
-        self._drops = 0
-        self._evictions = 0
+        # Reader counters are always kept (plain int adds) so `status`
+        # can report them with telemetry off; the optional pre-bound
+        # BufferInstruments bundle also feeds the metrics registry and
+        # stamps publish times for the snapshot-lag histogram.
         self._subscribers = 0
         self._last_lag: float | None = None
         self._metrics = metrics
-        self._times: list[float] = []  # aligned with _snapshots
+        self._times: list[float] = []  # publish time per published index
 
-    def append(self, snapshot: EdfSnapshot) -> None:
+    def view(self) -> "SnapshotBuffer":
+        """A new reader handle on this buffer's published prefix."""
+        view = SnapshotBuffer(self._edf)
+        view._cond = self._cond
+        view._source = self
+        return view
+
+    def publish(self) -> int:
+        """Publish every snapshot the edf gained since the last call and
+        wake the readers; returns how many.  Never blocks."""
         with self._cond:
-            self._snapshots.append(snapshot)
-            metrics = self._metrics
-            if metrics is not None:
-                self._times.append(metrics.clock())
-                metrics.snapshots.inc()
-            if (self._maxlen is not None
-                    and len(self._snapshots) > self._maxlen):
-                overflow = len(self._snapshots) - self._maxlen
-                del self._snapshots[:overflow]
+            moved = len(self._edf) - self._published
+            if moved:
+                metrics = self._metrics
                 if metrics is not None:
-                    del self._times[:overflow]
-                    metrics.evictions.inc(overflow)
-                self._base += overflow
-                self._evictions += overflow
-            self._cond.notify_all()
+                    self._times.extend(
+                        itertools.repeat(metrics.clock(), moved))
+                    metrics.snapshots.inc(moved)
+                self._published += moved
+                self._cond.notify_all()
+            return moved
 
     def close(self, error: BaseException | None = None) -> None:
-        """No more snapshots will ever arrive; wake all waiters.
+        """No more snapshots will ever be published; wake all waiters.
 
         ``error`` seals the buffer with the terminal failure, so
         subscribers that drain it learn *why* the stream ended instead
@@ -107,51 +117,45 @@ class SnapshotBuffer:
                 self._error = error
             self._cond.notify_all()
 
+    def cut(self) -> None:
+        """End this view at the count its source has published so far
+        (a detach): its readers drain that prefix and stop, while the
+        source and its other views go on."""
+        with self._cond:
+            self._stop = self._source._published
+            self._closed = True
+            self._cond.notify_all()
+
+    def _end(self) -> int:
+        """How many snapshots this buffer's readers may see (lock
+        held)."""
+        return self._source._published if self._stop is None else self._stop
+
     @property
     def closed(self) -> bool:
         with self._cond:
-            return self._closed
-
-    @property
-    def evicted(self) -> bool:
-        """True once bounded-buffer eviction has dropped the prefix —
-        a replay from snapshot 0 is no longer possible."""
-        with self._cond:
-            return self._base > 0
+            return self._closed or self._source._closed
 
     def retained(self) -> list[EdfSnapshot]:
-        """The snapshots currently retained (the full history unless
-        eviction dropped the prefix — check :attr:`evicted`)."""
+        """Every published snapshot, oldest first (the edf's own
+        objects)."""
         with self._cond:
-            return list(self._snapshots)
+            return list(itertools.islice(self._edf, self._end()))
 
     def latest(self) -> EdfSnapshot | None:
-        """The newest retained snapshot (None while empty)."""
+        """The newest published snapshot (None while nothing is)."""
         with self._cond:
-            return self._snapshots[-1] if self._snapshots else None
+            end = self._end()
+            return self._edf.snapshot(end - 1) if end else None
 
     @property
     def error(self) -> BaseException | None:
         """The terminal error the buffer was sealed with (None unless
         the producing session FAILED)."""
         with self._cond:
-            return self._error
+            return self._source._error if self._stop is None else None
 
     # -- observability views ------------------------------------------------------
-    @property
-    def drops(self) -> int:
-        """Cumulative snapshots *any* subscriber missed to eviction —
-        the server-side slow-consumer signal (per-subscriber counts
-        stay on each :class:`Subscription`)."""
-        with self._cond:
-            return self._drops
-
-    @property
-    def evictions(self) -> int:
-        """Cumulative snapshots evicted by the ``maxlen`` bound."""
-        with self._cond:
-            return self._evictions
-
     @property
     def subscribers(self) -> int:
         """Cursors ever opened over this buffer."""
@@ -160,7 +164,7 @@ class SnapshotBuffer:
 
     @property
     def last_lag(self) -> float | None:
-        """Most recent produce-to-consume delay in seconds (``None``
+        """Most recent publish-to-consume delay in seconds (``None``
         until a consume happens with telemetry on)."""
         with self._cond:
             return self._last_lag
@@ -171,49 +175,36 @@ class SnapshotBuffer:
             self._subscribers += 1
 
     def __len__(self) -> int:
-        """Total snapshots ever appended (independent of eviction)."""
+        """Snapshots published so far."""
         with self._cond:
-            return self._base + len(self._snapshots)
+            return self._end()
 
     def get(
         self, cursor: int, timeout: float | None = None
-    ) -> tuple[EdfSnapshot | None, int, int]:
-        """Read the snapshot at ``cursor`` (or the oldest retained one
-        past it), blocking until it exists.
-
-        Returns ``(snapshot, next_cursor, dropped)`` where ``dropped``
-        counts evicted snapshots the cursor skipped, or
-        ``(None, cursor, 0)`` when the buffer closed with nothing newer
-        (or the timeout expired).
-        """
+    ) -> EdfSnapshot | None:
+        """The published snapshot at ``cursor``, blocking until it
+        exists; ``None`` when the buffer closed before reaching
+        ``cursor`` or the timeout expired."""
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         with self._cond:
             while True:
-                end = self._base + len(self._snapshots)
-                if cursor < end:
-                    index = max(cursor, self._base)
-                    snapshot = self._snapshots[index - self._base]
-                    dropped = index - cursor
-                    if dropped:
-                        self._drops += dropped
-                    metrics = self._metrics
+                if cursor < self._end():
+                    source = self._source
+                    metrics = source._metrics
                     if metrics is not None:
-                        lag = (metrics.clock()
-                               - self._times[index - self._base])
+                        lag = metrics.clock() - source._times[cursor]
                         self._last_lag = lag
                         metrics.lag.observe(lag)
-                        if dropped:
-                            metrics.drops.inc(dropped)
-                    return snapshot, index + 1, dropped
-                if self._closed:
-                    return None, cursor, 0
+                    return self._edf.snapshot(cursor)
+                if self._closed or self._source._closed:
+                    return None
                 if deadline is None:
                     self._cond.wait()
                     continue
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    return None, cursor, 0
+                    return None
                 self._cond.wait(remaining)
 
 
@@ -222,9 +213,7 @@ class Subscription:
 
     def __init__(self, buffer: SnapshotBuffer, start: int = 0) -> None:
         self._buffer = buffer
-        self._cursor = start
-        #: Snapshots this subscriber missed to bounded-buffer eviction.
-        self.dropped = 0
+        self._cursor = max(start, 0)
         buffer.register_cursor()
 
     @property
@@ -234,10 +223,9 @@ class Subscription:
     def next(self, timeout: float | None = None) -> EdfSnapshot | None:
         """The next unseen snapshot, or ``None`` when the stream is over
         (buffer closed and drained) or ``timeout`` expired."""
-        snapshot, self._cursor, dropped = self._buffer.get(
-            self._cursor, timeout=timeout
-        )
-        self.dropped += dropped
+        snapshot = self._buffer.get(self._cursor, timeout=timeout)
+        if snapshot is not None:
+            self._cursor += 1
         return snapshot
 
     @property
@@ -260,19 +248,48 @@ class Subscription:
             yield snapshot
 
 
-def _buffer_status(buffer: SnapshotBuffer) -> dict:
-    """Server-side buffer health for ``status`` replies: cumulative
-    drops/evictions (previously visible only to the dropping
-    subscriber), subscriber count, and the latest consume lag."""
-    return {
-        "drops": buffer.drops,
-        "evictions": buffer.evictions,
-        "subscribers": buffer.subscribers,
-        "snapshot_lag_seconds": buffer.last_lag,
-    }
+class _Session:
+    """The surface subscribers and the control plane read off either
+    kind of session."""
+
+    #: True for a result-cache hit (:class:`AttachedSession`).
+    cache_hit = False
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in TERMINAL_STATES
+
+    def subscribe(self, start: int = 0) -> Subscription:
+        """A new cursor over this session's snapshots.  ``start=0``
+        replays from the first snapshot, so subscribers that attach
+        after completion still see the full refinement."""
+        return Subscription(self.buffer, start=start)
+
+    def status(self) -> dict:
+        """A JSON-friendly summary (the wire ``status`` payload)."""
+        buffer = self.buffer
+        latest = buffer.latest()
+        return {
+            "session": self.session_id,
+            "name": self.name,
+            "state": self.state.value,
+            "priority": self.priority,
+            "steps": self.steps,
+            "snapshots": len(buffer),
+            "t": latest.t if latest is not None else 0.0,
+            "final": latest.is_final if latest is not None else False,
+            "error": repr(self.error) if self.error is not None else None,
+            "retries": self.retries_used,
+            "degraded": self.degraded(),
+            "cache_hit": self.cache_hit,
+            "buffer": {
+                "subscribers": buffer.subscribers,
+                "snapshot_lag_seconds": buffer.last_lag,
+            },
+        }
 
 
-class QuerySession:
+class QuerySession(_Session):
     """One submitted query: executor + lifecycle + snapshot buffer.
 
     State is written only under the owning scheduler's lock (the
@@ -287,7 +304,6 @@ class QuerySession:
         name: str,
         executor: StepExecutor,
         priority: float = 1.0,
-        buffer_size: int | None = None,
         buffer_metrics=None,
     ) -> None:
         # NaN compares false against everything and infinity makes a
@@ -302,8 +318,7 @@ class QuerySession:
         self.priority = float(priority)
         self.state = SessionState.SUBMITTED
         self.error: BaseException | None = None
-        self.buffer = SnapshotBuffer(maxlen=buffer_size,
-                                     metrics=buffer_metrics)
+        self.buffer = SnapshotBuffer(executor.edf, metrics=buffer_metrics)
         self.steps = 0
         #: Consecutive failed attempts at the *current* step (reset to 0
         #: by the scheduler after any successful step or quarantine).
@@ -323,7 +338,6 @@ class QuerySession:
         self.epoch = 0
         self.submitted_at = time.monotonic()
         self.finished_at: float | None = None
-        self._pumped = 0
         #: Canonical plan hash (set by the service when the result
         #: cache is on; ``None`` for directly scheduled sessions).
         self.plan_hash: str | None = None
@@ -331,60 +345,24 @@ class QuerySession:
         #: ``scheduler.submit(trace=...)`` *before* the daemon step
         #: loop can touch the session, so no step goes unrecorded.
         self.trace = None
-        #: Attached sessions (result-cache hits) fed by this session's
-        #: pump — each receives a *reference* to every snapshot this
-        #: session produces (O(1) per snapshot, no copies).
-        self.fanout: list["AttachedSession"] = []
-
-    # -- scheduler side -----------------------------------------------------------
-    def pump_snapshots(self) -> int:
-        """Move newly produced executor snapshots into the buffer (and
-        every attached session's buffer — shared references, no
-        copies).  Returns how many were transferred.  Never blocks.
-        Indexed access keeps the per-step cost O(new snapshots), not
-        O(all snapshots ever produced)."""
-        edf = self.executor.edf
-        moved = 0
-        while self._pumped < len(edf):
-            snapshot = edf.snapshot(self._pumped)
-            self.buffer.append(snapshot)
-            for attached in self.fanout:
-                attached.buffer.append(snapshot)
-            self._pumped += 1
-            moved += 1
-        return moved
 
     def finish(
         self,
         state: SessionState,
         error: BaseException | None = None,
     ) -> None:
-        """Enter a terminal state: seal this session's buffer and
-        propagate the terminal state to every attached session (a
-        result-cache subscriber shares its primary's fate — DONE,
-        FAILED with the same error, or CANCELLED).  Called under the
-        scheduler lock."""
+        """Enter a terminal state: publish what the edf holds and seal
+        the buffer.  Every result-cache hit reading it ends with it —
+        DONE, FAILED with the same error, or CANCELLED.  Called under
+        the scheduler lock."""
         self.state = state
         if error is not None:
             self.error = error
-        self.buffer.close(error=error)
         self.finished_at = time.monotonic()
         if self.trace is not None:
             self.trace.finish(state=state.value)
-        for attached in self.fanout:
-            attached.finish_from_primary(state, error)
-        self.fanout = []
-
-    # -- shared views -------------------------------------------------------------
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    def subscribe(self, start: int = 0) -> Subscription:
-        """A new cursor over this session's snapshots.  ``start=0``
-        replays from the first retained snapshot, so subscribers that
-        attach after completion still see the full refinement."""
-        return Subscription(self.buffer, start=start)
+        self.buffer.publish()
+        self.buffer.close(error=error)
 
     def degraded(self) -> dict | None:
         """Degraded-state summary, or ``None`` for a healthy session.
@@ -410,77 +388,64 @@ class QuerySession:
                            if self.last_error is not None else None),
         }
 
-    def status(self) -> dict:
-        """A JSON-friendly summary (the wire ``status`` payload)."""
-        edf = self.executor.edf
-        count = len(edf)
-        latest = edf.snapshot(count - 1) if count else None
-        return {
-            "session": self.session_id,
-            "name": self.name,
-            "state": self.state.value,
-            "priority": self.priority,
-            "steps": self.steps,
-            "snapshots": count,
-            "t": latest.t if latest is not None else 0.0,
-            "final": latest.is_final if latest is not None else False,
-            "error": repr(self.error) if self.error is not None else None,
-            "retries": self.retries_used,
-            "degraded": self.degraded(),
-            "cache_hit": False,
-            "buffer": _buffer_status(self.buffer),
-        }
-
     def __repr__(self) -> str:
         return (f"QuerySession({self.session_id!r}, {self.name!r}, "
                 f"state={self.state.value})")
 
 
-class AttachedSession:
+class AttachedSession(_Session):
     """A result-cache hit: a session that *replays* another session's
     snapshots instead of executing.
 
     Created by :meth:`FairShareScheduler.attach` when a submit's
     canonical plan hash matches an in-flight (or retained) primary
-    session: the primary's retained snapshot prefix is seeded into this
-    session's buffer at attach time and every later snapshot is fanned
-    out by the primary's pump — all by reference, so an attach costs
-    O(prefix snapshots) pointer appends and zero execution.  The
+    session.  It reads the primary's edf through a view of the
+    primary's buffer, so an attach is O(1) and zero execution, and every
+    snapshot it serves is the primary's own object.  The
     subscriber-facing surface (``subscribe``/``status``/``degraded``)
     matches :class:`QuerySession`, so clients cannot tell (except via
     ``cache_hit``/``attached_to`` in ``status``) that nothing ran.
 
-    Lifecycle: the attached session mirrors its primary — it reaches
-    DONE/FAILED (same error) when the primary does.  ``cancel`` on an
-    attached session merely *detaches* it (the primary and any other
-    subscribers keep going); pause/resume are no-ops (there is no
-    execution to deschedule).
+    Lifecycle: state and error are the primary's.  ``cancel`` on an
+    attached session merely *detaches* it — its streams end at the
+    count published so far while the primary and any other subscribers
+    keep going; pause/resume are no-ops (there is no execution to
+    deschedule).
     """
+
+    cache_hit = True
 
     def __init__(
         self,
         session_id: str,
         name: str,
         primary: QuerySession,
-        buffer_size: int | None = None,
-        buffer_metrics=None,
     ) -> None:
         self.session_id = session_id
         self.name = name
         self.primary = primary
         self.priority = primary.priority
-        self.state = primary.state
-        self.error: BaseException | None = None
-        self.buffer = SnapshotBuffer(maxlen=buffer_size,
-                                     metrics=buffer_metrics)
+        self.buffer = primary.buffer.view()
         self.plan_hash = primary.plan_hash
         self.submitted_at = time.monotonic()
-        self.finished_at: float | None = None
+        self._detached_at: float | None = None
 
     # -- mirrored views ------------------------------------------------------------
     @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
+    def state(self) -> SessionState:
+        if self._detached_at is not None:
+            return SessionState.CANCELLED
+        return self.primary.state
+
+    @property
+    def error(self) -> BaseException | None:
+        return None if self._detached_at is not None else self.primary.error
+
+    @property
+    def finished_at(self) -> float | None:
+        if self._detached_at is not None:
+            return self._detached_at
+        return self.primary.finished_at
 
     @property
     def steps(self) -> int:
@@ -489,62 +454,31 @@ class AttachedSession:
         return self.primary.steps
 
     @property
+    def retries_used(self) -> int:
+        return self.primary.retries_used
+
+    @property
     def quarantined(self) -> list:
         return self.primary.quarantined
-
-    def subscribe(self, start: int = 0) -> Subscription:
-        return Subscription(self.buffer, start=start)
 
     def degraded(self) -> dict | None:
         """Degradation is shared state: a partition quarantined in the
         primary is missing from every attached subscriber's answer."""
         return self.primary.degraded()
 
-    def finish_from_primary(
-        self,
-        state: SessionState,
-        error: BaseException | None = None,
-    ) -> None:
-        """The primary reached a terminal state; mirror it (called
-        under the scheduler lock, via :meth:`QuerySession.finish`)."""
-        self.state = state
-        self.error = error
-        self.buffer.close(error=error)
-        self.finished_at = time.monotonic()
-
     def detach(self) -> None:
-        """Stop mirroring (the attached session's ``cancel``): seal the
-        buffer with what was replayed so far and leave the primary —
-        and its other subscribers — untouched."""
+        """Stop mirroring (the attached session's ``cancel``): end this
+        session's streams at what the primary has published and leave
+        the primary — and its other subscribers — untouched."""
         if self.terminal:
             return
-        self.state = SessionState.CANCELLED
-        if self in self.primary.fanout:
-            self.primary.fanout.remove(self)
-        self.buffer.close()
-        self.finished_at = time.monotonic()
+        self._detached_at = time.monotonic()
+        self.buffer.cut()
 
     def status(self) -> dict:
-        """The wire ``status`` payload — same shape as
-        :class:`QuerySession.status` plus the attach provenance."""
-        count = len(self.buffer)
-        latest = self.buffer.latest()
-        return {
-            "session": self.session_id,
-            "name": self.name,
-            "state": self.state.value,
-            "priority": self.priority,
-            "steps": self.steps,
-            "snapshots": count,
-            "t": latest.t if latest is not None else 0.0,
-            "final": latest.is_final if latest is not None else False,
-            "error": repr(self.error) if self.error is not None else None,
-            "retries": self.primary.retries_used,
-            "degraded": self.degraded(),
-            "cache_hit": True,
-            "attached_to": self.primary.session_id,
-            "buffer": _buffer_status(self.buffer),
-        }
+        """The wire ``status`` payload — :meth:`QuerySession.status`'s
+        shape plus the attach provenance."""
+        return {**super().status(), "attached_to": self.primary.session_id}
 
     def __repr__(self) -> str:
         return (f"AttachedSession({self.session_id!r}, {self.name!r}, "

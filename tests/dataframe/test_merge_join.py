@@ -209,15 +209,60 @@ def test_rows_held_back_across_watermarks():
 
 
 def test_nan_keys_never_pass_a_watermark():
-    """A NaN key compares below no watermark, so its rows stay buffered
-    and never join, while the rest of their partition does."""
-    left = [side(np.array([1.0, np.nan, 2.0]), DType.FLOAT64, "k", "lid")]
+    """A NaN key compares below no finite watermark, so its rows wait
+    for the EOF flush and join there, NaN to NaN as ``hash_join``
+    matches them; a NaN in a partition neither hides its other rows nor
+    freezes its side's watermark."""
+    left = [side(np.array([1.0, np.nan, 2.0]), DType.FLOAT64, "k", "lid"),
+            side(np.array([np.nan, np.nan]), DType.FLOAT64, "k", "lid"),
+            side(np.array([3.0, np.nan, 4.0]), DType.FLOAT64, "k", "lid")]
     right = [side(np.array([1.0, 2.0, np.nan]), DType.FLOAT64, "k2",
-                  "rid")]
-    got = DataFrame.concat(drive(left, right, [0, 1]))
-    assert got.column("k").tolist() == [1.0, 2.0]
-    assert got.column("lid").tolist() == [1, 21]
-    assert got.column("rid").tolist() == [1, 11]
+                  "rid"),
+             side(np.array([4.0, 3.0]), DType.FLOAT64, "k2", "rid")]
+    released = drive(left, right, [0, 1, 0, 0, 1])
+    # Both first partitions hold a NaN, yet both watermarks reached 2.0,
+    # so keys 1.0 and 2.0 joined before any EOF.
+    assert released[0].column("k").tolist() == [1.0, 2.0]
+    nan_rows = np.isnan(released[-1].column("k"))
+    assert nan_rows.sum() == 4  # three left NaN rows x one right
+    assert not any(np.isnan(frame.column("k")).any()
+                   for frame in released[:-1])
+    expected = hash_join(DataFrame.concat(left), DataFrame.concat(right),
+                         ["k"], ["k2"])
+    assert_same_bytes(canonical(DataFrame.concat(released)),
+                      canonical(expected))
+
+
+@st.composite
+def nan_operator_case(draw):
+    """Float-key partitions with NaN keys dropped in at random rows."""
+    sides = []
+    for key, payload in (("k", "lid"), ("k2", "rid")):
+        parts = []
+        for part in clustered_parts(draw, DType.FLOAT64, key, payload,
+                                    True):
+            keys = part.column(key).copy()
+            if len(keys):
+                keys[draw(st.lists(st.integers(0, len(keys) - 1),
+                                   max_size=2))] = np.nan
+            parts.append(DataFrame({key: keys,
+                                    payload: part.column(payload)},
+                                   schema=part.schema))
+        sides.append(parts)
+    left, right = sides
+    schedule = draw(st.permutations([0] * len(left) + [1] * len(right)))
+    return left, right, list(schedule)
+
+
+@given(nan_operator_case())
+@settings(max_examples=100, deadline=None)
+def test_operator_matches_hash_join_with_nan_keys(case):
+    left, right, schedule = case
+    released = drive(left, right, schedule)
+    expected = hash_join(DataFrame.concat(left), DataFrame.concat(right),
+                         ["k"], ["k2"])
+    assert_same_bytes(canonical(DataFrame.concat(released)),
+                      canonical(expected))
 
 
 def test_empty_sides_flush_an_empty_join():

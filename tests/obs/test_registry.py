@@ -1,5 +1,5 @@
 """Unit tests for the metrics registry (counters, gauges, histograms,
-views, Prometheus exposition, and the disabled null path)."""
+views and Prometheus exposition)."""
 
 import threading
 
@@ -9,8 +9,6 @@ from repro.errors import QueryError
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
-    NULL_INSTRUMENT,
-    NullRegistry,
 )
 
 
@@ -207,21 +205,3 @@ class TestPrometheusRender:
         assert 'lat_bucket{le="+Inf"} 2' in text
         assert 'lat_sum 5.05' in text
         assert 'lat_count 2' in text
-
-
-class TestNullRegistry:
-    def test_disabled_surface_is_inert(self):
-        reg = NullRegistry()
-        assert reg.enabled is False
-        assert reg.counter("x") is NULL_INSTRUMENT
-        assert reg.gauge("x") is NULL_INSTRUMENT
-        assert reg.histogram("x") is NULL_INSTRUMENT
-        reg.register_view("x", lambda: 0)
-        NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.dec()
-        NULL_INSTRUMENT.set(5)
-        NULL_INSTRUMENT.observe(1.0)
-        assert NULL_INSTRUMENT.value == 0.0
-        assert reg.to_dict() == {}
-        assert reg.render_prometheus() == ""
-        assert reg.uptime() == 0.0

@@ -8,6 +8,10 @@ Wire-level tests cover the same surface through
 ``ServiceClient``/:class:`SessionHandle` over a real socket.
 """
 
+import json
+import socket
+import threading
+
 import pytest
 
 from repro import ExecutionOptions, F, WakeContext, col
@@ -75,6 +79,21 @@ class TestAttach:
         assert all(a is b for a, b in zip(got, expected))
         assert got[-1].is_final
 
+    def test_one_snapshot_list_per_query(self, catalog):
+        """Primary and hit both serve the executor's own edf objects."""
+        service = _service(catalog)
+        primary = service.submit("sum_by_cust")
+        service.scheduler.run_once()
+        attached = service.submit("sum_by_cust")
+        while service.scheduler.run_once() is not None:
+            pass
+        edf = primary.executor.edf
+        for session in (primary, attached):
+            retained = session.buffer.retained()
+            assert len(retained) == len(edf) > 0
+            assert all(retained[i] is edf.snapshot(i)
+                       for i in range(len(edf)))
+
     def test_attach_after_done_replays_everything(self, catalog):
         service = _service(catalog)
         primary = service.submit("total")
@@ -134,14 +153,37 @@ class TestLifecycle:
         primary = service.submit("sum_by_cust")
         service.scheduler.run_once()
         attached = service.submit("sum_by_cust")
+        other = service.submit("sum_by_cust")
+        cut = len(primary.buffer)
         state = service.scheduler.cancel(attached.session_id)
         assert state is SessionState.CANCELLED
-        assert attached not in primary.fanout
-        # The primary and the cache entry are untouched.
+        # The primary, the other hit and the cache entry are untouched.
         while service.scheduler.run_once() is not None:
             pass
         assert primary.state is SessionState.DONE
+        assert other.state is SessionState.DONE
         assert service.submit("sum_by_cust").status()["cache_hit"]
+        # Only the detached hit's stream ends, at the count published
+        # when it detached.
+        assert len(drain(attached)) == len(attached.buffer) == cut
+        assert len(drain(other)) == len(drain(primary)) > cut
+        assert attached.error is None
+
+    def test_detach_wakes_a_waiting_subscriber(self, catalog):
+        service = _service(catalog)
+        primary = service.submit("sum_by_cust")
+        service.scheduler.run_once()
+        attached = service.submit("sum_by_cust")
+        subscription = attached.subscribe(start=len(primary.buffer))
+        result = []
+        reader = threading.Thread(
+            target=lambda: result.append(subscription.next()))
+        reader.start()
+        service.scheduler.cancel(attached.session_id)
+        reader.join(timeout=5.0)
+        assert not reader.is_alive()
+        assert result == [None] and subscription.finished
+        assert not primary.terminal
 
     def test_primary_cancel_propagates(self, catalog):
         service = _service(catalog)
@@ -170,6 +212,34 @@ class TestLifecycle:
         assert attached.error is primary.error
         assert attached.subscribe().error is primary.error
 
+    def test_failed_primary_error_reaches_the_hit_end_event(
+        self, catalog
+    ):
+        injector = FaultInjector(seed=11)
+        injector.plan_fault("sales", 1, "permanent", times=1)
+        service = QueryService(
+            WakeContext(injector.wrap_catalog(catalog)), plans=_plans(),
+            options=ExecutionOptions(result_cache=True),
+        )
+        primary = service.submit("sum_by_cust")
+        service.scheduler.run_once()
+        attached = service.submit("sum_by_cust")
+        service.scheduler.run_until_idle()
+        assert primary.state is SessionState.FAILED
+        server = SnapshotServer(service, port=0).start()
+        try:
+            with ServiceClient(port=server.port, timeout=30) as client:
+                events = list(client.subscribe(attached.session_id))
+        finally:
+            server.stop()
+        end = events[-1]
+        assert end["event"] == "end"
+        assert end["session"] == attached.session_id
+        assert end["state"] == "failed"
+        assert end["error"] == repr(primary.error)
+        assert [e["sequence"] for e in events[:-1]] == [
+            s.sequence for s in primary.buffer.retained()]
+
     def test_pause_resume_are_noops_on_attached(self, catalog):
         service = _service(catalog)
         service.submit("sum_by_cust")
@@ -191,19 +261,6 @@ class TestLifecycle:
 
 
 class TestCacheHygiene:
-    def test_evicted_prefix_is_a_miss(self, catalog):
-        service = _service(catalog, buffer_size=1)
-        primary = service.submit("sum_by_cust")
-        while service.scheduler.run_once() is not None:
-            pass
-        assert primary.buffer.evicted
-        fresh = service.submit("sum_by_cust")
-        # A replay could not be byte-identical, so it re-executes (and
-        # the entry is re-primed to the fresh session).
-        assert isinstance(fresh, QuerySession)
-        stats = service.cache_stats()
-        assert stats == {"hits": 0, "misses": 2, "entries": 1}
-
     def test_cancelled_entry_self_heals(self, catalog):
         service = _service(catalog)
         primary = service.submit("total")
@@ -303,6 +360,37 @@ class TestWire:
                     for e in events
                 ]
             assert norm(replay) == norm(done)
+
+    def test_late_attach_replays_byte_identically(self, server):
+        """A hit submitted after its primary finished streams the same
+        NDJSON bytes as the primary, but for its own session id."""
+
+        def raw_stream(session_id):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=30) as sock:
+                stream = sock.makefile("rwb")
+                stream.write(json.dumps({
+                    "op": "subscribe", "session": session_id,
+                }).encode() + b"\n")
+                stream.flush()
+                stream.readline()  # the ack
+                lines = []
+                while True:
+                    line = stream.readline()
+                    lines.append(line)
+                    if json.loads(line)["event"] == "end":
+                        return lines
+
+        with ServiceClient(port=server.port, timeout=30) as client:
+            first = client.submit("sum_by_cust")
+            primary = raw_stream(str(first))
+            second = client.submit("sum_by_cust")
+            assert second.cache_hit is True
+            replay = raw_stream(str(second))
+        own = json.dumps(str(second)).encode()
+        theirs = json.dumps(str(first)).encode()
+        assert len(replay) == len(primary) > 1
+        assert [line.replace(own, theirs) for line in replay] == primary
 
     def test_per_submit_result_cache_override(self, server):
         with ServiceClient(port=server.port, timeout=30) as client:

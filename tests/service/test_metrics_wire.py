@@ -99,8 +99,9 @@ class TestMetricsOp:
         assert per_session["steps"] >= 1
         # The subscriber consumed every snapshot, so lag was measured.
         assert per_session["snapshot_lag_seconds"] >= 0
-        assert per_session["drops"] == 0
         assert per_session["subscribers"] == 1
+        assert per_session["snapshots"] == reply[
+            "snapshots_published_total"]
         # The full labeled series dump rides along.
         assert "repro_steps_total" in reply["series"]
         lag = reply["series"]["repro_session_snapshot_lag_seconds"]
@@ -155,36 +156,6 @@ class TestMetricsOp:
 
 
 class TestBufferHealth:
-    def test_bounded_buffer_drops_surface_everywhere(self, catalog):
-        ctx = WakeContext(catalog)
-        service = QueryService(ctx, plans=_plans(), buffer_size=1,
-                               options=TELEMETRY)
-        server = SnapshotServer(service, port=0).start()
-        try:
-            with ServiceClient(port=server.port, timeout=30) as client:
-                session = client.submit("sum_by_cust")
-                while client.status(session)["state"] != "done":
-                    pass
-                # Subscribe only after completion: with a 1-slot buffer
-                # every earlier snapshot was evicted, so the late
-                # subscriber skips ahead (drops > 0).
-                final = [
-                    e for e in client.subscribe(session)
-                    if e.get("event") == "snapshot"
-                ]
-                assert len(final) == 1
-                assert final[0]["final"] is True
-                status = client.status(session)["buffer"]
-                assert status["evictions"] >= 1
-                assert status["drops"] >= 1
-                reply = client.metrics()
-                assert reply["buffer_evictions_total"] >= 1
-                assert reply["buffer_drops_total"] >= 1
-                per_session = reply["sessions"][str(session)]
-                assert per_session["evictions"] >= 1
-        finally:
-            server.stop()
-
     def test_status_reports_buffer_health_without_telemetry(
         self, dark_server
     ):
@@ -192,9 +163,8 @@ class TestBufferHealth:
                            timeout=30) as client:
             session = _run_to_end(client, "total")
             buffer = client.status(session)["buffer"]
-            assert buffer["drops"] == 0
-            assert buffer["evictions"] == 0
-            assert buffer["subscribers"] == 1
+            assert buffer == {"subscribers": 1,
+                              "snapshot_lag_seconds": None}
 
     def test_cache_and_scan_share_live_on_the_metrics_op_only(
         self, server, client

@@ -1,5 +1,6 @@
 """FairShareScheduler: fairness, priorities, pause/resume/cancel."""
 
+import inspect
 import math
 import threading
 import time
@@ -105,6 +106,40 @@ class TestScheduling:
         scheduler = FairShareScheduler()
         with pytest.raises(QueryError):
             scheduler.pause("nope")
+
+
+class TestSurface:
+    @pytest.mark.parametrize("cls", [FairShareScheduler, QueryService])
+    def test_no_buffer_size_knob(self, cls):
+        """Snapshots live in the executor's edf alone, so there is no
+        buffer to bound."""
+        assert "buffer_size" not in \
+            inspect.signature(cls.__init__).parameters
+
+    def test_get_does_not_wait_for_the_lock(self, catalog):
+        """A lookup is a plain dict read: it answers while another
+        thread holds the scheduler lock (as a running step does)."""
+        scheduler = FairShareScheduler()
+        session = scheduler.submit(_executor(catalog))
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with scheduler._lock:
+                held.set()
+                release.wait(10)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        try:
+            assert held.wait(10)
+            started = time.monotonic()
+            assert scheduler.get(session.session_id) is session
+            with pytest.raises(QueryError):
+                scheduler.get("s999")
+            assert time.monotonic() - started < 1.0
+        finally:
+            release.set()
+            holder.join()
 
 
 class TestPauseResumeCancel:

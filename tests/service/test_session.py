@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import F, WakeContext
+from repro.core.edf import EvolvingDataFrame
 from repro.errors import QueryError
 from repro.service import (
     QuerySession,
@@ -22,20 +23,43 @@ def _snapshots(ctx_catalog, n=None):
     return snaps if n is None else snaps[:n]
 
 
+def _edf(snaps):
+    edf = EvolvingDataFrame("test")
+    for snapshot in snaps:
+        edf.append(snapshot)
+    return edf
+
+
 class TestSnapshotBuffer:
     def test_append_then_read_in_order(self, catalog):
+        """Snapshots appended to the edf are read in order once
+        published."""
         snaps = _snapshots(catalog)
-        buffer = SnapshotBuffer()
-        for s in snaps:
-            buffer.append(s)
+        buffer = SnapshotBuffer(_edf(snaps))
+        assert buffer.publish() == len(snaps)
+        assert buffer.publish() == 0  # idempotent
         sub = Subscription(buffer)
         got = [sub.next(timeout=0.1) for _ in snaps]
-        assert [s.sequence for s in got] == [s.sequence for s in snaps]
-        assert sub.dropped == 0
+        assert all(a is b for a, b in zip(got, snaps))
+
+    def test_unpublished_snapshots_are_invisible(self, catalog):
+        """Readers see published indices only, never what the edf
+        gained mid-step."""
+        snaps = _snapshots(catalog, 2)
+        edf = _edf(snaps[:1])
+        buffer = SnapshotBuffer(edf)
+        buffer.publish()
+        edf.append(snaps[1])
+        assert len(buffer) == 1
+        assert buffer.retained() == [snaps[0]]
+        assert buffer.latest() is snaps[0]
+        sub = Subscription(buffer, start=1)
+        assert sub.next(timeout=0.01) is None
 
     def test_read_blocks_until_append(self, catalog):
         snaps = _snapshots(catalog, 1)
-        buffer = SnapshotBuffer()
+        edf = EvolvingDataFrame("test")
+        buffer = SnapshotBuffer(edf)
         sub = Subscription(buffer)
         result = []
 
@@ -44,52 +68,68 @@ class TestSnapshotBuffer:
 
         thread = threading.Thread(target=reader)
         thread.start()
-        buffer.append(snaps[0])
+        edf.append(snaps[0])
+        buffer.publish()
         thread.join(timeout=5.0)
         assert not thread.is_alive()
         assert result[0] is snaps[0]
 
     def test_timeout_returns_none(self):
-        sub = Subscription(SnapshotBuffer())
+        sub = Subscription(SnapshotBuffer(EvolvingDataFrame("test")))
         assert sub.next(timeout=0.01) is None
         assert not sub.finished
 
-    def test_close_wakes_waiters_and_finishes(self, catalog):
+    def test_close_wakes_waiters_and_finishes(self):
+        buffer = SnapshotBuffer(EvolvingDataFrame("test"))
+        sub = Subscription(buffer)
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(sub.next()))
+        thread.start()
+        buffer.close()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert result == [None]
+        assert sub.finished
+
+    def test_closed_buffer_still_replays(self, catalog):
         snaps = _snapshots(catalog, 2)
-        buffer = SnapshotBuffer()
-        for s in snaps:
-            buffer.append(s)
+        buffer = SnapshotBuffer(_edf(snaps))
+        buffer.publish()
         buffer.close()
         sub = Subscription(buffer)
-        assert list(sub) == snaps  # replay still works after close
+        assert list(sub) == snaps
         assert sub.finished
         assert sub.next(timeout=0.01) is None
 
-    def test_bounded_buffer_evicts_and_reports_drops(self, catalog):
-        snaps = _snapshots(catalog)
-        assert len(snaps) >= 4
-        buffer = SnapshotBuffer(maxlen=2)
-        slow = Subscription(buffer)
-        for s in snaps:
-            buffer.append(s)  # producer never blocks
-        buffer.close()
-        got = list(slow)
-        assert len(got) == 2  # only the newest two retained
-        assert got == snaps[-2:]
-        assert slow.dropped == len(snaps) - 2
-        assert len(buffer) == len(snaps)  # total appended, not retained
-
     def test_fresh_cursor_is_not_penalized(self, catalog):
         snaps = _snapshots(catalog, 3)
-        buffer = SnapshotBuffer()
-        for s in snaps:
-            buffer.append(s)
+        buffer = SnapshotBuffer(_edf(snaps))
+        buffer.publish()
         late = Subscription(buffer, start=len(snaps))
         assert late.next(timeout=0.01) is None  # nothing new yet
 
-    def test_bad_maxlen_rejected(self):
-        with pytest.raises(QueryError):
-            SnapshotBuffer(maxlen=0)
+    def test_cut_view_ends_without_ending_its_source(self, catalog):
+        snaps = _snapshots(catalog, 3)
+        edf = _edf(snaps[:1])
+        source = SnapshotBuffer(edf)
+        source.publish()
+        view = source.view()
+        waiting = Subscription(view, start=1)
+        result = []
+        thread = threading.Thread(
+            target=lambda: result.append(waiting.next()))
+        thread.start()
+        view.cut()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert result == [None] and waiting.finished
+        for snapshot in snaps[1:]:
+            edf.append(snapshot)
+        source.publish()
+        assert view.retained() == snaps[:1]
+        assert source.retained() == snaps
+        assert not source.closed
 
 
 class TestQuerySession:
@@ -109,18 +149,23 @@ class TestQuerySession:
         assert status["snapshots"] == 0
 
     def test_pump_moves_new_snapshots_only(self, catalog):
+        """Publishing moves no snapshot: the buffer reads the
+        executor's own edf."""
         session = self._session(catalog)
         while session.executor.step():
-            session.pump_snapshots()
-        total = len(session.executor.edf)
-        assert len(session.buffer) == total
-        assert session.pump_snapshots() == 0  # idempotent
+            session.buffer.publish()
+        assert session.buffer.publish() == 0
+        edf = session.executor.edf
+        retained = session.buffer.retained()
+        assert len(retained) == len(edf) == len(session.buffer) > 0
+        assert all(retained[i] is edf.snapshot(i)
+                   for i in range(len(edf)))
 
     def test_status_reports_progress(self, catalog):
         session = self._session(catalog)
         while session.executor.step():
             pass
-        session.pump_snapshots()
+        session.buffer.publish()
         status = session.status()
         assert status["t"] == 1.0
         assert status["final"] is True
@@ -130,11 +175,12 @@ class TestQuerySession:
             self._session(catalog, priority=0)
 
     def test_late_subscriber_replays_everything(self, catalog):
+        """``finish`` publishes what the edf holds and seals it."""
         session = self._session(catalog)
         while session.executor.step():
-            session.pump_snapshots()
-        session.buffer.close()
-        sub = session.subscribe()
-        replayed = list(sub)
+            pass
+        session.finish(SessionState.DONE)
+        replayed = list(session.subscribe())
         assert [s.sequence for s in replayed] == list(
             range(len(session.executor.edf)))
+        assert session.subscribe().error is None
