@@ -7,11 +7,13 @@ a locked float add) when it is on — no label-dict allocation, no
 registry lookup per message (enforced by the ``metric-hot-lookup``
 lint rule).  This experiment measures it end to end: the same TPC-H
 queries driven through the fair-share scheduler bare vs fully
-instrumented (registry + tracer + scan metrics attached), interleaved
-to cancel drift, medians compared.  The rounds run in ``PASSES``
-interleaved passes and each round counts with its fastest pass
-(``fastest_per_sample``), so foreign load that lands in one pass does
-not read as telemetry cost.
+instrumented (registry + tracer + scan metrics attached).  The two arms
+run as back-to-back pairs, in alternating order, and the guard reads
+the median of the per-pair ratios: the two runs of a pair share the
+machine's state, so foreign load that lands on one pair moves both of
+its runs instead of reading as telemetry cost.  Comparing each arm's
+own median of its fastest of three passes (``fastest_per_sample``)
+read 0.88–1.10 on unchanged code on a shared 2-cpu VM.
 
 Acceptance bar (CI perf guard): **<= 5 % median overhead**.
 
@@ -25,15 +27,13 @@ import time
 import numpy as np
 
 from repro import WakeContext
-from repro.bench.metrics import fastest_per_sample
 from repro.bench.report import banner, format_table
 from repro.obs import MetricsRegistry, ServiceInstruments, Tracer
 from repro.service import FairShareScheduler, SessionState
 from repro.tpch.queries import QUERIES
 
 QUERY_NUMBERS = (1, 6)
-ROUNDS = 5
-PASSES = 3
+ROUNDS = 15
 
 
 def _run_once(catalog, number, telemetry):
@@ -67,38 +67,39 @@ def test_telemetry_overhead_under_5_percent(bench_data, guard, emit):
     catalog, _tables = bench_data
     for number in QUERY_NUMBERS:  # warm page cache + imports
         _run_once(catalog, number, False)
-    plain = {n: [[] for _ in range(PASSES)] for n in QUERY_NUMBERS}
-    metered = {n: [[] for _ in range(PASSES)] for n in QUERY_NUMBERS}
-    for pass_no in range(PASSES):
-        for _ in range(ROUNDS):  # interleaved: drift hits both arms alike
-            for number in QUERY_NUMBERS:
-                plain[number][pass_no].append(
-                    _run_once(catalog, number, False)[0])
-                metered[number][pass_no].append(
-                    _run_once(catalog, number, True)[0])
+    plain: dict[int, list[float]] = {n: [] for n in QUERY_NUMBERS}
+    metered: dict[int, list[float]] = {n: [] for n in QUERY_NUMBERS}
+    for round_no in range(ROUNDS):  # interleaved pairs, ABAB / BABA
+        for number in QUERY_NUMBERS:
+            arms = [(False, plain), (True, metered)]
+            if round_no % 2:
+                arms.reverse()
+            for telemetry, times in arms:
+                times[number].append(
+                    _run_once(catalog, number, telemetry)[0])
 
     rows = []
-    base_total = obs_total = 0.0
+    ratios: list[float] = []
     for number in QUERY_NUMBERS:
-        base = float(np.median(fastest_per_sample(*plain[number])))
-        with_obs = float(np.median(fastest_per_sample(*metered[number])))
-        base_total += base
-        obs_total += with_obs
-        rows.append([f"q{number:02d}", base * 1000.0,
-                     with_obs * 1000.0, with_obs / max(base, 1e-9)])
-    # Guard the aggregate: per-query medians on ~20 ms runs carry a few
-    # percent of scheduler-noise jitter; the sum across queries is the
-    # stable signal a real regression would move.
-    ratio = obs_total / max(base_total, 1e-9)
-    rows.append(["total", base_total * 1000.0, obs_total * 1000.0,
-                 ratio])
+        pairs = (np.asarray(metered[number])
+                 / np.maximum(plain[number], 1e-9))
+        ratios.extend(pairs)
+        rows.append([f"q{number:02d}", np.median(plain[number]) * 1000.0,
+                     np.median(metered[number]) * 1000.0,
+                     float(np.median(pairs))])
+    # Guard the median over every pair of both queries: one pair's
+    # ratio carries a few percent of scheduler jitter, the median of
+    # 2 x ROUNDS of them is the stable signal a regression would move.
+    ratio = float(np.median(ratios))
+    rows.append(["all pairs", np.median(sum(plain.values(), [])) * 1000.0,
+                 np.median(sum(metered.values(), [])) * 1000.0, ratio])
 
     emit(banner(
         f"E16 — telemetry overhead, full instrumentation ({ROUNDS} "
-        f"rounds x {PASSES} passes, median of each round's fastest)"
+        f"rounds, median of per-pair ratios)"
     ))
     emit(format_table(
-        ["query", "bare ms", "instrumented ms", "ratio"], rows
+        ["query", "bare ms", "instrumented ms", "median ratio"], rows
     ))
     guard("obs_overhead_ratio", ratio, 1.05, op="<=")
 

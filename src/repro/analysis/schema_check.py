@@ -23,7 +23,7 @@ schema (what the operators call instead of evaluating expressions on
 probe frames), and the graph walk that runs every reachable operator's
 derivation output→sources *without binding*, so a bad plan is rejected
 at submit before any partition is read and the optimizer's
-rewrite-soundness checker can re-run it after every rule firing within
+rewrite-soundness checker can re-run it after every pushdown pass within
 the < 5 ms planning budget (``benchmarks/bench_optimizer.py``).
 
 Nothing here imports ``repro.engine``: the operators import
@@ -305,8 +305,8 @@ def validate_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
 
 
 def source_labels(graph: QueryGraph, output: int) -> frozenset[str]:
-    """The strict-digest-visible source set: the progress label of
-    every source reachable from ``output``.  Sound rewrites must
+    """The reachable source set: the progress label of every source
+    reachable from ``output``.  Sound rewrites must
     preserve it — a rewrite that drops or relabels a scan changes which
     progress counters exist and therefore the snapshot contract."""
     operators = (

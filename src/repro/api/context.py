@@ -21,7 +21,7 @@ from repro.core.edf import EvolvingDataFrame
 from repro.engine.executor import StepExecutor
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import ReadOperator
-from repro.engine.optimizer import OptimizerTrace, build_optimizer
+from repro.engine.optimizer import OptimizerTrace, optimize
 from repro.obs import OperatorProfiler, maybe_span
 from repro.storage.catalog import Catalog, TableMeta
 from repro.api.frame_api import EdfFrame, PlanNode
@@ -72,8 +72,8 @@ class WakeContext:
         self.partition_shuffle_seed = partition_shuffle_seed
         #: Executor of the most recent ``run`` / ``stream``.
         self.last_executor: StepExecutor | None = None
-        #: Trace of the most recent submit's optimization (rule → nodes
-        #: rewritten, pass count, plan hash).
+        #: Trace of the most recent submit's optimization (pass → nodes
+        #: rewritten, soundness checks, plan hash).
         self.last_trace: OptimizerTrace | None = None
         #: Per-operator profile of the most recent
         #: ``explain(mode="profile")`` run.
@@ -134,9 +134,8 @@ class WakeContext:
         trace=None,
     ) -> tuple[QueryGraph, int]:
         """Instantiate the plan, statically validate it, and run the
-        rule optimizer over it (logical rules to fixed point, then the
-        scan pushdowns) under ``options`` (``None``: the session's
-        :attr:`options`).  The per-submit trace lands in
+        optimizer's scan pushdowns over it under ``options`` (``None``:
+        the session's :attr:`options`).  The per-submit trace lands in
         :attr:`last_trace`; ``trace`` (a
         :class:`~repro.obs.SessionTrace`, or ``None``) records the
         validate/optimize phases as lifecycle spans."""
@@ -149,15 +148,8 @@ class WakeContext:
             # plans here, before any partition is read.
             with maybe_span(trace, "validate"):
                 validate_plan(graph, output)
-        optimizer = build_optimizer(
-            pushdown=opts.pushdown,
-            optimize=opts.optimize,
-            disable=opts.optimizer_disable,
-        )
         with maybe_span(trace, "optimize"):
-            graph, output, self.last_trace = optimizer.optimize(
-                graph, output
-            )
+            self.last_trace = optimize(graph, output, opts.pushdown)
         return graph, output
 
     def run(
@@ -208,7 +200,7 @@ class WakeContext:
         trace=None,
     ) -> StepExecutor:
         """A resumable :class:`StepExecutor` over the materialized plan
-        (after the optimizer and pushdowns) — what :meth:`run` and
+        (after the optimizer's pushdowns) — what :meth:`run` and
         :meth:`stream` drive and the unit the multi-query service
         schedules (see :mod:`repro.service`).  Each ``step()`` consumes
         one source partition; stepping to completion yields snapshot
@@ -231,8 +223,8 @@ class WakeContext:
                 options: ExecutionOptions | None = None,
                 mode: str = "plan") -> str:
         """Human-readable plan: node names, deliveries, schemas (after
-        the optimizer has run), followed by the optimizer trace —
-        rule name → nodes rewritten — and the canonical plan hash.
+        the optimizer has run), followed by the optimizer trace — the
+        canonical plan hash and pass name → nodes rewritten.
 
         Scan nodes additionally render their pushed-down projection
         (``columns=[...]``), pushed predicates, and how many partitions

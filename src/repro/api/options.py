@@ -13,7 +13,7 @@ instead of re-executing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.errors import QueryError
 from repro.core.orderstat import DEFAULT_SKETCH_SIZE, QUANTILE_MODES
@@ -26,9 +26,8 @@ class ExecutionOptions:
     Every field is checked at construction (boolean fields must be
     ``bool``), so a bundle that exists is a valid one:
 
-    * ``pushdown`` — scan projection + zone-map partition pruning.
-    * ``optimize`` / ``optimizer_disable`` — plan-rewrite master switch
-      and per-rule escape hatch (rule names validated eagerly).
+    * ``pushdown`` — the optimizer's two passes, scan projection and
+      zone-map partition pruning; off, a plan runs as written.
     * ``validate`` — static schema/type checking at submit.
     * ``quantile_mode`` / ``sketch_size`` — exact vs reservoir-sketch
       order statistics.
@@ -47,8 +46,6 @@ class ExecutionOptions:
     """
 
     pushdown: bool = True
-    optimize: bool = True
-    optimizer_disable: frozenset[str] = field(default_factory=frozenset)
     validate: bool = True
     quantile_mode: str = "exact"
     sketch_size: int = DEFAULT_SKETCH_SIZE
@@ -72,15 +69,6 @@ class ExecutionOptions:
             raise QueryError(
                 f"sketch_size must be >= 2, got {self.sketch_size}"
             )
-        # Rule names fail eagerly (typos surface at construction, not
-        # at the first submit); import deferred to dodge the
-        # api -> engine -> api cycle at module-import time.
-        from repro.engine.optimizer import validate_rule_names
-
-        object.__setattr__(
-            self, "optimizer_disable",
-            validate_rule_names(self.optimizer_disable),
-        )
 
     def merged(self, **overrides) -> "ExecutionOptions":
         """A copy with the non-``None`` overrides applied, re-validated

@@ -54,14 +54,8 @@ def _add_run(sub: argparse._SubParsersAction) -> None:
                    help="query parameter override (repeatable)")
     p.add_argument("--no-pushdown", action="store_true",
                    help="disable scan pushdown (projection + zone-map "
-                        "partition pruning)")
-    p.add_argument("--no-optimize", action="store_true",
-                   help="disable every plan-rewrite rule (the plan runs "
-                        "exactly as written)")
-    p.add_argument("--disable-rule", action="append", default=[],
-                   metavar="RULE",
-                   help="disable one optimizer rule by name "
-                        "(repeatable; see repro.engine.RULE_NAMES)")
+                        "partition pruning): the plan runs exactly as "
+                        "written")
 
 
 def _add_explain(sub: argparse._SubParsersAction) -> None:
@@ -74,12 +68,6 @@ def _add_explain(sub: argparse._SubParsersAction) -> None:
                         "schema instead of the physical plan")
     p.add_argument("--no-pushdown", action="store_true",
                    help="show the plan without scan pushdown")
-    p.add_argument("--no-optimize", action="store_true",
-                   help="show the plan with every rewrite rule off")
-    p.add_argument("--disable-rule", action="append", default=[],
-                   metavar="RULE",
-                   help="disable one optimizer rule by name "
-                        "(repeatable)")
 
 
 def _add_profile(sub: argparse._SubParsersAction) -> None:
@@ -203,8 +191,6 @@ def _options(args: argparse.Namespace) -> ExecutionOptions:
     serving = args.command == "serve"
     return ExecutionOptions(
         pushdown=not args.no_pushdown,
-        optimize=not getattr(args, "no_optimize", False),
-        optimizer_disable=getattr(args, "disable_rule", ()),
         scan_share=serving and not args.no_scan_share,
         result_cache=serving and not args.no_result_cache,
         telemetry=serving and args.metrics,

@@ -70,8 +70,6 @@ class AggregateOperator(Operator):
     #: ``none``    — raw merged values, no scaling (pin w = 0).
     GROWTH_MODES = ("fitted", "uniform", "none")
 
-    mergeable = True
-
     def __init__(
         self,
         name: str,
@@ -217,7 +215,7 @@ class AggregateOperator(Operator):
             return True
         return wanted
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         specs = tuple(
             (s.agg, s.column, s.alias, s.param) for s in self.specs
         )

@@ -6,8 +6,8 @@ conservative defaults — ``_derive_info`` (output schema / keys /
 clustering / delivery, raising coded :class:`PlanValidationError` errors),
 ``required_inputs`` (column demand, default: everything) and
 ``signature`` (canonical form, default: opaque) — so validation,
-``explain``, projection pushdown, plan hashing and CSE all read the
-class and nothing else.  ``bind`` fixes the derived
+``explain``, projection pushdown and plan hashing all read the class
+and nothing else.  ``bind`` fixes the derived
 :class:`StreamInfo` once per execution and lets ``_on_bound`` pick
 runtime modes from it.  At run time the executor feeds the operator
 messages (``on_message``) and EOF markers (``on_eof``); the operator
@@ -44,11 +44,6 @@ class Operator:
 
     #: number of input ports (0 for sources)
     n_inputs: int = 1
-    #: Common-subplan elimination may merge strict-signature-equal
-    #: siblings of this type.  Only sound for single-input,
-    #: deterministic, message-per-message operators with no state shared
-    #: outside the instance, so it is opt-in.
-    mergeable: bool = False
     #: Input ports buffered to EOF before the other ports stream; the
     #: executor drains the sources feeding them first.
     build_ports: tuple[int, ...] = ()
@@ -96,12 +91,12 @@ class Operator:
         across versions."""
         return True
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         """Plain hashable values that, with the input subtrees, decide
-        when two nodes are the same.  ``alpha=False`` must keep every
-        byte-relevant detail (CSE merges on it); ``alpha=True`` may drop
-        presentation order (``plan_hash`` uses it).  The default is
-        unique per instance: never merged, never hash-equal."""
+        when two nodes produce the same bytes (``plan_hash``, the result
+        cache's key, is built from them).  Must keep every detail that
+        can change output bytes, output order included.  The default is
+        unique per instance: never hash-equal."""
         return ("opaque", self.name, id(self))
 
     def fail(self, code: str, message: str,

@@ -29,8 +29,6 @@ from repro.engine.ops.base import Operator
 class DistinctOperator(Operator):
     """Deduplicate rows on ``subset`` columns (all columns if empty)."""
 
-    mergeable = True
-
     def __init__(self, name: str, subset: Sequence[str] = ()) -> None:
         super().__init__(name)
         self.subset = tuple(subset)
@@ -66,7 +64,7 @@ class DistinctOperator(Operator):
         # An empty subset means "distinct over all columns".
         return [required | set(self.subset) if self.subset else None]
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         return (self.subset,)
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:

@@ -25,8 +25,6 @@ from repro.storage.zonemap import SargablePredicate, sargable_conjuncts
 class FilterOperator(Operator):
     """Keep rows satisfying ``predicate``."""
 
-    mergeable = True
-
     def __init__(self, name: str, predicate: Expr) -> None:
         super().__init__(name)
         self.predicate = predicate
@@ -81,7 +79,7 @@ class FilterOperator(Operator):
     def reads_versions(self, port: int, wanted: bool) -> bool:
         return wanted
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         return (canon_expr(self.predicate),)
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:

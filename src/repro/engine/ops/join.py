@@ -113,10 +113,13 @@ class _JoinOperator(Operator):
             return [None, None]
         left, right = input_schemas
         renames = self._right_renames(left, right, right_on)
+        right_req = {name for name, out in renames.items() if out in required}
+        # A right column surfaces under its suffixed name only while the
+        # same-named left column exists, so that left column stays.
+        collided = {name for name in right_req if renames[name] != name}
         return [
-            (required & set(left.names)) | set(left_on),
-            {name for name, out in renames.items() if out in required}
-            | set(right_on),
+            (required & set(left.names)) | collided | set(left_on),
+            right_req | set(right_on),
         ]
 
 
@@ -201,10 +204,8 @@ class HashJoinOperator(_JoinOperator):
         # its EOF; each probe version is joined on its own.
         return wanted if port == 0 else False
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         pairs = tuple(zip(self.left_on, self.right_on))
-        if alpha:
-            pairs = tuple(sorted(pairs))
         return (pairs, self.how, self.suffix)
 
     # -- run time -----------------------------------------------------------------
@@ -342,7 +343,7 @@ class MergeJoinOperator(_JoinOperator):
             input_schemas, required, (self.left_on,), (self.right_on,)
         )
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         return (self.left_on, self.right_on, self.suffix)
 
     def _key(self, port: int) -> str:
@@ -552,7 +553,7 @@ class CrossJoinOperator(_JoinOperator):
         # Every product is of the latest version of a REPLACE side.
         return wanted
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         return (self.suffix,)
 
     def _product(self, left: DataFrame, right: DataFrame) -> DataFrame:

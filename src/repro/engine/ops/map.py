@@ -46,8 +46,6 @@ class SelectOperator(Operator):
     columns via the delta method (§6 "Variance Propagation").
     """
 
-    mergeable = True
-
     def __init__(
         self,
         name: str,
@@ -129,20 +127,24 @@ class SelectOperator(Operator):
     def required_inputs(self, input_schemas, required):
         # A select *evaluates* every expression regardless of what is
         # consumed downstream, so its demand is exactly what the
-        # expressions reference — it never passes columns through.
+        # expressions reference (plus, with ``propagate_ci``, their
+        # sigma companions) — it never passes columns through.
+        (schema,) = input_schemas
         needed: set[str] = set()
         for _out, expr in self.exprs:
             needed |= set(expr.columns())
+            if self.propagate_ci:
+                needed |= set(self._sigma_sources(expr, schema).values())
         return [needed]
 
     def reads_versions(self, port: int, wanted: bool) -> bool:
         return wanted
 
-    def signature(self, alpha: bool) -> tuple:
-        exprs = [(name, canon_expr(expr)) for name, expr in self.exprs]
-        if alpha:
-            exprs = sorted(exprs)
-        return (tuple(exprs), self.propagate_ci)
+    def signature(self) -> tuple:
+        exprs = tuple(
+            (name, canon_expr(expr)) for name, expr in self.exprs
+        )
+        return (exprs, self.propagate_ci)
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         frame = message.frame
@@ -220,7 +222,7 @@ class MapPartitionsOperator(Operator):
             delivery=info.delivery,
         )
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         # An arbitrary callable's behaviour is opaque: identity is the
         # only sound equality, so two *different* function objects never
         # compare equal (and never hash together).

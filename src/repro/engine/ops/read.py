@@ -252,15 +252,10 @@ class ReadOperator(SourceOperator):
             delivery=Delivery.DELTA,
         )
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         preds = tuple(sorted(repr(p) for p in self.predicates))
         order = tuple(self.order) if self.order is not None else None
-        # The source label carries a per-context scan counter;
-        # α-equivalent plans reading the same table must hash together,
-        # but strict equality keeps it (progress counters are keyed by
-        # it).
-        label = self.meta.name if alpha else self.source_name
-        return (self.meta.name, label, order, self.columns, preds)
+        return (self.meta.name, order, self.columns, preds)
 
     def stream(self) -> Iterator[Message]:
         """A fresh retry-safe cursor over the table's partitions (see

@@ -35,8 +35,6 @@ class SortLimitOperator(Operator):
     """Sort by keys (optional) and keep the first ``limit`` rows
     (optional).  At least one of the two must be requested."""
 
-    mergeable = True
-
     def __init__(
         self,
         name: str,
@@ -83,7 +81,7 @@ class SortLimitOperator(Operator):
     def reads_versions(self, port: int, wanted: bool) -> bool:
         return wanted
 
-    def signature(self, alpha: bool) -> tuple:
+    def signature(self) -> tuple:
         ascending = self.ascending
         if not isinstance(ascending, bool):
             ascending = tuple(bool(a) for a in ascending)

@@ -1,25 +1,18 @@
-"""Canonical structural plan forms and stable plan hashing.
+"""Canonical plan forms and the stable plan hash.
 
-The optimizer (``repro.engine.optimizer``) needs two related notions of
-"the same plan":
-
-* **strict structural equality** — two nodes compute byte-identical
-  message streams when fed the same inputs.  This is what common-subplan
-  elimination may merge.  Operator *names* are excluded (they carry a
-  per-plan counter), but anything that affects output bytes — select
-  output order, aggregate spec order — is kept verbatim.
-* **α-equivalence** — a coarser, order-insensitive form used for
-  :func:`plan_hash`: commuted conjuncts (``a & b`` vs ``b & a``),
-  literal-on-the-left comparisons (``5 < x`` vs ``x > 5``), select
-  rename order, and scan source labels are all normalized away.  Two
-  α-equivalent plans answer the same query, so the hash is a sound cache
-  key for shared-scan / snapshot caching (ROADMAP item 1).
-
-Both are built from each operator's own ``signature(alpha)`` method
-(:class:`repro.engine.ops.base.Operator`): an operator class that does
-not define one gets a globally *unique* opaque signature, so unknown
-operators can never be merged by CSE and two plans containing them can
-never collide to one hash — conservative by construction.
+:func:`plan_hash` is the result cache's key (``repro.service``): two
+plans with equal hashes must produce byte-identical snapshot frames.
+It is built from each operator's own ``signature()`` method
+(:class:`repro.engine.ops.base.Operator`), which keeps every detail that
+can change output bytes — select output order, aggregate spec order,
+join key order — and drops only what cannot: scan source labels (a
+per-context counter) and operator names.  Expressions enter through
+:func:`canon_expr`, which collapses forms that evaluate to bitwise the
+same array (commuted conjuncts ``a & b`` vs ``b & a``, literal-on-the-
+left comparisons ``5 < x`` vs ``x > 5``).  An operator class that does
+not define ``signature`` gets a globally *unique* opaque one, so two
+plans containing it never collide to one hash — conservative by
+construction.
 
 Nothing here imports the operators: they import :func:`canon_expr`
 for their signatures, not the other way round.
@@ -63,13 +56,6 @@ _FLIPPED = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
 # ---------------------------------------------------------------------------
 # Expression canonicalization
 # ---------------------------------------------------------------------------
-
-def flatten_conjuncts(expr: Expr) -> list[Expr]:
-    """The top-level ``&`` conjuncts of ``expr`` in syntactic order."""
-    if isinstance(expr, BinaryExpr) and expr.symbol == "&":
-        return flatten_conjuncts(expr.left) + flatten_conjuncts(expr.right)
-    return [expr]
-
 
 def canon_expr(expr: Expr) -> tuple:
     """A hashable canonical form of ``expr``.
@@ -124,60 +110,30 @@ def _flatten(expr: Expr, symbol: str) -> list[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Whole-plan digests
+# Plan hash
 # ---------------------------------------------------------------------------
 
-def node_digests(graph: QueryGraph, alpha: bool = False) -> dict[int, str]:
-    """Per-node digest of the subtree rooted at each node.
+def plan_hash(graph: QueryGraph, output: int) -> str:
+    """Stable hash of the plan rooted at ``output``.
 
-    Two nodes share a digest iff their operator signatures (type name
-    plus the operator's own ``signature(alpha)``) and their whole input
-    subtrees match (port order preserved — joins are not symmetric).  Insertion order is topological, so one forward sweep
-    suffices.
+    Equal for plans that differ only in commuted conjuncts/commutative
+    operands, flipped comparisons, aggregate-name synonyms, scan source
+    labels, or operator-name counters; different whenever any literal,
+    column, output order, aggregate spec, join shape, or table differs.
+    16 hex chars (64 bits) — the result-cache key.
     """
+    graph.validate_output(output)
+    # Per-node digest of the subtree rooted at each node: operator type
+    # and signature plus the input digests in port order (joins are not
+    # symmetric).  Insertion order is topological, so one forward sweep
+    # suffices.
     digests: dict[int, str] = {}
     for nid in sorted(graph.nodes):
         node = graph.node(nid)
         op = node.operator
-        signature = (type(op).__name__,) + tuple(op.signature(alpha))
+        signature = (type(op).__name__,) + tuple(op.signature())
         payload = repr(
             (signature, tuple(digests[i] for i in node.inputs))
         )
         digests[nid] = hashlib.sha256(payload.encode()).hexdigest()
-    return digests
-
-
-def plan_hash(graph: QueryGraph, output: int) -> str:
-    """Stable α-equivalence hash of the plan rooted at ``output``.
-
-    Equal for plans that differ only in select rename order, commuted
-    conjuncts/commutative operands, flipped comparisons, scan source
-    labels, or operator-name counters; different whenever any literal,
-    column, aggregate spec, join shape, or table differs.  16 hex chars
-    (64 bits) — the shared-scan/snapshot-cache key of ROADMAP item 1.
-    """
-    graph.validate_output(output)
-    return node_digests(graph, alpha=True)[output][:16]
-
-
-def plans_alpha_equal(
-    a: QueryGraph, a_output: int, b: QueryGraph, b_output: int
-) -> bool:
-    """True when the two plans are α-equivalent (same :func:`plan_hash`
-    preimage, compared at full digest width)."""
-    return (
-        node_digests(a, alpha=True)[a_output]
-        == node_digests(b, alpha=True)[b_output]
-    )
-
-
-def duplicate_groups(graph: QueryGraph) -> dict[str, list[int]]:
-    """Strict-digest groups with more than one node, restricted to
-    operators that declare themselves ``mergeable`` (the CSE
-    candidates), keyed by digest, node ids ascending."""
-    digests = node_digests(graph, alpha=False)
-    groups: dict[str, list[int]] = {}
-    for nid in sorted(graph.nodes):
-        if graph.node(nid).operator.mergeable:
-            groups.setdefault(digests[nid], []).append(nid)
-    return {d: ids for d, ids in groups.items() if len(ids) > 1}
+    return digests[output][:16]

@@ -4,7 +4,9 @@ The pushdown passes walk the graph from the output back to the sources
 collecting, per :class:`ReadOperator`, (1) the set of columns any
 downstream operator can ever reference (each operator's own
 ``required_inputs``) — threaded into the scan as a *projection* so npz
-partitions decompress only the needed arrays (:func:`projection_pass`) —
+partitions decompress only the needed arrays, after dropping the outputs
+of a select whose sole consumer is an aggregate that does not read them
+(:func:`projection_pass`) —
 and (2) the sargable conjuncts of downstream single-subscriber filters,
 evaluated against the catalog's per-partition zone maps to *skip*
 partitions entirely (:func:`pruning_pass`; see
@@ -20,7 +22,12 @@ from __future__ import annotations
 from repro.analysis.schema_check import infer_plan
 from repro.dataframe.expr import Column
 from repro.engine.graph import QueryGraph
-from repro.engine.ops import FilterOperator, ReadOperator, SelectOperator
+from repro.engine.ops import (
+    AggregateOperator,
+    FilterOperator,
+    ReadOperator,
+    SelectOperator,
+)
 from repro.storage.zonemap import SargablePredicate
 
 
@@ -72,22 +79,42 @@ def _collect_scan_predicates(
 def projection_pass(graph: QueryGraph, output: int) -> int:
     """Narrow each scan to the columns anything downstream can read.
 
-    Mutates :class:`ReadOperator` instances in place (each execution
+    A select whose sole consumer is an aggregate drops the outputs that
+    aggregate does not read, so its own demand — and the scan below it —
+    narrows too.  An aggregate passes no column through and decides
+    ``local_mode`` by its group keys, which are kept, so its demand is
+    exact.  ``propagate_ci`` selects keep all outputs: their sigma
+    columns are not in ``exprs``.
+    Mutates :class:`ReadOperator` and
+    :class:`SelectOperator` instances in place (each execution
     materializes fresh operators, so no plan state leaks across runs);
     runs before anything binds the graph.  Returns the number of scans
-    narrowed.
+    and selects narrowed.
     """
     infos = infer_plan(graph, output)
     required: dict[int, set[str] | None] = {
         nid: set() for nid in graph.nodes
     }
     required[output] = None
+    subs = graph.subscribers()
+    narrowed = 0
     # Insertion order is topological, so a reverse sweep sees every
     # consumer before its producers.
     for nid in sorted(graph.nodes, reverse=True):
         node = graph.node(nid)
         if nid in infos:
-            reqs = node.operator.required_inputs(
+            op = node.operator
+            if (isinstance(op, SelectOperator) and not op.propagate_ci
+                    and len(subs[nid]) == 1
+                    and isinstance(graph.node(subs[nid][0][0]).operator,
+                                   AggregateOperator)):
+                kept = [(n, e) for n, e in op.exprs if n in required[nid]]
+                if len(kept) < len(op.exprs):
+                    # A frame with zero columns has zero rows: keep one
+                    # output to preserve row counts.
+                    op.exprs = kept or op.exprs[:1]
+                    narrowed += 1
+            reqs = op.required_inputs(
                 tuple(infos[i].schema for i in node.inputs), required[nid]
             )
         else:
@@ -99,7 +126,6 @@ def projection_pass(graph: QueryGraph, output: int) -> int:
             elif required[input_id] is not None:
                 required[input_id] |= req
 
-    narrowed = 0
     for nid in graph.source_ids():
         op = graph.node(nid).operator
         if not isinstance(op, ReadOperator):

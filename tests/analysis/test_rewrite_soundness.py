@@ -1,10 +1,11 @@
-"""Optimizer rewrite-soundness: after every rule firing, the plan's
-inferred output schema, delivery, and strict-digest-visible source set
-must be exactly what they were before the rewrite.
+"""Optimizer rewrite-soundness: after every pushdown pass, the plan's
+inferred output schema, delivery, and source set must be exactly what
+they were before the rewrite.
 
-Checked three ways: every TPC-H plan through the full rule stack
-(strict mode — any drift raises), each rule in isolation, and a hypothesis sweep over randomly composed filter/select/
-aggregate chains."""
+Checked three ways: every TPC-H plan through the optimizer (strict
+mode — any drift raises), each pass in isolation, and a hypothesis
+sweep over randomly composed filter/select/join/aggregate chains.  A
+sabotaged pass shows the check itself fires."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from repro import F, WakeContext, col
 from repro.analysis import plan_fingerprint
 from repro.engine.graph import QueryGraph
-from repro.engine.optimizer import RULE_NAMES, build_optimizer
+from repro.engine import optimizer
+from repro.engine.planner import projection_pass, pruning_pass
 from repro.errors import PlanValidationError
 from repro.tpch.queries import QUERIES
 
@@ -34,12 +36,10 @@ def _materialize(frame):
     return graph, output
 
 
-def _optimize_strict(frame, disable=()):
+def _optimize_strict(frame):
     graph, output = _materialize(frame)
     before = plan_fingerprint(graph, output)
-    optimizer = build_optimizer(disable=disable)
-    optimizer.strict = True
-    graph, output, trace = optimizer.optimize(graph, output)
+    trace = optimizer.optimize(graph, output, strict=True)
     after = plan_fingerprint(graph, output)
     return before, after, trace
 
@@ -59,51 +59,30 @@ def test_tpch_rewrites_sound(tpch, number):
         assert check.ok, f"{check.rule}: {check.detail}"
 
 
-def _synthetic_frames(ctx):
-    """Shapes TPC-H lacks: a select computing a column no aggregate
-    reads (aggregate-projection) and a duplicated filter→aggregate
-    chain over one scan (common-subplan)."""
-    sales = ctx.table("sales")
-    pruneable = sales.select(
-        okey=col("okey"), qty=col("qty"), extra=col("qty") * 2
-    ).agg(F.sum("qty").alias("s"), by=["okey"])
-
-    def chain():
-        return (
-            sales.filter(col("qty") > 5.0)
-            .agg(F.sum("qty").alias("s"), by=["okey"])
-        )
-
-    duplicated = chain().join(chain(), on=[("okey", "okey")])
-    return [pruneable, duplicated]
+#: Each pass by the name the trace records it under.
+PASSES = {
+    "predicate-pushdown": pruning_pass,
+    "projection-pushdown": projection_pass,
+}
 
 
-@pytest.mark.parametrize("rule", RULE_NAMES)
-def test_each_rule_in_isolation(tpch, catalog, rule):
-    """Disable everything but one rule: its firings alone must also
-    preserve the plan invariant (catches rules that only look sound
-    because a later rule repairs their damage)."""
-    tpch_catalog, _tables = tpch
-    others = tuple(name for name in RULE_NAMES if name != rule)
-    frames = []
-    for number in sorted(QUERIES):
-        ctx = WakeContext(tpch_catalog)
-        frames.append((f"q{number}", QUERIES[number].build_plan(
-            ctx, **OVERRIDES.get(number, {})
-        )))
-    frames += [
-        (f"synthetic{i}", frame)
-        for i, frame in enumerate(
-            _synthetic_frames(WakeContext(catalog))
-        )
-    ]
+@pytest.mark.parametrize("rule", sorted(PASSES))
+def test_each_rule_in_isolation(tpch, rule):
+    """Run one pass alone: its rewrites must preserve the plan invariant
+    on their own (catches a pass that only looks sound because the other
+    repairs its damage)."""
+    catalog, _tables = tpch
     fired_anywhere = 0
-    for label, frame in frames:
-        before, after, trace = _optimize_strict(frame, disable=others)
-        assert after == before, f"{label}: {rule} drifted the plan"
-        fired_anywhere += sum(
-            f.rewrites for f in trace.firings if f.rule == rule
+    for number in sorted(QUERIES):
+        ctx = WakeContext(catalog)
+        frame = QUERIES[number].build_plan(
+            ctx, **OVERRIDES.get(number, {})
         )
+        graph, output = _materialize(frame)
+        before = plan_fingerprint(graph, output)
+        fired_anywhere += PASSES[rule](graph, output)
+        after = plan_fingerprint(graph, output)
+        assert after == before, f"q{number}: {rule} drifted the plan"
     assert fired_anywhere > 0, f"{rule} never fired on any plan"
 
 
@@ -116,49 +95,51 @@ def test_checks_recorded_in_trace(tpch):
     assert any("rewrite checks:" in line for line in trace.render())
 
 
-def test_unsound_rewrite_raises_in_strict_mode(catalog, monkeypatch):
-    """Sabotage a rule so it fires but corrupts the plan: strict mode
-    must refuse the rewrite with a structured error."""
-    from repro.engine import optimizer as opt_mod
-    from repro.engine.ops import SelectOperator
+def _narrow_below_output(graph, output):
+    """A sabotaged projection pass: narrows the scan to one column the
+    output does not read, starving the output of the rest."""
+    (read_id,) = graph.source_ids()
+    graph.node(read_id).operator.set_columns({"okey"})
+    return 1
 
+
+def _sales_filter(catalog):
     ctx = WakeContext(catalog)
-    frame = ctx.table("sales").filter(col("qty") > 1).filter(
-        col("qty") < 49
+    return ctx.table("sales").filter(col("qty") > 1).select(
+        qty="qty", cust="cust"
     )
-    graph, output = _materialize(frame)
 
-    class DropColumn:
-        name = "combine-filters"  # impersonate a known rule
 
-        def apply(self, graph, output):
-            node_id = graph.add(
-                SelectOperator("narrow", [("okey", col("okey"))]),
-                (output,),
-            )
-            return graph, node_id, 1
-
-    optimizer = opt_mod.Optimizer([DropColumn()], [])
-    optimizer.strict = True
+def test_unsound_rewrite_raises_in_strict_mode(catalog, monkeypatch):
+    """Sabotage a pass so it fires but corrupts the plan: strict mode
+    must refuse the rewrite with a structured error."""
+    monkeypatch.setattr(optimizer, "projection_pass", _narrow_below_output)
+    graph, output = _materialize(_sales_filter(catalog))
     with pytest.raises(PlanValidationError) as info:
-        optimizer.optimize(graph, output)
+        optimizer.optimize(graph, output, strict=True)
     assert info.value.code == "unsound-rewrite"
+    assert "projection-pushdown" in str(info.value)
 
     # Non-strict: same corruption is recorded, not raised.
-    graph, output = _materialize(frame)
-    optimizer = opt_mod.Optimizer([DropColumn()], [])
-    optimizer.strict = False
-    _graph, _output, trace = optimizer.optimize(graph, output)
+    graph, output = _materialize(_sales_filter(catalog))
+    trace = optimizer.optimize(graph, output, strict=False)
     assert not trace.rewrites_sound
-    assert any(not check.ok for check in trace.checks)
+    (bad,) = [check for check in trace.checks if not check.ok]
+    assert bad.rule == "projection-pushdown"
+    assert any("UNSOUND projection-pushdown" in line
+               for line in trace.render())
 
 
 def test_env_var_enables_strict(catalog, monkeypatch):
+    monkeypatch.setattr(optimizer, "projection_pass", _narrow_below_output)
     monkeypatch.setenv("REPRO_CHECK_REWRITES", "1")
-    optimizer = build_optimizer()
-    assert optimizer.strict is True
+    graph, output = _materialize(_sales_filter(catalog))
+    with pytest.raises(PlanValidationError) as info:
+        optimizer.optimize(graph, output)
+    assert info.value.code == "unsound-rewrite"
     monkeypatch.setenv("REPRO_CHECK_REWRITES", "0")
-    assert build_optimizer().strict is False
+    graph, output = _materialize(_sales_filter(catalog))
+    assert not optimizer.optimize(graph, output).rewrites_sound
 
 
 # -- hypothesis sweep over composed plans -----------------------------------
@@ -172,32 +153,47 @@ _PREDICATES = [
 ]
 
 _AGGS = [
-    lambda: F.sum("qty").alias("s"),
-    lambda: F.avg("qty").alias("m"),
-    lambda: F.count(None).alias("n"),
+    lambda qty: F.sum(qty).alias("s"),
+    lambda qty: F.avg(qty).alias("m"),
+    lambda qty: F.count(None).alias("n"),
 ]
+
+#: Right inputs of a self-join on ``okey``: a raw scan, or a select.
+_JOIN_RIGHTS = {
+    "scan": lambda t: t,
+    "select": lambda t: t.select(okey="okey", qty=col("qty") * 2.0),
+}
 
 
 @given(
     pred_indexes=st.lists(
-        st.integers(0, len(_PREDICATES) - 1), min_size=1, max_size=4
+        st.integers(0, len(_PREDICATES) - 1), min_size=0, max_size=4
     ),
     project_first=st.booleans(),
+    join_right=st.one_of(st.none(), st.sampled_from(sorted(_JOIN_RIGHTS))),
     agg_index=st.one_of(
         st.none(), st.integers(0, len(_AGGS) - 1)
     ),
 )
-@_FIXTURE_OK
+# More examples than the default: the join arm adds a dimension.
+@settings(parent=_FIXTURE_OK, max_examples=60)
 def test_random_chains_sound(catalog, pred_indexes, project_first,
-                             agg_index):
+                             join_right, agg_index):
     ctx = WakeContext(catalog)
     frame = ctx.table("sales")
     if project_first:
         frame = frame.project("okey", "qty", "cust", "region")
     for index in pred_indexes:
         frame = frame.filter(_PREDICATES[index])
+    qty = "qty"
+    if join_right is not None:
+        # The aggregate then reads only the right side's ``qty``, which
+        # surfaces as ``qty_right`` because the left one collides.
+        right = _JOIN_RIGHTS[join_right](ctx.table("sales"))
+        frame = frame.join(right, on=[("okey", "okey")])
+        qty = "qty_right"
     if agg_index is not None:
-        frame = frame.agg(_AGGS[agg_index](), by=["okey"])
+        frame = frame.agg(_AGGS[agg_index](qty), by=["okey"])
     before, after, trace = _optimize_strict(frame)
     assert before is not None
     assert after == before

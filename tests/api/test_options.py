@@ -20,8 +20,6 @@ class TestValidation:
     def test_defaults_match_legacy_kwargs(self):
         opts = ExecutionOptions()
         assert opts.pushdown is True
-        assert opts.optimize is True
-        assert opts.optimizer_disable == frozenset()
         assert opts.validate is True
         assert opts.quantile_mode == "exact"
         assert opts.sketch_size == DEFAULT_SKETCH_SIZE
@@ -45,20 +43,8 @@ class TestValidation:
         with pytest.raises(QueryError, match="sketch_size must be >= 2"):
             ExecutionOptions(sketch_size=1)
 
-    def test_rule_names_validated_eagerly(self):
-        with pytest.raises(QueryError, match="unknown optimizer rule"):
-            ExecutionOptions(optimizer_disable=("no_such_rule",))
-
-    def test_optimizer_disable_coerced_to_frozenset(self):
-        opts = ExecutionOptions(
-            optimizer_disable=["predicate-pushdown"]
-        )
-        assert opts.optimizer_disable == frozenset(
-            {"predicate-pushdown"}
-        )
-
     @pytest.mark.parametrize("name", [
-        "pushdown", "optimize", "validate", "scan_share",
+        "pushdown", "validate", "scan_share",
         "result_cache", "telemetry",
     ])
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
@@ -103,7 +89,7 @@ class TestMerged:
         assert a.cache_fingerprint() != b.cache_fingerprint()
         # Plan-structure knobs are the plan hash's job, not the
         # fingerprint's.
-        c = ExecutionOptions(pushdown=False, optimize=False)
+        c = ExecutionOptions(pushdown=False)
         assert c.cache_fingerprint() == \
             ExecutionOptions().cache_fingerprint()
 
@@ -153,7 +139,7 @@ class TestWakeContextIntegration:
         assert WakeContext(catalog).options == ExecutionOptions()
 
     def test_options_bundle(self, catalog):
-        opts = ExecutionOptions(pushdown=False, optimize=False)
+        opts = ExecutionOptions(pushdown=False, validate=False)
         ctx = WakeContext(catalog, options=opts)
         assert ctx.options is opts
 

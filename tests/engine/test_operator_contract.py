@@ -1,9 +1,9 @@
 """The operator contract: one class is the whole description.
 
-Validation, ``explain``, projection pushdown, plan hashing and CSE read
+Validation, ``explain``, projection pushdown and plan hashing read
 three overridable methods on the operator class (``_derive_info``,
-``required_inputs``, ``signature``) and nothing else, so an operator defined here — outside ``src/`` — takes
-part in all of them, and one that defines only ``_derive_info`` gets the
+``required_inputs``, ``signature``) and nothing else, so an operator
+defined here — outside ``src/`` — takes part in all of them, and one that defines only ``_derive_info`` gets the
 conservative defaults.
 """
 
@@ -18,12 +18,8 @@ from repro.dataframe.schema import AttributeKind, DType, Field, Schema
 from repro.engine import ops
 from repro.engine.graph import QueryGraph
 from repro.engine.ops.base import Operator, SourceOperator
-from repro.engine.optimizer import build_optimizer
-from repro.engine.plan_node import (
-    duplicate_groups,
-    plan_hash,
-    plans_alpha_equal,
-)
+from repro.engine.optimizer import optimize
+from repro.engine.plan_node import plan_hash
 from repro.errors import PlanValidationError
 from repro.storage.catalog import TableMeta
 
@@ -57,7 +53,7 @@ class ClampOperator(Operator):
     def required_inputs(self, input_schemas, required):
         return [None if required is None else required | {self.column}]
 
-    def signature(self, alpha):
+    def signature(self):
         return (self.column, self.lo, self.hi)
 
     def _handle_message(self, port, message):
@@ -133,14 +129,16 @@ class TestToyOperator:
         plan = _clamp(ctx.table("sales")).agg(
             F.sum("qty").alias("s"), by=["region"]
         )
-        graph, output, _ = build_optimizer().optimize(*_graph(plan))
+        graph, output = _graph(plan)
+        optimize(graph, output)
         assert _scan(graph).columns == ("qty", "region")
 
     def test_default_demand_blocks_pushdown_below_it(self, ctx):
         plan = _clamp(ctx.table("sales"), cls=BareClampOperator).agg(
             F.sum("qty").alias("s"), by=["region"]
         )
-        graph, output, _ = build_optimizer().optimize(*_graph(plan))
+        graph, output = _graph(plan)
+        optimize(graph, output)
         assert _scan(graph).columns is None
 
     def test_plan_hash_is_stable_and_alpha_equal(self, ctx):
@@ -149,7 +147,6 @@ class TestToyOperator:
 
         a, b = _graph(plan()), _graph(plan())
         assert plan_hash(*a) == plan_hash(*b)
-        assert plans_alpha_equal(*a, *b)
         other = _graph(_clamp(ctx.table("sales"), "okey"))
         assert plan_hash(*a) != plan_hash(*other)
 
@@ -159,22 +156,6 @@ class TestToyOperator:
 
         a, b = _graph(plan()), _graph(plan())
         assert plan_hash(*a) != plan_hash(*b)
-        assert not plans_alpha_equal(*a, *b)
-
-    def test_cse_refuses_by_default(self, ctx):
-        t = ctx.table("sales")
-        plan = _clamp(t).cross_join(_clamp(t))
-        graph, _output = _graph(plan)
-        # Strict-equal siblings over one input, but not ``mergeable``.
-        assert not duplicate_groups(graph)
-        graph, _output, trace = build_optimizer().optimize(
-            graph, _output
-        )
-        assert "common-subplan" not in trace.by_rule()
-        assert sum(
-            isinstance(n.operator, ClampOperator)
-            for n in graph.nodes.values()
-        ) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -279,5 +260,5 @@ def test_count_over_wide_select_reads_one_column(ctx):
         w=col("cust"),
     )
     graph, output = _graph(wide.agg(F.count("x").alias("n")))
-    graph, output, _trace = build_optimizer().optimize(graph, output)
+    optimize(graph, output)
     assert _scan(graph).columns == ("qty",)

@@ -1,11 +1,12 @@
 """Canonical plan-hash properties (α-equivalence).
 
 ``plan_hash`` must be *equal* for plans that differ only in
-presentation — commuted conjuncts, literal-on-the-left comparisons,
-select output order, scan source labels, aggregate-name synonyms — and
-*unequal* whenever the query actually differs (another literal, column,
-aggregate, or table).  The commutation properties are checked with
-hypothesis over random conjunct orderings.
+presentation that cannot change output bytes — commuted conjuncts,
+literal-on-the-left comparisons, scan source labels, aggregate-name
+synonyms — and *unequal* whenever the query or its output differs
+(another literal, column, aggregate, table, or select output order).
+The commutation properties are checked with hypothesis over random
+conjunct orderings.
 """
 
 from functools import reduce
@@ -23,13 +24,7 @@ _FIXTURE_OK = settings(
 from repro import WakeContext, col
 from repro.api.functions import F
 from repro.engine.graph import QueryGraph
-from repro.engine.plan_node import (
-    canon_expr,
-    duplicate_groups,
-    node_digests,
-    plan_hash,
-    plans_alpha_equal,
-)
+from repro.engine.plan_node import canon_expr, plan_hash
 
 
 def _graph(frame):
@@ -89,21 +84,12 @@ def test_hash_flips_literal_side(catalog, value):
     assert _hash(a) != _hash(c)
 
 
-def test_hash_invariant_under_select_order(ctx):
-    a = ctx.table("sales").select(x=col("qty") * 2.0, y="region")
-    b = ctx.table("sales").select(y="region", x=col("qty") * 2.0)
-    assert _hash(a) == _hash(b)
-
-
 def test_hash_invariant_under_scan_label(ctx):
     """Two scans of one table carry distinct progress labels (sales,
     sales@2) but answer the same query — same hash."""
     a = ctx.table("sales").filter(col("qty") > 5.0)
     b = ctx.table("sales").filter(col("qty") > 5.0)
     assert _hash(a) == _hash(b)
-    # …but the strict digests must differ (CSE may not merge them).
-    ga, oa = _graph(a.cross_join(b))
-    assert not duplicate_groups(ga)
 
 
 def test_hash_invariant_under_commuted_operands(ctx):
@@ -124,9 +110,9 @@ def test_hash_invariant_under_agg_synonyms(ctx):
 def test_plans_alpha_equal_matches_hash(ctx):
     a = ctx.table("sales").filter((col("qty") > 5.0) & (col("okey") >= 3))
     b = ctx.table("sales").filter((col("okey") >= 3) & (col("qty") > 5.0))
-    assert plans_alpha_equal(*_graph(a), *_graph(b))
+    assert _hash(a) == _hash(b)
     c = ctx.table("sales").filter(col("qty") > 5.0)
-    assert not plans_alpha_equal(*_graph(a), *_graph(c))
+    assert _hash(a) != _hash(c)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +142,15 @@ def test_hash_distinguishes_group_keys_and_aliases(ctx):
     assert len({_hash(a), _hash(b), _hash(c)}) == 3
 
 
+def test_hash_respects_select_order(ctx):
+    """Select output order is output bytes: the same columns in another
+    order are another result, so they must not share a result-cache
+    entry."""
+    a = ctx.table("sales").select(x=col("qty") * 2.0, y="region")
+    b = ctx.table("sales").select(y="region", x=col("qty") * 2.0)
+    assert _hash(a) != _hash(b)
+
+
 def test_hash_respects_join_input_order(ctx):
     """Joins are not symmetric: swapping build/probe sides must hash
     differently (probe-side columns survive with different suffixes)."""
@@ -178,22 +173,8 @@ def test_canon_expr_sorts_and_flattens():
     assert canon_expr(col("x") > 1.0) != canon_expr(col("x") < 1.0)
 
 
-def test_strict_digests_find_separately_built_duplicates(ctx):
-    t = ctx.table("sales")
-    left = t.filter(col("qty") > 10.0)
-    right = t.filter(col("qty") > 10.0)
-    graph, _out = _graph(left.cross_join(right))
-    groups = duplicate_groups(graph)
-    assert len(groups) == 1
-    (ids,) = groups.values()
-    assert len(ids) == 2
-
-
 def test_hash_is_stable_across_materializations(ctx):
     """Same frame, fresh graphs: node ids differ, hash must not."""
     q = ctx.table("sales").filter(col("qty") > 5.0) \
         .agg(F.sum("qty").alias("s"), by=["region"])
     assert _hash(q) == _hash(q)
-    digests_a = node_digests(_graph(q)[0], alpha=True)
-    digests_b = node_digests(_graph(q)[0], alpha=True)
-    assert sorted(digests_a.values()) == sorted(digests_b.values())

@@ -37,6 +37,12 @@ def _plans():
             ctx.table("sales").filter(col("qty") > threshold)
             .agg(F.count(None).alias("n"))
         ),
+        "select_ab": lambda ctx, **p: ctx.table("sales").select(
+            a=col("qty") * 2.0, b="region"
+        ),
+        "select_ba": lambda ctx, **p: ctx.table("sales").select(
+            b="region", a=col("qty") * 2.0
+        ),
     }
 
 
@@ -138,6 +144,27 @@ class TestAttach:
         )
         assert isinstance(b, QuerySession)
         assert a.plan_hash != b.plan_hash
+
+    def test_select_order_does_not_attach(self, catalog):
+        """The same outputs in another order are another result: each
+        plan gets its own session, byte-identical to its solo run."""
+        service = _service(catalog)
+        ab = service.submit("select_ab")
+        ba = service.submit("select_ba")
+        assert isinstance(ba, QuerySession)
+        assert ab.plan_hash != ba.plan_hash
+        while service.scheduler.run_once() is not None:
+            pass
+        for name, session in (("select_ab", ab), ("select_ba", ba)):
+            ctx = WakeContext(catalog)
+            solo = ctx.run(_plans()[name](ctx)).snapshots
+            got = drain(session)
+            assert len(got) == len(solo) > 0
+            for a, b in zip(got, solo):
+                assert a.frame.column_names == b.frame.column_names
+                for column in b.frame.column_names:
+                    assert (a.frame.column(column).tobytes()
+                            == b.frame.column(column).tobytes())
 
     def test_distinct_plans_never_collide(self, catalog):
         service = _service(catalog)

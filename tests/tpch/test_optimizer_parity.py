@@ -1,11 +1,11 @@
-"""Optimizer-on vs pre-refactor planner parity over the TPC-H suite.
+"""Optimizer parity over the TPC-H suite.
 
-The rule engine re-expresses the old monolithic scan-pushdown passes as
-rules and adds new logical rewrites (combine-filters,
-aggregate-projection, common-subplan).  None of that may perturb a
-single byte of any snapshot: for every query the optimized context run
-must match a hand-assembled legacy pipeline — materialize,
-pruning_pass, projection_pass, StepExecutor — snapshot for snapshot.
+The optimizer is the two scan-pushdown passes plus a soundness check
+and a plan hash, none of which may perturb a single byte of any
+snapshot: for every query the optimized context run must match a
+hand-assembled pipeline — materialize, pruning_pass, projection_pass,
+StepExecutor — snapshot for snapshot, and with ``pushdown`` off the
+plan must run exactly as written.
 """
 
 import pytest
@@ -29,7 +29,7 @@ def _build(catalog, number, **ctx_kwargs):
 
 
 def _legacy_run(catalog, number):
-    """The pre-refactor pipeline, bypassing the rule engine entirely."""
+    """The two passes run by hand, bypassing the optimizer entirely."""
     _ctx, frame = _build(catalog, number)
     graph = QueryGraph()
     output = frame.plan.materialize(graph, {})
@@ -50,12 +50,11 @@ def test_optimizer_sequences_match_legacy_planner(number, tpch):
 
 @pytest.mark.parametrize("number", sorted(QUERIES))
 def test_no_optimize_matches_legacy_unpushed(number, tpch):
-    """The escape hatch really is the identity: ``optimize=False,
-    pushdown=False`` equals materialize-and-execute with no passes."""
+    """The switch really is the identity: ``pushdown=False`` equals
+    materialize-and-execute with no passes."""
     catalog, _tables = tpch
     ctx, frame = _build(
-        catalog, number,
-        options=ExecutionOptions(optimize=False, pushdown=False),
+        catalog, number, options=ExecutionOptions(pushdown=False),
     )
     got = ctx.run(frame)
     assert ctx.last_trace.total_rewrites == 0
