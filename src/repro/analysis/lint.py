@@ -10,9 +10,9 @@ quietly return:
   inside a ``consume``/``consume_delta``/``consume_snapshot`` body (the
   O(total-consumed)-per-message regression class; state must be folded
   incrementally, never re-concatenated wholesale on the hot path);
-* ``lock-sleep`` — ``time.sleep`` or file I/O while holding a scheduler
+* ``lock-sleep`` — ``time.sleep`` or file I/O while holding a
   lock/condition (``with self._lock: ...``); blocking under the lock
-  stalls every other session's stepping;
+  stalls every thread that waits for it;
 * ``bare-bench-assert`` — a threshold-style ``assert`` (an inequality
   against a numeric constant) in ``benchmarks/`` instead of
   ``guard(...)``, which records the measured value into

@@ -78,7 +78,6 @@ class WakeContext:
         #: Per-operator profile of the most recent
         #: ``explain(mode="profile")`` run.
         self.last_profile: OperatorProfiler | None = None
-        self._scan_counts: dict[str, int] = {}
 
     @classmethod
     def from_catalog(cls, path: str | Path, **kwargs) -> "WakeContext":
@@ -95,8 +94,10 @@ class WakeContext:
         """An edf streaming a partitioned base table.
 
         ``order`` permutes partition read order (CI experiment §8.5).
-        ``source_name`` disambiguates progress counters when the same
-        table is read twice in one query (self-joins, subqueries).
+        ``source_name`` labels the scan's progress counters; without
+        one, a plan that reads the same table more than once (self-joins,
+        subqueries) numbers its scans in creation order (see
+        :meth:`PlanNode.materialize`).
         """
         meta: TableMeta = self.catalog.table(name)
         if order is None and self.partition_shuffle_seed is not None:
@@ -106,23 +107,10 @@ class WakeContext:
             )
             order = rng.permutation(meta.n_partitions).tolist()
         frozen_order = tuple(order) if order is not None else None
-        if source_name is None:
-            # Each scan of the same table is an independent source with
-            # its own progress counters: a shared label would let the
-            # faster of two scans mark the source complete prematurely.
-            count = self._scan_counts.get(name, 0)
-            self._scan_counts[name] = count + 1
-            label = name if count == 0 else f"{name}@{count + 1}"
-        else:
-            label = source_name
 
         def factory() -> ReadOperator:
-            return ReadOperator(
-                meta,
-                name=f"read({label})",
-                order=frozen_order,
-                source_name=label,
-            )
+            return ReadOperator(meta, order=frozen_order,
+                                source_name=source_name)
 
         return EdfFrame(self, PlanNode(factory))
 
@@ -132,11 +120,12 @@ class WakeContext:
         frame: EdfFrame,
         options: ExecutionOptions | None,
         trace=None,
-    ) -> tuple[QueryGraph, int]:
+    ) -> tuple[QueryGraph, int, OptimizerTrace]:
         """Instantiate the plan, statically validate it, and run the
         optimizer's scan pushdowns over it under ``options`` (``None``:
-        the session's :attr:`options`).  The per-submit trace lands in
-        :attr:`last_trace`; ``trace`` (a
+        the session's :attr:`options`).  Returns the graph, its output
+        node and this plan's optimizer trace (also left in
+        :attr:`last_trace`); ``trace`` (a
         :class:`~repro.obs.SessionTrace`, or ``None``) records the
         validate/optimize phases as lifecycle spans."""
         opts = options if options is not None else self.options
@@ -149,8 +138,9 @@ class WakeContext:
             with maybe_span(trace, "validate"):
                 validate_plan(graph, output)
         with maybe_span(trace, "optimize"):
-            self.last_trace = optimize(graph, output, opts.pushdown)
-        return graph, output
+            optimized = self.last_trace = optimize(graph, output,
+                                                   opts.pushdown)
+        return graph, output, optimized
 
     def run(
         self,
@@ -215,9 +205,12 @@ class WakeContext:
         if pushdown is not None:
             base = options if options is not None else self.options
             options = base.merged(pushdown=pushdown)
-        graph, output = self._materialize(frame, options, trace=trace)
+        graph, output, optimized = self._materialize(frame, options,
+                                                     trace=trace)
         capture = self.capture_all if capture_all is None else capture_all
-        return StepExecutor(graph, output, capture_all=capture)
+        executor = StepExecutor(graph, output, capture_all=capture)
+        executor.plan_hash = optimized.plan_hash
+        return executor
 
     def explain(self, frame: EdfFrame,
                 options: ExecutionOptions | None = None,
@@ -251,7 +244,7 @@ class WakeContext:
             executor.profiler = self.last_profile = OperatorProfiler()
             executor.run()
             return self.last_profile.render()
-        graph, output = self._materialize(frame, options)
+        graph, output, optimized = self._materialize(frame, options)
         if mode == "types":
             return self._explain_types(graph, output)
         infos = graph.resolve()
@@ -289,8 +282,7 @@ class WakeContext:
                     )
                 if details:
                     lines.append("      scan " + " ".join(details))
-        if self.last_trace is not None:
-            lines.extend(self.last_trace.render())
+        lines.extend(optimized.render())
         return "\n".join(lines)
 
     def _explain_types(self, graph: QueryGraph, output: int) -> str:

@@ -30,6 +30,7 @@ from repro.engine.ops import (
     MapPartitionsOperator,
     MergeJoinOperator,
     Operator,
+    ReadOperator,
     SelectOperator,
     SortLimitOperator,
 )
@@ -52,11 +53,34 @@ class PlanNode:
     def materialize(
         self, graph: QueryGraph, memo: dict[int, int]
     ) -> int:
-        """Instantiate this plan (and its ancestors) into ``graph``."""
+        """Instantiate this plan (and its ancestors) into ``graph`` and
+        label its scans.
+
+        Scans the caller did not name are numbered per table in the
+        order they were created — ``t``, ``t@2``, ``t@3``... — so two
+        scans of one table keep separate progress counters (a shared
+        label would let the faster one mark the source complete), and
+        a plan's labels depend on the plan alone, not on what else its
+        context has built."""
+        output = self._instantiate(graph, memo)
+        seen: dict[str, int] = {}
+        for _plan_id, node_id in sorted(memo.items()):
+            scan = graph.node(node_id).operator
+            if isinstance(scan, ReadOperator) and not scan.named:
+                table = scan.meta.name
+                seen[table] = count = seen.get(table, 0) + 1
+                if count > 1:
+                    scan.source_name = f"{table}@{count}"
+                    scan.name = f"read({scan.source_name})"
+        return output
+
+    def _instantiate(
+        self, graph: QueryGraph, memo: dict[int, int]
+    ) -> int:
         if self.plan_id in memo:
             return memo[self.plan_id]
         input_ids = tuple(
-            child.materialize(graph, memo) for child in self.inputs
+            child._instantiate(graph, memo) for child in self.inputs
         )
         node_id = graph.add(self.factory(), input_ids)
         memo[self.plan_id] = node_id

@@ -177,6 +177,9 @@ class StepExecutor:
         self.graph: QueryGraph | None = graph
         self.output = output
         self.capture_all = capture_all
+        #: Canonical hash of the optimized plan this executor runs (set
+        #: by ``WakeContext.executor_for``; ``None`` when built directly).
+        self.plan_hash: str | None = None
         self._sink = _SinkState(
             name=graph.node(output).operator.name,
             delivery=graph.resolve()[output].delivery,

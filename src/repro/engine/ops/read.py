@@ -177,9 +177,11 @@ class ReadOperator(SourceOperator):
     """Reads a partitioned base table as a DELTA stream.
 
     ``order`` optionally permutes partition read order (used by the §8.5
-    shuffled-input CI experiment).  ``source_name`` defaults to the table
-    name and keys the progress counters.  ``columns``/``predicates``
-    carry planner pushdowns (see the module docstring).
+    shuffled-input CI experiment).  ``source_name`` keys the progress
+    counters; without one the scan is labelled by the plan that holds
+    it (the table name, ``@2``, ``@3``... for later scans of the same
+    table).  ``columns``/``predicates`` carry planner pushdowns (see the
+    module docstring).
     """
 
     #: Optional :class:`~repro.service.scanshare.ScanShareManager` —
@@ -200,10 +202,13 @@ class ReadOperator(SourceOperator):
         columns: Sequence[str] | None = None,
         predicates: Sequence[SargablePredicate] = (),
     ) -> None:
-        super().__init__(name or f"read({meta.name})")
+        super().__init__(name or f"read({source_name or meta.name})")
         self.meta = meta
         self.order = list(order) if order is not None else None
         self.source_name = source_name or meta.name
+        #: Whether the caller chose ``source_name`` (else the plan may
+        #: number it; see ``PlanNode.materialize``).
+        self.named = source_name is not None
         self.columns: tuple[str, ...] | None = None
         self.predicates: tuple[SargablePredicate, ...] = tuple(predicates)
         if columns is not None:
@@ -255,7 +260,8 @@ class ReadOperator(SourceOperator):
     def signature(self) -> tuple:
         preds = tuple(sorted(repr(p) for p in self.predicates))
         order = tuple(self.order) if self.order is not None else None
-        return (self.meta.name, order, self.columns, preds)
+        return (self.meta.name, self.source_name, order, self.columns,
+                preds)
 
     def stream(self) -> Iterator[Message]:
         """A fresh retry-safe cursor over the table's partitions (see

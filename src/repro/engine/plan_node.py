@@ -1,12 +1,12 @@
 """Canonical plan forms and the stable plan hash.
 
 :func:`plan_hash` is the result cache's key (``repro.service``): two
-plans with equal hashes must produce byte-identical snapshot frames.
+plans with equal hashes must produce byte-identical snapshots.
 It is built from each operator's own ``signature()`` method
 (:class:`repro.engine.ops.base.Operator`), which keeps every detail that
-can change output bytes — select output order, aggregate spec order,
-join key order — and drops only what cannot: scan source labels (a
-per-context counter) and operator names.  Expressions enter through
+can change what a snapshot says — select output order, aggregate spec
+order, join key order, the scan source labels its progress is keyed by
+— and drops only what cannot: operator names.  Expressions enter through
 :func:`canon_expr`, which collapses forms that evaluate to bitwise the
 same array (commuted conjuncts ``a & b`` vs ``b & a``, literal-on-the-
 left comparisons ``5 < x`` vs ``x > 5``).  An operator class that does
@@ -117,9 +117,10 @@ def plan_hash(graph: QueryGraph, output: int) -> str:
     """Stable hash of the plan rooted at ``output``.
 
     Equal for plans that differ only in commuted conjuncts/commutative
-    operands, flipped comparisons, aggregate-name synonyms, scan source
-    labels, or operator-name counters; different whenever any literal,
-    column, output order, aggregate spec, join shape, or table differs.
+    operands, flipped comparisons, aggregate-name synonyms, or
+    operator-name counters; different whenever any literal, column,
+    output order, aggregate spec, join shape, table or scan source label
+    differs.
     16 hex chars (64 bits) — the result-cache key.
     """
     graph.validate_output(output)

@@ -18,8 +18,8 @@ and :func:`repro.errors.is_transient`):
   query keeps refining, and the loss is recorded as degraded state on
   the session (surfaced in ``status`` replies and snapshot events).
 
-Backoff sleeping happens *off* the scheduler lock — a cooling session
-parks in a ready-time heap while every other session keeps stepping.
+Backoff never sleeps inside a step — a cooling session parks in a
+ready-time heap while every other session keeps stepping.
 """
 
 from __future__ import annotations

@@ -40,10 +40,7 @@ unshared scans:
 
 The manager has one internal lock guarding only dict bookkeeping;
 **physical IO always happens outside the lock** (check → read → publish)
-so one slow read never serializes unrelated tables — and the service
-scheduler, which steps sessions under its own lock, never does IO while
-holding *that* lock either (the read happens inside the step, below the
-scheduler's seam).
+so one slow read never serializes unrelated tables.
 """
 
 from __future__ import annotations

@@ -11,27 +11,32 @@ runnable.  Newly submitted and resumed sessions enter at the current
 virtual clock, so they neither starve incumbents nor claim a catch-up
 burst for time spent paused.
 
-The scheduler is *cooperative*: one step (one source partition pushed
-through one query's graph) is the indivisible quantum, executed under
-the scheduler lock.  Control operations (pause/resume/cancel/submit)
-take the same lock, so a cancel can never race the step it interrupts —
-cancellation closes the executor's read streams and releases its
-operator state before returning.  The lock hands over at the end of a
-step: a control call that is waiting gets it before the loop can start
-the next step, so it waits at most one step however busy the loop is
-(:class:`_HandoffLock`).  Subscribers never take this lock;
-they wait on the per-session buffer instead, so a slow consumer cannot
-block execution, and :meth:`FairShareScheduler.get` reads the session
-table without it.
+**One writer.**  The scheduler is *cooperative*: one step (one source
+partition pushed through one query's graph) is the indivisible quantum,
+and one thread writes scheduler state — the heaps, the virtual clock,
+the session table and each session's lifecycle: the loop thread once
+:meth:`~FairShareScheduler.start` runs it, else whoever drives
+:meth:`~FairShareScheduler.run_once`.  A control call (``submit``,
+``attach``, ``pause``, ``resume``, ``cancel``, ``prune``) from any other
+thread is a *command*, queued with a :class:`~concurrent.futures.Future`
+that ``run_once`` settles before it picks the next session: it takes
+effect at the next step boundary, and a cancel never races the step it
+interrupts.  On the loop thread, or with no loop thread, a command
+applies inline; ``stop`` applies what is still queued.  Reads (``get``,
+``sessions``, ``run_queue_depth``, ``vclock_skew``) take no lock: the
+writer replaces the session table rather than mutating it, so a lookup
+never waits out a step, and a new session is visible before its
+``submit`` returns.  Subscribers wait on the per-session buffer, so a
+slow consumer cannot block execution.
 
 **Fault tolerance.**  With a :class:`~repro.service.retry.RetryPolicy`
 attached, a step that raises a *retry-safe transient* error (the
 partition read failed, no operator state advanced — see
 :attr:`StepExecutor.step_retry_safe`) does not FAIL the session:
 the session re-enters at its current virtual clock after a
-deterministic capped-exponential backoff.  Backoff never sleeps under
-the scheduler lock — the cooling session parks in a ready-time heap
-while every other session keeps stepping.  Once attempts or the
+deterministic capped-exponential backoff.  Backoff never sleeps in a
+step — the cooling session parks in a ready-time heap while every
+other session keeps stepping.  Once attempts or the
 per-session retry budget are exhausted, ``on_partition_error="skip"``
 quarantines the partition (the scan emits the pruning path's empty
 progress-advancing DELTA and the loss is recorded as degraded state);
@@ -42,9 +47,12 @@ session is restored to its runnable state and the exception re-raised.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import threading
 import time
+from concurrent.futures import Future
+from typing import Callable
 
 from repro.engine.executor import StepExecutor
 from repro.errors import QueryError, is_transient
@@ -58,50 +66,28 @@ from repro.service.session import (
 #: How long the background loop dozes when nothing is runnable.
 _IDLE_WAIT = 0.05
 
+#: States a session can be stepped in.
+_RUNNABLE = (SessionState.SUBMITTED, SessionState.RUNNING)
 
-class _HandoffLock:
-    """The scheduler lock: reentrant, and a thread that is waiting for
-    it gets it before the thread that just released it can take it back.
 
-    A plain lock lets the releasing thread win: the step loop lets go
-    at the end of a step and re-takes it within microseconds, long
-    before a control call that was woken can run.  So a ``subscribe``
-    waited for the whole query to finish, and the server's event loop
-    waited with it.  Here a first-time acquire passes through ``_gate``.
-    A waiter holds the gate while it waits, so the loop stops at the
-    gate until the waiter has had its turn.  Re-entry skips the gate: a
-    holder waiting at it would deadlock against the waiter it lets in.
-    """
+def _apply(future: Future, call: Callable) -> None:
+    """Run one command, settling its future with the result or the
+    exception (unless its caller withdrew it)."""
+    if future.set_running_or_notify_cancel():
+        try:
+            future.set_result(call())
+        except BaseException as exc:  # noqa: BLE001 - the caller's to raise
+            future.set_exception(exc)
 
-    def __init__(self) -> None:
-        self._lock = threading.RLock()
-        self._gate = threading.Lock()
 
-    def acquire(self) -> bool:
-        if self._lock._is_owned():
-            return self._lock.acquire()
-        with self._gate:
-            return self._lock.acquire()
+def _as_command(method: Callable) -> Callable:
+    """Make a control method a command (see ``_command``)."""
 
-    def release(self) -> None:
-        self._lock.release()
+    @functools.wraps(method)
+    def call(self: "FairShareScheduler", *args, **kwargs):
+        return self._command(method, self, *args, **kwargs).result()
 
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc_info) -> None:
-        self._lock.release()
-
-    # threading.Condition: wait() drops every level and takes them back.
-    def _is_owned(self) -> bool:
-        return self._lock._is_owned()
-
-    def _release_save(self):
-        return self._lock._release_save()
-
-    def _acquire_restore(self, state) -> None:
-        with self._gate:
-            self._lock._acquire_restore(state)
+    return call
 
 
 class FairShareScheduler:
@@ -112,9 +98,9 @@ class FairShareScheduler:
         retry: RetryPolicy | None = None,
         metrics=None,
     ) -> None:
-        self._lock = _HandoffLock()
-        self._work = threading.Condition(self._lock)
-        self._sessions: dict[str, QuerySession] = {}
+        #: session id -> session, in submission order.  Replaced on
+        #: every write, never mutated, so readers need no lock.
+        self._sessions: dict[str, QuerySession | AttachedSession] = {}
         self._heap: list[tuple[float, int, str, int]] = []
         #: Sessions waiting out a retry backoff: (ready_monotonic,
         #: counter, session_id, epoch).  Admitted back into the main
@@ -123,6 +109,10 @@ class FairShareScheduler:
         self._counter = 0  # submission-order tie break
         self._clock = 0.0  # virtual time of the last scheduled session
         self._next_id = 1
+        #: Guards the command queue and the loop thread's lifecycle;
+        #: the idle loop waits on it.
+        self._queue = threading.Condition()
+        self._commands: list[tuple[Future, Callable]] = []
         self._thread: threading.Thread | None = None
         self._stopping = False
         #: Fault-tolerance policy; ``None`` = fail-fast (no retries).
@@ -137,7 +127,37 @@ class FairShareScheduler:
         self._buffer_metrics = (metrics.buffer if metrics is not None
                                 else None)
 
+    # -- commands -----------------------------------------------------------------
+    def _command(self, fn: Callable, *args, **kwargs) -> Future:
+        """Run ``fn(*args, **kwargs)`` as the writer; returns its future.
+
+        While a loop thread runs, a call from any other thread is
+        queued for the loop to apply before its next step.  On the loop
+        thread itself, and when no loop thread runs, ``fn`` applies
+        inline and the future is already settled."""
+        future: Future = Future()
+        call = functools.partial(fn, *args, **kwargs)
+        with self._queue:
+            queued = self._thread not in (None, threading.current_thread())
+            if queued:
+                self._commands.append((future, call))
+                self._queue.notify()
+        if not queued:
+            _apply(future, call)
+        return future
+
+    def _apply_commands(self) -> None:
+        with self._queue:
+            commands, self._commands = self._commands, []
+        for future, call in commands:
+            _apply(future, call)
+        if commands:
+            # Yield the interpreter once, so the callers just woken get
+            # to act on their replies before the next step starts.
+            time.sleep(0)
+
     # -- registration -------------------------------------------------------------
+    @_as_command
     def submit(
         self,
         executor: StepExecutor,
@@ -150,28 +170,23 @@ class FairShareScheduler:
         ``paused=True`` admits the session without scheduling it (e.g.
         to attach subscribers first), until ``resume``.  ``trace``
         (a :class:`~repro.obs.trace.SessionTrace`) must be passed here
-        rather than set afterwards: the daemon step loop may run the
-        session the moment the lock drops."""
-        with self._work:
-            session_id = f"s{self._next_id}"
-            self._next_id += 1
-            session = QuerySession(
-                session_id,
-                name or session_id,
-                executor,
-                priority=priority,
-                buffer_metrics=self._buffer_metrics,
-            )
-            session.trace = trace
-            session.vtime = self._clock
-            self._sessions[session_id] = session
-            if paused:
-                session.state = SessionState.PAUSED
-            else:
-                self._push(session)
-                self._work.notify_all()
-            return session
+        rather than set afterwards: the step loop may run the session
+        as soon as this returns."""
+        session_id = f"s{self._next_id}"
+        self._next_id += 1
+        session = QuerySession(session_id, name or session_id, executor,
+                               priority=priority,
+                               buffer_metrics=self._buffer_metrics)
+        session.trace = trace
+        session.vtime = self._clock
+        self._sessions = {**self._sessions, session_id: session}
+        if paused:
+            session.state = SessionState.PAUSED
+        else:
+            self._push(session)
+        return session
 
+    @_as_command
     def attach(
         self,
         primary: QuerySession,
@@ -181,112 +196,110 @@ class FairShareScheduler:
         executing (the result-cache hit path).  The new session reads
         the primary's edf through a view of its buffer, so attaching is
         O(1) and every snapshot it serves is the primary's own."""
-        with self._lock:
-            session_id = f"s{self._next_id}"
-            self._next_id += 1
-            attached = AttachedSession(session_id, name or primary.name,
-                                       primary)
-            self._sessions[session_id] = attached
-            return attached
+        session_id = f"s{self._next_id}"
+        self._next_id += 1
+        attached = AttachedSession(session_id, name or primary.name,
+                                   primary)
+        self._sessions = {**self._sessions, session_id: attached}
+        return attached
 
-    def _push(self, session: QuerySession) -> None:
+    def _push(self, session: QuerySession,
+              ready: float | None = None) -> None:
+        """Queue ``session`` on the run heap at its virtual time, or, with
+        ``ready``, on the cooling heap until that monotonic time."""
         session.epoch += 1
         self._counter += 1
-        heapq.heappush(
-            self._heap,
-            (session.vtime, self._counter, session.session_id,
-             session.epoch),
-        )
+        heap, key = ((self._heap, session.vtime) if ready is None
+                     else (self._cooling, ready))
+        heapq.heappush(heap, (key, self._counter, session.session_id,
+                              session.epoch))
+
+    def _live(self, entry: tuple) -> QuerySession | None:
+        """The session a heap entry queues, or ``None`` when the entry
+        went stale (paused, cancelled, re-queued or pruned since)."""
+        _, _, session_id, epoch = entry
+        session = self._sessions.get(session_id)
+        if (session is None or epoch != session.epoch
+                or session.state not in _RUNNABLE):
+            return None
+        return session
 
     # -- lookup -------------------------------------------------------------------
     def get(self, session_id: str) -> QuerySession | AttachedSession:
-        """The session registered as ``session_id``.  A plain dict read,
-        without the scheduler lock, so a lookup on the server's event
-        loop never waits out a running step."""
+        """The session registered as ``session_id``."""
         try:
             return self._sessions[session_id]
         except KeyError:
             raise QueryError(f"no session {session_id!r}") from None
 
-    def sessions(self) -> list[QuerySession]:
-        with self._lock:
-            return [self._sessions[k] for k in sorted(
-                self._sessions, key=lambda s: int(s[1:]))]
+    def sessions(self) -> list[QuerySession | AttachedSession]:
+        """Every registered session, in submission order."""
+        return list(self._sessions.values())
 
     # -- observability views ------------------------------------------------------
+    def _runnable(self) -> list[QuerySession]:
+        return [
+            s for s in self._sessions.values()
+            if s.state in _RUNNABLE and not isinstance(s, AttachedSession)
+        ]
+
     def run_queue_depth(self) -> int:
         """Sessions currently runnable (SUBMITTED/RUNNING) — the
         metrics-surface load signal."""
-        with self._lock:
-            return sum(
-                1 for s in self._sessions.values()
-                if s.state in (SessionState.SUBMITTED,
-                               SessionState.RUNNING)
-                and not isinstance(s, AttachedSession)
-            )
+        return len(self._runnable())
 
     def vclock_skew(self) -> float:
         """Spread of runnable sessions' virtual times — the stride-
         scheduling fairness signal (0.0 = perfectly fair or < 2
         runnable sessions)."""
-        with self._lock:
-            vtimes = [
-                s.vtime for s in self._sessions.values()
-                if s.state in (SessionState.SUBMITTED,
-                               SessionState.RUNNING)
-                and not isinstance(s, AttachedSession)
-            ]
-            if len(vtimes) < 2:
-                return 0.0
-            return max(vtimes) - min(vtimes)
+        vtimes = [s.vtime for s in self._runnable()]
+        return max(vtimes) - min(vtimes) if len(vtimes) > 1 else 0.0
 
     # -- control plane ------------------------------------------------------------
+    @_as_command
     def pause(self, session_id: str) -> SessionState:
         """Stop scheduling a session (its state so far is retained).
         Attached sessions never execute, so pausing one is a no-op."""
-        with self._lock:
-            session = self.get(session_id)
-            if isinstance(session, AttachedSession):
-                return session.state
-            if session.state in (SessionState.SUBMITTED,
-                                 SessionState.RUNNING):
-                session.state = SessionState.PAUSED
-                session.epoch += 1  # invalidate its heap entry
+        session = self.get(session_id)
+        if isinstance(session, AttachedSession):
             return session.state
+        if session.state in _RUNNABLE:
+            session.state = SessionState.PAUSED
+            session.epoch += 1  # invalidate its heap entry
+        return session.state
 
+    @_as_command
     def resume(self, session_id: str) -> SessionState:
         """Re-enter a paused session at the current virtual clock."""
-        with self._work:
-            session = self.get(session_id)
-            if isinstance(session, AttachedSession):
-                return session.state
-            if session.state is SessionState.PAUSED:
-                session.state = (SessionState.RUNNING if session.steps
-                                 else SessionState.SUBMITTED)
-                session.vtime = max(session.vtime, self._clock)
-                self._push(session)
-                self._work.notify_all()
+        session = self.get(session_id)
+        if isinstance(session, AttachedSession):
             return session.state
+        if session.state is SessionState.PAUSED:
+            session.state = (SessionState.RUNNING if session.steps
+                             else SessionState.SUBMITTED)
+            session.vtime = max(session.vtime, self._clock)
+            self._push(session)
+        return session.state
 
+    @_as_command
     def cancel(self, session_id: str) -> SessionState:
         """Terminally stop a session: release its operator state, close
-        its read streams, and seal its snapshot buffer.  Safe while the
-        scheduler thread runs — the shared lock serializes the cancel
-        against any in-flight step.  Cancelling an *attached* session
-        merely detaches it: the primary (and its other subscribers)
-        keep running."""
-        with self._lock:
-            session = self.get(session_id)
-            if session.terminal:
-                return session.state
-            if isinstance(session, AttachedSession):
-                session.detach()
-                return session.state
-            session.epoch += 1
-            session.executor.close()
-            session.finish(SessionState.CANCELLED)
+        its read streams, and seal its snapshot buffer.  Applied between
+        steps, so it never races the one it interrupts.  Cancelling an
+        *attached* session merely detaches it: the primary (and its
+        other subscribers) keep running."""
+        session = self.get(session_id)
+        if session.terminal:
             return session.state
+        if isinstance(session, AttachedSession):
+            session.detach()
+            return session.state
+        session.epoch += 1
+        session.executor.close()
+        session.finish(SessionState.CANCELLED)
+        return session.state
 
+    @_as_command
     def prune(self, keep_latest: int = 0) -> list[str]:
         """Drop terminal (DONE/CANCELLED/FAILED) sessions, releasing
         their snapshot history; returns the removed session ids.
@@ -296,66 +309,66 @@ class FairShareScheduler:
         keeping the ``keep_latest`` most recently finished for
         late subscribers.  Non-terminal sessions are never touched.
         """
-        with self._lock:
-            terminal = [s for s in self.sessions() if s.terminal]
-            terminal.sort(key=lambda s: s.finished_at or 0.0)
-            victims = (terminal[:-keep_latest] if keep_latest
-                       else terminal)
-            for session in victims:
-                del self._sessions[session.session_id]
-            return [s.session_id for s in victims]
+        terminal = [s for s in self.sessions() if s.terminal]
+        terminal.sort(key=lambda s: s.finished_at or 0.0)
+        victims = [s.session_id for s in
+                   (terminal[:-keep_latest] if keep_latest else terminal)]
+        gone = set(victims)
+        self._sessions = {k: s for k, s in self._sessions.items()
+                          if k not in gone}
+        return victims
 
     # -- stepping -----------------------------------------------------------------
     def run_once(self) -> QuerySession | None:
-        """Execute one partition-step of the fairest runnable session;
-        returns it, or ``None`` when nothing is runnable right now
-        (sessions cooling off between retries do not count as
-        runnable — see :meth:`next_ready_in`)."""
-        with self._lock:
-            self._admit_cooled()
-            session = self._pop_runnable()
-            if session is None:
-                return None
-            if session.state is SessionState.SUBMITTED:
-                session.state = SessionState.RUNNING
-            instruments = self._step_metrics
-            trace = session.trace
-            timed = instruments is not None or trace is not None
-            started = time.perf_counter() if timed else 0.0
-            try:
-                session.executor.step()
-            except BaseException as exc:  # noqa: BLE001 - classified below
-                if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                    # Never swallow an interrupt into a FAILED session:
-                    # restore the session to its runnable state (it was
-                    # popped above) and let the interrupt propagate.
-                    self._push(session)
-                    raise
-                return self._handle_step_error(session, exc)
-            if timed:
-                elapsed = time.perf_counter() - started
-                if instruments is not None:
-                    instruments.steps.inc()
-                    instruments.step_seconds.observe(elapsed)
-                if trace is not None:
-                    trace.record_step(session.steps, elapsed)
-            session.steps += 1
-            session.attempt = 0  # the current step succeeded
-            session.vtime += 1.0 / session.priority
-            moved = session.buffer.publish()
-            if trace is not None and moved:
-                trace.record_publish(moved)
-            if session.executor.done:
-                session.finish(SessionState.DONE)
-            else:
+        """Apply the queued commands, then execute one partition-step of
+        the fairest runnable session; returns it, or ``None`` when
+        nothing is runnable right now (sessions cooling off between
+        retries do not count as runnable — see :meth:`next_ready_in`)."""
+        self._apply_commands()
+        self._admit_cooled()
+        session = self._pop_runnable()
+        if session is None:
+            return None
+        if session.state is SessionState.SUBMITTED:
+            session.state = SessionState.RUNNING
+        instruments = self._step_metrics
+        trace = session.trace
+        timed = instruments is not None or trace is not None
+        started = time.perf_counter() if timed else 0.0
+        try:
+            session.executor.step()
+        except BaseException as exc:  # noqa: BLE001 - classified below
+            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
+                # Never swallow an interrupt into a FAILED session:
+                # restore the session to its runnable state (it was
+                # popped above) and let the interrupt propagate.
                 self._push(session)
-            return session
+                raise
+            return self._handle_step_error(session, exc)
+        if timed:
+            elapsed = time.perf_counter() - started
+            if instruments is not None:
+                instruments.steps.inc()
+                instruments.step_seconds.observe(elapsed)
+            if trace is not None:
+                trace.record_step(session.steps, elapsed)
+        session.steps += 1
+        session.attempt = 0  # the current step succeeded
+        session.vtime += 1.0 / session.priority
+        moved = session.buffer.publish()
+        if trace is not None and moved:
+            trace.record_publish(moved)
+        if session.executor.done:
+            session.finish(SessionState.DONE)
+        else:
+            self._push(session)
+        return session
 
     def _handle_step_error(
         self, session: QuerySession, exc: BaseException
     ) -> QuerySession:
         """Retry, quarantine, or fail a session whose step raised.
-        Called under the lock; never sleeps."""
+        Never sleeps."""
         policy = self.retry
         session.last_error = exc
         # Only a retry-safe failure (the partition pull raised before
@@ -373,7 +386,8 @@ class FairShareScheduler:
                 if instruments is not None:
                     instruments.retries.inc()
                     instruments.backoff_seconds.inc(delay)
-                self._cool(session, delay)
+                # Cools off while every other session keeps stepping.
+                self._push(session, ready=time.monotonic() + delay)
                 return session
         if retry_safe and policy.on_partition_error == "skip":
             record = session.executor.quarantine_current()
@@ -386,7 +400,6 @@ class FairShareScheduler:
                 session.quarantined.append(record)
                 session.attempt = 0
                 self._push(session)
-                self._work.notify_all()
                 return session
         try:
             session.executor.close()
@@ -397,64 +410,39 @@ class FairShareScheduler:
             session.finish(SessionState.FAILED, error=exc)
         return session
 
-    def _cool(self, session: QuerySession, delay: float) -> None:
-        """Park a session until its backoff expires (lock held; the
-        actual waiting happens off-lock in the callers' idle loops)."""
-        session.epoch += 1
-        self._counter += 1
-        heapq.heappush(
-            self._cooling,
-            (time.monotonic() + delay, self._counter,
-             session.session_id, session.epoch),
-        )
-
     def _admit_cooled(self) -> None:
         """Move sessions whose backoff expired back into the run heap."""
         now = time.monotonic()
         while self._cooling and self._cooling[0][0] <= now:
-            _, _, session_id, epoch = heapq.heappop(self._cooling)
-            session = self._sessions.get(session_id)
-            if (session is None or epoch != session.epoch
-                    or session.state not in (SessionState.SUBMITTED,
-                                             SessionState.RUNNING)):
-                continue  # paused/cancelled/pruned while cooling
-            self._push(session)
+            session = self._live(heapq.heappop(self._cooling))
+            if session is not None:
+                self._push(session)
 
     def next_ready_in(self) -> float | None:
         """Seconds until the earliest cooling session is ready to retry
         (0.0 when one is overdue), or ``None`` when nothing is cooling.
-        Lets idle loops sleep off-lock instead of spinning."""
-        with self._lock:
-            now = time.monotonic()
-            while self._cooling:
-                ready, _, session_id, epoch = self._cooling[0]
-                session = self._sessions.get(session_id)
-                if (session is None or epoch != session.epoch
-                        or session.state not in (SessionState.SUBMITTED,
-                                                 SessionState.RUNNING)):
-                    heapq.heappop(self._cooling)  # stale entry
-                    continue
-                return max(0.0, ready - now)
+        Lets idle loops sleep instead of spinning; called by the thread
+        that steps (it drops stale entries)."""
+        while self._cooling and self._live(self._cooling[0]) is None:
+            heapq.heappop(self._cooling)
+        if not self._cooling:
             return None
+        return max(0.0, self._cooling[0][0] - time.monotonic())
 
     def _pop_runnable(self) -> QuerySession | None:
         while self._heap:
-            vtime, _, session_id, epoch = heapq.heappop(self._heap)
-            session = self._sessions.get(session_id)
-            if session is None or epoch != session.epoch:
-                continue  # stale entry (paused/cancelled/re-pushed)
-            if session.state not in (SessionState.SUBMITTED,
-                                     SessionState.RUNNING):
-                continue
-            self._clock = vtime
-            return session
+            entry = heapq.heappop(self._heap)
+            session = self._live(entry)
+            if session is not None:
+                self._clock = entry[0]
+                return session
         return None
 
     def run_until_idle(self) -> None:
         """Step until nothing is runnable (runnable sessions drain to
         DONE; paused sessions stay paused).  Sessions cooling off
-        between retries are waited for — off the lock — so the call
-        still drains everything that can eventually run."""
+        between retries are waited for, so the call still drains
+        everything that can eventually run."""
         while True:
             if self.run_once() is not None:
                 continue
@@ -462,12 +450,12 @@ class FairShareScheduler:
             if delay is None:
                 return
             if delay > 0:
-                time.sleep(delay)  # off-lock: others keep stepping
+                time.sleep(delay)
 
     # -- background-thread mode ---------------------------------------------------
     def start(self) -> None:
         """Run the step loop on a daemon thread (the server mode)."""
-        with self._lock:
+        with self._queue:
             if self._thread is not None:
                 return
             self._stopping = False
@@ -477,30 +465,35 @@ class FairShareScheduler:
             self._thread.start()
 
     def _loop(self) -> None:
-        while True:
-            with self._work:
-                if self._stopping:
-                    return
-            if self.run_once() is None:
-                delay = self.next_ready_in()
-                wait = (_IDLE_WAIT if delay is None
-                        else min(_IDLE_WAIT, max(delay, 0.001)))
-                with self._work:
+        try:
+            while True:
+                stepped = self.run_once()
+                delay = None if stepped is not None else self.next_ready_in()
+                with self._queue:
                     if self._stopping:
                         return
-                    # A submit / resume that landed since run_once()
-                    # notified nobody: its push is in the heap, so step
-                    # it now instead of dozing through the lost wakeup.
-                    if not self._heap:
-                        self._work.wait(wait)
+                    # A command queued since run_once() notified under
+                    # this lock, so this check cannot miss it.
+                    if stepped is None and not (self._commands
+                                                or self._heap):
+                        self._queue.wait(
+                            _IDLE_WAIT if delay is None
+                            else min(_IDLE_WAIT, max(delay, 0.001)))
+        finally:
+            # Commands queued after the last step still get applied
+            # (here, as the last writer), so no caller is left waiting.
+            with self._queue:
+                self._thread = None
+                self._apply_commands()
 
     def stop(self, timeout: float = 10.0) -> None:
-        """Stop the background loop (sessions keep their state; call
-        ``cancel`` per session to release executor resources)."""
-        with self._work:
+        """Stop the background loop after its current step (sessions
+        keep their state; call ``cancel`` per session to release
+        executor resources).  Commands still queued are applied before
+        the loop exits; later control calls apply inline."""
+        with self._queue:
             self._stopping = True
-            self._work.notify_all()
+            self._queue.notify_all()
             thread = self._thread
-            self._thread = None
         if thread is not None:
             thread.join(timeout=timeout)

@@ -37,10 +37,12 @@ directions.  Requests carry an ``op``:
   partitions (see :mod:`repro.service.retry`), and a FAILED session's
   stream always terminates with the ``end`` event carrying its error.
 
-Execution happens on the scheduler's worker thread; the asyncio loop
-only shuttles lines, so a stalled client connection never blocks query
-progress (subscription reads run in the default thread-pool executor
-against the session's snapshot buffer).
+Execution happens on the scheduler's loop thread; the asyncio loop only
+shuttles lines and never waits out a step.  Control ops reply at the
+next step boundary (``submit`` plans before it waits);
+``status`` / ``metrics`` / ``trace`` reply at once.  A stalled client
+connection never blocks query progress (subscription reads run in the
+default thread-pool executor against the session's snapshot buffer).
 """
 
 from __future__ import annotations
@@ -48,13 +50,13 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from concurrent.futures import Future
 from typing import Callable, Mapping
 
 from repro.api.context import WakeContext
 from repro.api.frame_api import EdfFrame
 from repro.api.options import ExecutionOptions
 from repro.core.edf import EdfSnapshot
-from repro.engine.plan_node import plan_hash
 from repro.errors import PlanValidationError, QueryError
 from repro.obs import (
     MetricsRegistry,
@@ -311,6 +313,13 @@ class QueryService:
         or, with the result cache on and a plan-hash match against a
         live/retained identical session, attach to it instead.
         ``options`` (default: the service's) tunes this submit."""
+        return self._submit(query, params, priority, name, paused,
+                            options).result()
+
+    def _submit(self, query, params, priority, name, paused,
+                options) -> Future:
+        """:meth:`submit` in two halves: plan on this thread, then return
+        the future of the registration, one scheduler command."""
         try:
             factory = self.plans[query]
         except KeyError:
@@ -319,26 +328,28 @@ class QueryService:
                 f"unknown query {query!r}; known: {known}"
             ) from None
         opts = options if options is not None else self.options
-        trace = (self.tracer.begin(name or query)
+        name = name or query
+        trace = (self.tracer.begin(name)
                  if self.tracer is not None else None)
         with maybe_span(trace, "submit", query=query):
             with maybe_span(trace, "build"):
                 frame = factory(self.ctx, **dict(params or {}))
             executor = self.ctx.executor_for(frame, options=opts,
                                              trace=trace)
-            # Hash the *optimized* graph: pushdown structure is part
-            # of the key, so differently-tuned submits never collide.
-            digest = plan_hash(executor.graph, executor.output)
-            if trace is not None:
-                trace.plan_hash = digest
-            cache_key = (digest, *opts.cache_fingerprint())
+        # The *optimized* graph's hash: pushdown structure is part of
+        # the key, so differently-tuned submits never collide.
+        digest = executor.plan_hash
+        if trace is not None:
+            trace.plan_hash = digest
+        cache_key = (digest, *opts.cache_fingerprint())
+
+        def register() -> QuerySession | AttachedSession:
             # ``paused`` submits bypass the cache entirely: an attach
             # replays instead of executing, which cannot be paused, and
             # a paused primary would stall its attachers.
             if opts.result_cache and not paused:
                 with maybe_span(trace, "cache_lookup") as span:
-                    attached = self._try_attach(cache_key,
-                                                name or query)
+                    attached = self._try_attach(cache_key, name)
                     if span is not None:
                         span.attrs["hit"] = attached is not None
                 if attached is not None:
@@ -352,17 +363,17 @@ class QueryService:
                 executor.scan_share = self.scan_share
             if self.instruments is not None:
                 executor.scan_metrics = self.instruments.scan
-            session = self.scheduler.submit(
-                executor, name=name or query, priority=priority,
-                paused=paused, trace=trace,
-            )
+            session = self.scheduler.submit(executor, name, priority,
+                                            paused, trace=trace)
             session.plan_hash = digest
-        if trace is not None and self.tracer is not None:
-            self.tracer.bind(session.session_id, trace)
-        if opts.result_cache and not paused:
-            with self._cache_lock:
-                self._result_cache[cache_key] = session.session_id
-        return session
+            if trace is not None and self.tracer is not None:
+                self.tracer.bind(session.session_id, trace)
+            if opts.result_cache and not paused:
+                with self._cache_lock:
+                    self._result_cache[cache_key] = session.session_id
+            return session
+
+        return self.scheduler._command(register)
 
     def _try_attach(
         self, cache_key: tuple, name: str
@@ -600,14 +611,12 @@ class SnapshotServer:
                 scan_share=request.get("scan_share"),
                 result_cache=request.get("result_cache"),
             )
-            session = self.service.submit(
-                str(request["query"]),
-                params=request.get("params"),
-                priority=float(request.get("priority", 1.0)),
-                name=request.get("name"),
-                paused=_flag(request, "paused", False),
-                options=options,
-            )
+            # Planned here, overlapping the running step; only the
+            # registration waits for the step boundary, as a command.
+            session = await asyncio.wrap_future(self.service._submit(
+                str(request["query"]), request.get("params"),
+                float(request.get("priority", 1.0)), request.get("name"),
+                _flag(request, "paused", False), options))
             writer.write(_encode({"ok": True, **session.status()}))
         elif op == "status":
             if "session" in request:
@@ -679,13 +688,13 @@ class SnapshotServer:
             if "session" not in request:
                 raise QueryError(f"{op} needs a 'session'")
             session_id = str(request["session"])
-            state = getattr(scheduler, op)(session_id)
+            state = await asyncio.wrap_future(
+                scheduler._command(getattr(scheduler, op), session_id))
             writer.write(_encode({"ok": True, "session": session_id,
                                   "state": state.value}))
         elif op == "prune":
-            removed = scheduler.prune(
-                keep_latest=int(request.get("keep_latest", 0))
-            )
+            removed = await asyncio.wrap_future(scheduler._command(
+                scheduler.prune, int(request.get("keep_latest", 0))))
             writer.write(_encode({"ok": True, "removed": removed}))
         elif op == "subscribe":
             if "session" not in request:

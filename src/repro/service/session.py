@@ -292,10 +292,10 @@ class _Session:
 class QuerySession(_Session):
     """One submitted query: executor + lifecycle + snapshot buffer.
 
-    State is written only under the owning scheduler's lock (the
-    scheduler mutates RUNNING/DONE/FAILED from its step loop; control
-    threads mutate PAUSED/CANCELLED through the scheduler's methods, so
-    a cancel can never race a step).
+    State is written only by the owning scheduler's writer thread: its
+    step loop moves a session to RUNNING/DONE/FAILED and applies
+    pause/resume/cancel commands between steps, so a cancel can never
+    race a step.  Other threads only read.
     """
 
     def __init__(
@@ -353,8 +353,8 @@ class QuerySession(_Session):
     ) -> None:
         """Enter a terminal state: publish what the edf holds and seal
         the buffer.  Every result-cache hit reading it ends with it —
-        DONE, FAILED with the same error, or CANCELLED.  Called under
-        the scheduler lock."""
+        DONE, FAILED with the same error, or CANCELLED.  Called by the
+        scheduler's writer."""
         self.state = state
         if error is not None:
             self.error = error

@@ -2,9 +2,9 @@
 
 ``plan_hash`` must be *equal* for plans that differ only in
 presentation that cannot change output bytes — commuted conjuncts,
-literal-on-the-left comparisons, scan source labels, aggregate-name
-synonyms — and *unequal* whenever the query or its output differs
-(another literal, column, aggregate, table, or select output order).
+literal-on-the-left comparisons, aggregate-name synonyms — and
+*unequal* whenever the query or its output differs (another literal,
+column, aggregate, table, scan source label, or select output order).
 The commutation properties are checked with hypothesis over random
 conjunct orderings.
 """
@@ -84,12 +84,20 @@ def test_hash_flips_literal_side(catalog, value):
     assert _hash(a) != _hash(c)
 
 
-def test_hash_invariant_under_scan_label(ctx):
-    """Two scans of one table carry distinct progress labels (sales,
-    sales@2) but answer the same query — same hash."""
+def test_hash_equal_for_the_same_plan_built_twice(ctx):
+    """Scan labels are numbered per plan, so building the same plan
+    twice in one context gives it the same labels and the same hash."""
     a = ctx.table("sales").filter(col("qty") > 5.0)
     b = ctx.table("sales").filter(col("qty") > 5.0)
     assert _hash(a) == _hash(b)
+
+
+def test_hash_distinguishes_source_labels(ctx):
+    """Progress is keyed by source label, so a relabelled scan is a
+    different result."""
+    a = ctx.table("sales", source_name="left").sum("qty")
+    b = ctx.table("sales", source_name="right").sum("qty")
+    assert _hash(a) != _hash(b)
 
 
 def test_hash_invariant_under_commuted_operands(ctx):

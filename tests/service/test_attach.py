@@ -62,6 +62,48 @@ def drain(session):
     return list(iter(session.subscribe()))
 
 
+def _two_scan_plan(ctx, **p):
+    """Two scans of one table: each group's share of the total."""
+    return ctx.table("sales").agg(F.sum("qty").alias("s"), by=["cust"]) \
+        .cross_join(ctx.table("sales").agg(F.sum("qty").alias("total")))
+
+
+class TestScanLabels:
+    def test_repeated_submits_keep_the_solo_labels(self, catalog):
+        """Scans are labelled per plan, so the third submit through one
+        service reports the progress keys of a fresh-context run."""
+        service = QueryService(WakeContext(catalog),
+                               plans={"shares": _two_scan_plan})
+        sessions = [service.submit("shares") for _ in range(3)]
+        service.scheduler.run_until_idle()
+        ctx = WakeContext(catalog)
+        solo = [sorted(s.progress.done)
+                for s in ctx.run(_two_scan_plan(ctx)).snapshots]
+        assert solo[0] == ["sales", "sales@2"]
+        for session in sessions:
+            assert [sorted(s.progress.done)
+                    for s in drain(session)] == solo
+
+    def test_source_name_joins_the_plan_hash(self, catalog):
+        """Snapshots key progress by source label, so plans that differ
+        only in ``source_name`` are different results: no attach."""
+        plans = {
+            side: (lambda ctx, side=side, **p: ctx.table(
+                "sales", source_name=side).sum("qty"))
+            for side in ("left", "right")
+        }
+        service = QueryService(WakeContext(catalog), plans=plans,
+                               options=ExecutionOptions(result_cache=True))
+        left = service.submit("left")
+        right = service.submit("right")
+        assert isinstance(right, QuerySession)
+        assert left.plan_hash != right.plan_hash
+        service.scheduler.run_until_idle()
+        for session, label in ((left, "left"), (right, "right")):
+            assert all(list(s.progress.done) == [label]
+                       for s in drain(session))
+
+
 class TestAttach:
     def test_midflight_attach_replays_prefix(self, catalog):
         service = _service(catalog)

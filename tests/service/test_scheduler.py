@@ -2,6 +2,8 @@
 
 import inspect
 import math
+import random
+import sys
 import threading
 import time
 
@@ -117,29 +119,34 @@ class TestSurface:
             inspect.signature(cls.__init__).parameters
 
     def test_get_does_not_wait_for_the_lock(self, catalog):
-        """A lookup is a plain dict read: it answers while another
-        thread holds the scheduler lock (as a running step does)."""
+        """Lookups and load views read the session table without
+        waiting: they answer while the loop thread is inside a step."""
         scheduler = FairShareScheduler()
-        session = scheduler.submit(_executor(catalog))
-        held, release = threading.Event(), threading.Event()
+        executor = _executor(catalog)
+        in_step, release = threading.Event(), threading.Event()
+        original_step = executor.step
 
-        def hold_lock():
-            with scheduler._lock:
-                held.set()
-                release.wait(10)
+        def step():
+            in_step.set()
+            release.wait(10)
+            return original_step()
 
-        holder = threading.Thread(target=hold_lock)
-        holder.start()
+        executor.step = step
+        scheduler.start()
         try:
-            assert held.wait(10)
+            session = scheduler.submit(executor)
+            assert in_step.wait(10)
             started = time.monotonic()
             assert scheduler.get(session.session_id) is session
             with pytest.raises(QueryError):
                 scheduler.get("s999")
+            assert scheduler.sessions() == [session]
+            assert scheduler.run_queue_depth() == 1
+            assert scheduler.vclock_skew() == 0.0
             assert time.monotonic() - started < 1.0
         finally:
             release.set()
-            holder.join()
+            scheduler.stop()
 
 
 class TestPauseResumeCancel:
@@ -341,3 +348,159 @@ class TestBackgroundThread:
         assert session.state is SessionState.DONE
         assert (session.executor.edf.get_final().column("s").tobytes()
                 == _reference_final(catalog).column("s").tobytes())
+
+
+class TestCommands:
+    def test_control_call_on_the_loop_thread_applies_inline(
+        self, catalog
+    ):
+        """A control call made by the loop thread itself (here from
+        inside a step) cannot wait for the loop: it applies at once."""
+        scheduler = FairShareScheduler()
+        other = scheduler.submit(_executor(catalog), paused=True)
+        executor = _executor(catalog)
+        seen: list[tuple[SessionState, int]] = []
+
+        def cancel_other(_executor):
+            if not seen:
+                state = scheduler.cancel(other.session_id)
+                seen.append((state, other.steps))
+
+        executor.before_step = cancel_other
+        scheduler.start()
+        try:
+            session = scheduler.submit(executor)
+            deadline = time.monotonic() + 10
+            while not session.terminal and time.monotonic() < deadline:
+                time.sleep(0.005)
+        finally:
+            scheduler.stop()
+        assert seen == [(SessionState.CANCELLED, 0)]
+        assert other.state is SessionState.CANCELLED
+        assert session.state is SessionState.DONE
+
+    def test_stop_applies_commands_queued_during_a_step(self, catalog):
+        """Commands queued while the loop is inside its last step are
+        applied when it stops, so no caller is left blocked; calls made
+        after the loop stopped apply inline."""
+        scheduler = FairShareScheduler()
+        executor = _executor(catalog)
+        paused = scheduler.submit(_executor(catalog), paused=True)
+        in_step, release = threading.Event(), threading.Event()
+        original_step = executor.step
+
+        def step():
+            in_step.set()
+            release.wait(10)
+            return original_step()
+
+        executor.step = step
+        scheduler.start()
+        session = scheduler.submit(executor)
+        assert in_step.wait(10)
+        results: dict[str, object] = {}
+
+        def call(key, fn, *args):
+            try:
+                results[key] = fn(*args)
+            except QueryError as exc:
+                results[key] = exc
+
+        callers = [
+            threading.Thread(target=call, args=args) for args in (
+                ("cancel", scheduler.cancel, session.session_id),
+                ("resume", scheduler.resume, paused.session_id),
+                ("missing", scheduler.pause, "s999"),
+                ("submit", scheduler.submit, _executor(catalog)),
+                ("prune", scheduler.prune, 0),
+            )
+        ]
+        for caller in callers:
+            caller.start()
+        deadline = time.monotonic() + 10
+        while (len(scheduler._commands) < len(callers)
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        assert not results  # all waiting for the step boundary
+        stopper = threading.Thread(target=scheduler.stop)
+        stopper.start()
+        release.set()
+        stopper.join(10)
+        for caller in callers:
+            caller.join(10)
+        assert not stopper.is_alive()
+        assert not any(caller.is_alive() for caller in callers)
+        assert results["cancel"] is SessionState.CANCELLED
+        assert session.state is SessionState.CANCELLED
+        assert session.steps == 1
+        assert results["resume"] is SessionState.SUBMITTED
+        assert isinstance(results["missing"], QueryError)
+        assert results["submit"].state is SessionState.SUBMITTED
+        assert results["prune"] == [session.session_id]
+        # No loop thread now: a control call applies inline.
+        assert scheduler.pause(paused.session_id) is SessionState.PAUSED
+        scheduler.run_until_idle()
+        assert results["submit"].state is SessionState.DONE
+
+    def test_concurrent_control_calls_and_reads(self, catalog):
+        """Stress: four threads submit, pause, resume and cancel while
+        the loop steps and a fifth walks the read views, with a tiny
+        switch interval.  A second writer or a torn read would surface
+        as an exception, a lost session or a wrong final."""
+        scheduler = FairShareScheduler()
+        sessions: list = []
+        errors: list[BaseException] = []
+        reading = threading.Event()
+
+        def control(seed: int) -> None:
+            rng = random.Random(seed)
+            try:
+                for _ in range(15):
+                    sessions.append(scheduler.submit(_executor(catalog)))
+                    op = rng.choice((scheduler.pause, scheduler.resume,
+                                     scheduler.cancel))
+                    op(rng.choice(sessions).session_id)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        def read() -> None:
+            try:
+                while reading.is_set():
+                    for session in scheduler.sessions():
+                        assert scheduler.get(session.session_id) is session
+                    scheduler.run_queue_depth()
+                    scheduler.vclock_skew()
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        controllers = [threading.Thread(target=control, args=(seed,))
+                       for seed in range(4)]
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        reading.set()
+        scheduler.start()
+        try:
+            for thread in (*controllers, reader):
+                thread.start()
+            for thread in controllers:
+                thread.join(60)
+            reading.clear()
+            reader.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            scheduler.stop()
+        assert not any(t.is_alive() for t in (*controllers, reader))
+        assert not errors, errors[:3]
+        assert scheduler.sessions() == sorted(
+            sessions, key=lambda s: int(s.session_id[1:]))
+        for session in sessions:
+            scheduler.resume(session.session_id)
+        scheduler.run_until_idle()
+        expected = _reference_final(catalog).column("s").tobytes()
+        for session in sessions:
+            assert session.state in (SessionState.DONE,
+                                     SessionState.CANCELLED)
+            if session.state is SessionState.DONE:
+                final = session.executor.edf.get_final()
+                assert final.column("s").tobytes() == expected
