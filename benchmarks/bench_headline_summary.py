@@ -10,7 +10,7 @@ computed over this reproduction's substrate:
 * vs existing OLA systems to <1% error (paper: 1.92× faster median).
 """
 
-from conftest import BENCH_OVERRIDES
+from conftest import BENCH_OVERRIDES, BENCH_SF
 
 from repro.baselines import ExactEngine, ProgressiveScan
 from repro.bench import median_or_nan, metrics, run_wake
@@ -89,7 +89,8 @@ def test_headline_summary(bench_data, bench_ctx, benchmark, guard,
         lambda: compute_headlines(bench_data, bench_ctx), rounds=1,
         iterations=1,
     )
-    emit(banner("Headline metrics — this reproduction vs the paper"))
+    emit(banner("Headline metrics — this reproduction vs the paper "
+                f"(TPC-H SF {BENCH_SF:g})"))
     emit(format_table(
         ["metric", "reproduction", "paper"],
         [

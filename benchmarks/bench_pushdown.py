@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro import ExecutionOptions, WakeContext
+from repro.analysis.schema_check import infer_plan
 from repro.api.functions import F
 from repro.bench.report import banner, format_table
 from repro.dataframe import DataFrame, col
@@ -86,10 +87,10 @@ def _scan_filter_times(catalog, pushed: bool) -> tuple[list[float], int]:
     """
     ctx = WakeContext(catalog)
     graph = QueryGraph()
-    output = _plan(ctx).plan.materialize(graph, {})
+    output = _plan(ctx).plan.materialize(graph, {}, ctx.options)
     if pushed:
         pruning_pass(graph, output)
-        projection_pass(graph, output)
+        projection_pass(graph, output, infer_plan(graph, output))
     graph.resolve()
     (read_id,) = graph.source_ids()
     read = graph.node(read_id).operator

@@ -12,7 +12,6 @@ from repro.analysis.schema_check import (
     infer_plan,
     plan_fingerprint,
     source_labels,
-    validate_plan,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "plan_fingerprint",
     "run_lint",
     "source_labels",
-    "validate_plan",
 ]

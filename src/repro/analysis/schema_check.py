@@ -22,9 +22,11 @@ This module holds the two pieces that are not per-operator:
 schema (what the operators call instead of evaluating expressions on
 probe frames), and the graph walk that runs every reachable operator's
 derivation output→sources *without binding*, so a bad plan is rejected
-at submit before any partition is read and the optimizer's
-rewrite-soundness checker can re-run it after every pushdown pass within
-the < 5 ms planning budget (``benchmarks/bench_optimizer.py``).
+at submit before any partition is read.  A submit derives its plan once
+here and once more after each pushdown pass that rewrote something (the
+optimizer's soundness check); the executor binds from the last
+derivation, within the < 5 ms planning budget
+(``benchmarks/bench_optimizer.py``).
 
 Nothing here imports ``repro.engine``: the operators import
 :func:`expr_dtype`, not the other way round.
@@ -278,9 +280,9 @@ def reachable_nodes(graph: QueryGraph, output: int) -> list[int]:
 
 def infer_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
     """Every reachable node's output stream, derived by the operators
-    themselves without binding them.  Raises
-    :class:`PlanValidationError` on the first malformed node, pinned to
-    that node's id."""
+    themselves without binding them.  This is submit-time validation:
+    raises :class:`PlanValidationError` on the first malformed node,
+    pinned to that node's id, before any partition is read."""
     infos: dict[int, StreamInfo] = {}
     for nid in reachable_nodes(graph, output):
         node = graph.node(nid)
@@ -296,14 +298,6 @@ def infer_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
     return infos
 
 
-def validate_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
-    """Submit-time plan validation: raise :class:`PlanValidationError`
-    for any malformed node reachable from ``output``, before any
-    partition is read.  Returns the derived streams on success (the
-    payload ``explain``'s ``types`` mode renders)."""
-    return infer_plan(graph, output)
-
-
 def source_labels(graph: QueryGraph, output: int) -> frozenset[str]:
     """The reachable source set: the progress label of every source
     reachable from ``output``.  Sound rewrites must
@@ -317,10 +311,15 @@ def source_labels(graph: QueryGraph, output: int) -> frozenset[str]:
     )
 
 
-def plan_fingerprint(graph: QueryGraph, output: int):
+def plan_fingerprint(graph: QueryGraph, output: int,
+                     infos: dict[int, StreamInfo] | None = None):
     """The rewrite-soundness invariant: the output node's column names
-    + dtypes, its delivery, and the reachable source set."""
-    out = infer_plan(graph, output)[output]
+    + dtypes, its delivery, and the reachable source set.  ``infos`` is
+    the plan's :func:`infer_plan` derivation (derived here when
+    omitted)."""
+    if infos is None:
+        infos = infer_plan(graph, output)
+    out = infos[output]
     return (
         tuple((f.name, f.dtype.value) for f in out.schema.fields),
         out.delivery.value,

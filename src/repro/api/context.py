@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import QueryError
-from repro.analysis.schema_check import infer_plan, validate_plan
+from repro.analysis.schema_check import infer_plan
 from repro.core.ci import CIConfig
+from repro.core.properties import StreamInfo
 from repro.core.edf import EvolvingDataFrame
 from repro.engine.executor import StepExecutor
 from repro.engine.graph import QueryGraph
@@ -73,7 +74,7 @@ class WakeContext:
         #: Executor of the most recent ``run`` / ``stream``.
         self.last_executor: StepExecutor | None = None
         #: Trace of the most recent submit's optimization (pass → nodes
-        #: rewritten, soundness checks, plan hash).
+        #: rewritten, plan hash, the optimized plan's derivation).
         self.last_trace: OptimizerTrace | None = None
         #: Per-operator profile of the most recent
         #: ``explain(mode="profile")`` run.
@@ -108,7 +109,7 @@ class WakeContext:
             order = rng.permutation(meta.n_partitions).tolist()
         frozen_order = tuple(order) if order is not None else None
 
-        def factory() -> ReadOperator:
+        def factory(_options: ExecutionOptions) -> ReadOperator:
             return ReadOperator(meta, order=frozen_order,
                                 source_name=source_name)
 
@@ -121,24 +122,24 @@ class WakeContext:
         options: ExecutionOptions | None,
         trace=None,
     ) -> tuple[QueryGraph, int, OptimizerTrace]:
-        """Instantiate the plan, statically validate it, and run the
-        optimizer's scan pushdowns over it under ``options`` (``None``:
-        the session's :attr:`options`).  Returns the graph, its output
-        node and this plan's optimizer trace (also left in
-        :attr:`last_trace`); ``trace`` (a
+        """Instantiate the plan under ``options`` (``None``: the
+        session's :attr:`options`), derive it once — the submit-time
+        validation — and run the optimizer's scan pushdowns over it.
+        Returns the graph, its output node and this plan's optimizer
+        trace (also left in :attr:`last_trace`), whose ``infos`` is the
+        derivation the graph binds from.  ``trace`` (a
         :class:`~repro.obs.SessionTrace`, or ``None``) records the
         validate/optimize phases as lifecycle spans."""
         opts = options if options is not None else self.options
         graph = QueryGraph()
-        output = frame.plan.materialize(graph, {})
-        if opts.validate:
-            # Submit-time chokepoint: run/stream/executor_for/explain
-            # (and the service on top of them) all reject malformed
-            # plans here, before any partition is read.
-            with maybe_span(trace, "validate"):
-                validate_plan(graph, output)
+        output = frame.plan.materialize(graph, {}, opts)
+        # Submit-time chokepoint: run/stream/executor_for/explain (and
+        # the service on top of them) all reject malformed plans here,
+        # before any partition is read.
+        with maybe_span(trace, "validate"):
+            infos = infer_plan(graph, output)
         with maybe_span(trace, "optimize"):
-            optimized = self.last_trace = optimize(graph, output,
+            optimized = self.last_trace = optimize(graph, output, infos,
                                                    opts.pushdown)
         return graph, output, optimized
 
@@ -207,6 +208,7 @@ class WakeContext:
             options = base.merged(pushdown=pushdown)
         graph, output, optimized = self._materialize(frame, options,
                                                      trace=trace)
+        graph.resolve(optimized.infos)
         capture = self.capture_all if capture_all is None else capture_all
         executor = StepExecutor(graph, output, capture_all=capture)
         executor.plan_hash = optimized.plan_hash
@@ -246,8 +248,8 @@ class WakeContext:
             return self.last_profile.render()
         graph, output, optimized = self._materialize(frame, options)
         if mode == "types":
-            return self._explain_types(graph, output)
-        infos = graph.resolve()
+            return self._explain_types(graph, output, optimized.infos)
+        infos = graph.resolve(optimized.infos)
         lines = []
         for nid in sorted(graph.nodes):
             node = graph.node(nid)
@@ -285,10 +287,10 @@ class WakeContext:
         lines.extend(optimized.render())
         return "\n".join(lines)
 
-    def _explain_types(self, graph: QueryGraph, output: int) -> str:
+    def _explain_types(self, graph: QueryGraph, output: int,
+                       streams: dict[int, StreamInfo]) -> str:
         """Render each node's derived output schema (``explain``'s
         ``types`` mode) without resolving/binding the graph."""
-        streams = infer_plan(graph, output)
         lines = []
         for nid in sorted(streams):
             node = graph.node(nid)

@@ -35,6 +35,7 @@ from repro.engine.ops import (
     SortLimitOperator,
 )
 from repro.api.functions import AggExpr
+from repro.api.options import ExecutionOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.context import WakeContext
@@ -44,17 +45,19 @@ _plan_ids = itertools.count()
 
 @dataclass(frozen=True)
 class PlanNode:
-    """One declarative node: builds a fresh Operator when materialized."""
+    """One declarative node: builds a fresh Operator when materialized,
+    from the :class:`ExecutionOptions` that execution runs under."""
 
-    factory: Callable[[], Operator]
+    factory: Callable[[ExecutionOptions], Operator]
     inputs: tuple["PlanNode", ...] = ()
     plan_id: int = field(default_factory=lambda: next(_plan_ids))
 
     def materialize(
-        self, graph: QueryGraph, memo: dict[int, int]
+        self, graph: QueryGraph, memo: dict[int, int],
+        options: ExecutionOptions,
     ) -> int:
-        """Instantiate this plan (and its ancestors) into ``graph`` and
-        label its scans.
+        """Instantiate this plan (and its ancestors) into ``graph`` under
+        ``options`` and label its scans.
 
         Scans the caller did not name are numbered per table in the
         order they were created — ``t``, ``t@2``, ``t@3``... — so two
@@ -62,7 +65,7 @@ class PlanNode:
         label would let the faster one mark the source complete), and
         a plan's labels depend on the plan alone, not on what else its
         context has built."""
-        output = self._instantiate(graph, memo)
+        output = self._instantiate(graph, memo, options)
         seen: dict[str, int] = {}
         for _plan_id, node_id in sorted(memo.items()):
             scan = graph.node(node_id).operator
@@ -75,14 +78,16 @@ class PlanNode:
         return output
 
     def _instantiate(
-        self, graph: QueryGraph, memo: dict[int, int]
+        self, graph: QueryGraph, memo: dict[int, int],
+        options: ExecutionOptions,
     ) -> int:
         if self.plan_id in memo:
             return memo[self.plan_id]
         input_ids = tuple(
-            child._instantiate(graph, memo) for child in self.inputs
+            child._instantiate(graph, memo, options)
+            for child in self.inputs
         )
-        node_id = graph.add(self.factory(), input_ids)
+        node_id = graph.add(self.factory(options), input_ids)
         memo[self.plan_id] = node_id
         return node_id
 
@@ -117,7 +122,7 @@ class EdfFrame:
     def context(self) -> "WakeContext":
         return self._context
 
-    def _wrap(self, factory: Callable[[], Operator],
+    def _wrap(self, factory: Callable[[ExecutionOptions], Operator],
               inputs: tuple[PlanNode, ...]) -> "EdfFrame":
         return EdfFrame(self._context, PlanNode(factory, inputs))
 
@@ -127,7 +132,7 @@ class EdfFrame:
     def stream_info(self) -> StreamInfo:
         """Plan-time stream description (schema, keys, delivery)."""
         graph = QueryGraph()
-        node_id = self._plan.materialize(graph, {})
+        node_id = self._plan.materialize(graph, {}, self._context.options)
         return infer_plan(graph, node_id)[node_id]
 
     @property
@@ -147,7 +152,7 @@ class EdfFrame:
         name = self._name("select")
         ci = self._context.ci is not None
         return self._wrap(
-            lambda: SelectOperator(name, exprs, propagate_ci=ci),
+            lambda _: SelectOperator(name, exprs, propagate_ci=ci),
             (self._plan,),
         )
 
@@ -158,7 +163,7 @@ class EdfFrame:
         exprs = [(c, col_(c)) for c in columns]
         name = self._name("project")
         return self._wrap(
-            lambda: SelectOperator(name, exprs), (self._plan,)
+            lambda _: SelectOperator(name, exprs), (self._plan,)
         )
 
     def with_columns(self, **named: Expr) -> "EdfFrame":
@@ -173,14 +178,14 @@ class EdfFrame:
         name = self._name("with_columns")
         ci = self._context.ci is not None
         return self._wrap(
-            lambda: SelectOperator(name, exprs, propagate_ci=ci),
+            lambda _: SelectOperator(name, exprs, propagate_ci=ci),
             (self._plan,),
         )
 
     def filter(self, predicate: Expr) -> "EdfFrame":
         name = self._name("filter")
         return self._wrap(
-            lambda: FilterOperator(name, predicate), (self._plan,)
+            lambda _: FilterOperator(name, predicate), (self._plan,)
         )
 
     def map_partitions(
@@ -192,7 +197,7 @@ class EdfFrame:
         """Apply an arbitrary local frame→frame function (paper's map)."""
         name = self._name("map")
         return self._wrap(
-            lambda: MapPartitionsOperator(
+            lambda _: MapPartitionsOperator(
                 name, fn, schema=schema,
                 preserves_clustering=preserves_clustering,
             ),
@@ -231,7 +236,7 @@ class EdfFrame:
             if len(pairs) != 1:
                 raise QueryError("merge join requires a single key pair")
             return self._wrap(
-                lambda: MergeJoinOperator(
+                lambda _: MergeJoinOperator(
                     name, left_on[0], right_on[0], suffix=suffix
                 ),
                 (self._plan, other._plan),
@@ -239,7 +244,7 @@ class EdfFrame:
         if method != "hash":
             raise QueryError(f"unknown join method {method!r}")
         return self._wrap(
-            lambda: HashJoinOperator(
+            lambda _: HashJoinOperator(
                 name, left_on, right_on, how=how, suffix=suffix
             ),
             (self._plan, other._plan),
@@ -272,15 +277,13 @@ class EdfFrame:
         """Cartesian product (for scalar/decorrelated subqueries)."""
         name = self._name("cross_join")
         return self._wrap(
-            lambda: CrossJoinOperator(name, suffix=suffix),
+            lambda _: CrossJoinOperator(name, suffix=suffix),
             (self._plan, other._plan),
         )
 
     def agg(self, *aggs: "AggExpr | dict", by: Sequence[str] = (),
             ci: bool | None = None,
-            growth: str = "fitted",
-            quantile_mode: str | None = None,
-            sketch_size: int | None = None) -> "EdfFrame":
+            growth: str = "fitted") -> "EdfFrame":
         """Aggregate (optionally grouped).
 
         Each positional argument is an :class:`AggExpr` (the ``F``
@@ -297,11 +300,9 @@ class EdfFrame:
         (defaults to the context's CI setting).  ``growth`` selects the
         scaling strategy (§5.2 ablation): ``fitted`` (the paper's
         growth-based inference), ``uniform`` (classic 1/t OLA scaling),
-        or ``none`` (raw merged values).  ``quantile_mode`` selects how
-        median/quantile state is maintained — ``"exact"`` (per-group
-        multiset, footnote-3 semantics) or ``"sketch"`` (bounded-memory
-        reservoir of ``sketch_size`` values per group, approximate);
-        defaults to the context's setting.
+        or ``none`` (raw merged values).  How median/quantile state is
+        maintained comes from the options the plan runs under
+        (``ExecutionOptions.quantile_mode`` / ``sketch_size``).
         """
         exprs: list[AggExpr] = []
         for item in aggs:
@@ -327,16 +328,12 @@ class EdfFrame:
         else:
             config = None
         by = tuple(by)
-        options = self._context.options
-        mode = (options.quantile_mode if quantile_mode is None
-                else quantile_mode)
-        size = (options.sketch_size if sketch_size is None
-                else sketch_size)
         return self._wrap(
-            lambda: AggregateOperator(name, specs, by=by, ci=config,
-                                      growth_mode=growth,
-                                      quantile_mode=mode,
-                                      sketch_size=size),
+            lambda options: AggregateOperator(
+                name, specs, by=by, ci=config, growth_mode=growth,
+                quantile_mode=options.quantile_mode,
+                sketch_size=options.sketch_size,
+            ),
             (self._plan,),
         )
 
@@ -402,23 +399,17 @@ class EdfFrame:
         return self.agg(spec, by=by)
 
     def median(self, column: str, by: Sequence[str] = (),
-               alias: str | None = None,
-               quantile_mode: str | None = None,
-               sketch_size: int | None = None) -> "EdfFrame":
+               alias: str | None = None) -> "EdfFrame":
         spec = AggExpr("median", column, alias or f"median_{column}")
-        return self.agg(spec, by=by, quantile_mode=quantile_mode,
-                        sketch_size=sketch_size)
+        return self.agg(spec, by=by)
 
     def quantile(self, column: str, q: float, by: Sequence[str] = (),
-                 alias: str | None = None,
-                 quantile_mode: str | None = None,
-                 sketch_size: int | None = None) -> "EdfFrame":
+                 alias: str | None = None) -> "EdfFrame":
         # Lossless default alias: rounding q to a percentile would
         # collide e.g. quantile(x, 0.995) with quantile(x, 1.0).
         spec = AggExpr("quantile", column,
                        alias or f"q{q:g}_{column}", param=q)
-        return self.agg(spec, by=by, quantile_mode=quantile_mode,
-                        sketch_size=sketch_size)
+        return self.agg(spec, by=by)
 
     def sort(self, by: Sequence[str] | str,
              desc: bool | Sequence[bool] = False) -> "EdfFrame":
@@ -429,14 +420,14 @@ class EdfFrame:
             ascending = [not d for d in desc]
         name = self._name("sort")
         return self._wrap(
-            lambda: SortLimitOperator(name, by=keys, ascending=ascending),
+            lambda _: SortLimitOperator(name, by=keys, ascending=ascending),
             (self._plan,),
         )
 
     def limit(self, n: int) -> "EdfFrame":
         name = self._name("limit")
         return self._wrap(
-            lambda: SortLimitOperator(name, limit=n), (self._plan,)
+            lambda _: SortLimitOperator(name, limit=n), (self._plan,)
         )
 
     def top_k(self, by: Sequence[str] | str, k: int,
@@ -449,8 +440,8 @@ class EdfFrame:
             ascending = [not d for d in desc]
         name = self._name("top_k")
         return self._wrap(
-            lambda: SortLimitOperator(name, by=keys, ascending=ascending,
-                                      limit=k),
+            lambda _: SortLimitOperator(name, by=keys, ascending=ascending,
+                                        limit=k),
             (self._plan,),
         )
 
@@ -458,7 +449,7 @@ class EdfFrame:
         name = self._name("distinct")
         cols = tuple(subset)
         return self._wrap(
-            lambda: DistinctOperator(name, subset=cols), (self._plan,)
+            lambda _: DistinctOperator(name, subset=cols), (self._plan,)
         )
 
     # -- execution sugar -----------------------------------------------------------

@@ -28,9 +28,14 @@ class ExecutionOptions:
 
     * ``pushdown`` — the optimizer's two passes, scan projection and
       zone-map partition pruning; off, a plan runs as written.
-    * ``validate`` — static schema/type checking at submit.
+    * ``validate`` — accepted and ignored: every submit derives its
+      plan once, and that derivation is the validation.  The field stays
+      only because the frozen end-to-end benchmark passes
+      ``validate=False``; ROADMAP item 6(a) deletes it.
     * ``quantile_mode`` / ``sketch_size`` — exact vs reservoir-sketch
-      order statistics.
+      order statistics.  They reach the plan's aggregates when it is
+      materialized, so a per-call bundle takes effect, and they are part
+      of the plan hash (the result cache's key).
     * ``scan_share`` — service-level shared scans: one partition read
       per (table, partition, column-superset) fans out to every
       subscribed query (semantically invisible; snapshot sequences stay
@@ -41,8 +46,7 @@ class ExecutionOptions:
     * ``telemetry`` — service-level observability (metrics registry +
       query-lifecycle tracing, exposed via the ``metrics``/``trace``
       wire ops and ``GET /metrics``).  Observational only: snapshot
-      sequences are byte-identical either way, so it is deliberately
-      *not* part of :meth:`cache_fingerprint`.
+      sequences are byte-identical either way.
     """
 
     pushdown: bool = True
@@ -84,13 +88,6 @@ class ExecutionOptions:
         if not effective:
             return self
         return replace(self, **effective)
-
-    def cache_fingerprint(self) -> tuple:
-        """The option values that can change *result bytes* (everything
-        the plan hash does not already capture).  Used as part of the
-        result-cache key: two submits may only share a session when
-        their fingerprints match."""
-        return (self.quantile_mode, self.sketch_size)
 
 
 #: The fields that must hold a ``bool`` (JSON ``true`` / ``false`` on

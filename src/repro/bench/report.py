@@ -49,14 +49,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(out)
 
 
-def format_series(
-    title: str,
-    headers: Sequence[str],
-    rows: Sequence[Sequence[object]],
-) -> str:
-    return f"{title}\n{format_table(headers, rows)}"
-
-
 def banner(title: str) -> str:
     rule = "=" * len(title)
     return f"\n{rule}\n{title}\n{rule}"

@@ -733,26 +733,6 @@ def group_var_components(
     return count, total, np.maximum(m2, 0.0)
 
 
-def merge_var_components(
-    a: tuple[np.ndarray, np.ndarray, np.ndarray],
-    b: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge two aligned (count, sum, m2) triples (Chan et al. update)."""
-    n_a, s_a, m_a = a
-    n_b, s_b, m_b = b
-    n = n_a + n_b
-    s = s_a + s_b
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta = np.where(n_a > 0, s_a / np.maximum(n_a, 1), 0.0) - np.where(
-            n_b > 0, s_b / np.maximum(n_b, 1), 0.0
-        )
-        correction = np.where(
-            (n_a > 0) & (n_b > 0), delta * delta * n_a * n_b / np.maximum(n, 1),
-            0.0,
-        )
-    return n, s, m_a + m_b + correction
-
-
 def group_nunique(codes: np.ndarray, n_groups: int,
                   values: np.ndarray) -> np.ndarray:
     """Per-group exact count of distinct values."""
@@ -810,20 +790,6 @@ def group_quantile(codes: np.ndarray, n_groups: int,
     counts = np.bincount(codes, minlength=n_groups)
     offsets = np.concatenate(([0], np.cumsum(counts)))
     return slot_quantile(sorted_vals, offsets, q)
-
-
-def group_first(codes: np.ndarray, n_groups: int,
-                values: np.ndarray) -> np.ndarray:
-    """First-seen value per group (order of the underlying rows)."""
-    out = np.empty(n_groups, dtype=values.dtype)
-    seen_order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[seen_order]
-    boundaries = np.concatenate(
-        ([0], np.flatnonzero(np.diff(sorted_codes)) + 1)
-    ) if len(codes) else np.empty(0, dtype=np.int64)
-    if len(codes):
-        out[sorted_codes[boundaries]] = values[seen_order[boundaries]]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -323,10 +323,6 @@ class JoinIndex:
         table.insert(keys, 0)
         return table, np.concatenate([starts, [len(self._sorted_codes), 0]])
 
-    @property
-    def n_build_rows(self) -> int:
-        return self.build.n_rows
-
     # -- probe-side encoding -----------------------------------------------------
     def _probe_keys(
         self, probe: DataFrame, probe_on: Sequence[str]

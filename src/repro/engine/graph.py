@@ -97,17 +97,26 @@ class QueryGraph:
         return sources
 
     # -- planning -----------------------------------------------------------------
-    def resolve(self) -> dict[int, StreamInfo]:
-        """Bind all operators (insertion order = topological order)."""
+    def resolve(
+        self, infos: dict[int, StreamInfo] | None = None,
+    ) -> dict[int, StreamInfo]:
+        """Bind all operators (insertion order = topological order).
+
+        ``infos`` is the plan's derivation
+        (:func:`~repro.analysis.schema_check.infer_plan`): a node it
+        covers binds from it without deriving again; any other node (a
+        graph built by hand) derives on this first call."""
         if self._resolved is not None:
             return self._resolved
-        infos: dict[int, StreamInfo] = {}
+        derived = infos or {}
+        resolved: dict[int, StreamInfo] = {}
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            input_infos = tuple(infos[i] for i in node.inputs)
-            infos[nid] = node.operator.bind(input_infos)
-        self._resolved = infos
-        return infos
+            input_infos = tuple(resolved[i] for i in node.inputs)
+            resolved[nid] = node.operator.bind(input_infos,
+                                               derived.get(nid))
+        self._resolved = resolved
+        return resolved
 
     def source_priorities(self) -> dict[int, int]:
         """0 = drain first (feeds a buffered build side), 1 = stream.

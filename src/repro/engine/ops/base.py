@@ -8,7 +8,8 @@ clustering / delivery, raising coded :class:`PlanValidationError` errors),
 ``signature`` (canonical form, default: opaque) — so validation,
 ``explain``, projection pushdown and plan hashing all read the class
 and nothing else.  ``bind`` fixes the derived
-:class:`StreamInfo` once per execution and lets ``_on_bound`` pick
+:class:`StreamInfo` once per execution (taking it from the submit's
+derivation rather than deriving again) and lets ``_on_bound`` pick
 runtime modes from it.  At run time the executor feeds the operator
 messages (``on_message``) and EOF markers (``on_eof``); the operator
 returns output messages.  Operators are single-threaded: the executor
@@ -125,10 +126,16 @@ class Operator:
             )
         return self._derive_info(tuple(inputs))
 
-    def bind(self, input_infos: Sequence[StreamInfo]) -> StreamInfo:
-        """Fix input stream descriptions and the derived output
-        description for one execution."""
-        self._output_info = self.derive(input_infos)
+    def bind(
+        self,
+        input_infos: Sequence[StreamInfo],
+        output_info: StreamInfo | None = None,
+    ) -> StreamInfo:
+        """Fix input stream descriptions and the output description for
+        one execution: ``output_info`` when the plan's derivation
+        already holds it, else derived here."""
+        self._output_info = (self.derive(input_infos)
+                             if output_info is None else output_info)
         self._input_infos = tuple(input_infos)
         self._on_bound()
         return self._output_info

@@ -15,53 +15,34 @@ canonical :func:`~repro.engine.plan_node.plan_hash` of the optimized
 plan.
 
 Cost model (see ROADMAP performance notes): planning runs once per
-submit, never during execution.  Each pass is one O(nodes) graph walk
-plus, after a pass that rewrote something, one static re-inference of
-the plan for the soundness check (guarded < 5 ms per TPC-H plan by
+submit, never during execution.  :func:`optimize` starts from the
+submit's one validating derivation of the plan; each pass is one
+O(nodes) graph walk, and only a pass that rewrote something is followed
+by one re-derivation, which is both the soundness check and the
+derivation the executor binds from (guarded < 5 ms per TPC-H plan by
 ``benchmarks/bench_optimizer.py``).
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
 from repro.errors import PlanValidationError, ReproError
-from repro.analysis.schema_check import plan_fingerprint
+from repro.analysis.schema_check import infer_plan, plan_fingerprint
+from repro.core.properties import StreamInfo
 from repro.engine.graph import QueryGraph
 from repro.engine.planner import projection_pass, pruning_pass
 from repro.engine.plan_node import plan_hash
 
 
-# ---------------------------------------------------------------------------
-# Trace
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RewriteCheck:
-    """Soundness verdict for one pass: did the rewritten plan keep the
-    inferred output schema, delivery, and source set of the plan it
-    replaced?"""
-
-    rule: str
-    ok: bool
-    detail: str = ""
-
-
 class OptimizerTrace:
     """What the optimizer did to one submitted plan."""
 
-    def __init__(self) -> None:
+    def __init__(self, infos: dict[int, StreamInfo]) -> None:
         #: Nodes rewritten per pass that rewrote any, in pass order.
         self.rewrites: dict[str, int] = {}
-        self.checks: list[RewriteCheck] = []
         self.plan_hash: str | None = None
-
-    @property
-    def rewrites_sound(self) -> bool:
-        """True when every checked pass preserved the plan invariants
-        (vacuously true when nothing fired)."""
-        return all(c.ok for c in self.checks)
+        #: The derivation of the plan as optimized: every reachable
+        #: node's output stream, what the executor binds from.
+        self.infos = infos
 
     @property
     def total_rewrites(self) -> int:
@@ -74,99 +55,66 @@ class OptimizerTrace:
             lines.append("  (no rewrites)")
         for rule, rewrites in self.rewrites.items():
             lines.append(f"  {rule}: {rewrites} node(s) rewritten")
-        if self.checks:
-            sound = sum(1 for c in self.checks if c.ok)
-            lines.append(
-                f"  rewrite checks: {sound}/{len(self.checks)} sound"
-            )
-            for check in self.checks:
-                if not check.ok:
-                    lines.append(
-                        f"    UNSOUND {check.rule}: {check.detail}"
-                    )
         return lines
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-
-def _strict_rewrite_env() -> bool:
-    """True when ``REPRO_CHECK_REWRITES`` asks for hard failure on
-    rewrite drift (the CI mode)."""
-    return os.environ.get("REPRO_CHECK_REWRITES", "") not in ("", "0")
 
 
 def optimize(
     graph: QueryGraph,
     output: int,
+    infos: dict[int, StreamInfo] | None = None,
     pushdown: bool = True,
-    strict: bool | None = None,
 ) -> OptimizerTrace:
     """Rewrite ``graph`` in place with the scan pushdowns.
 
-    With ``pushdown`` on, runs ``predicate-pushdown``
-    (:func:`~repro.engine.planner.pruning_pass`) then
-    ``projection-pushdown`` (:func:`~repro.engine.planner.projection_pass`).
-    Every pass that rewrote something is followed by a soundness check:
-    the plan's statically inferred output schema (names + dtypes),
-    delivery, and source set must equal the pre-rewrite plan's (see
-    :func:`~repro.analysis.schema_check.plan_fingerprint`).  Verdicts
-    land in :attr:`OptimizerTrace.checks`; with ``strict`` (default: the
-    ``REPRO_CHECK_REWRITES`` environment variable) set, drift raises
-    :class:`PlanValidationError` instead of merely being recorded.
-    Plans the derivation itself rejects skip checking (submit-time
-    validation owns that failure).
+    ``infos`` is the plan's :func:`~repro.analysis.schema_check.infer_plan`
+    derivation (derived here when omitted).  With ``pushdown`` on, runs
+    ``predicate-pushdown`` (:func:`~repro.engine.planner.pruning_pass`)
+    then ``projection-pushdown``
+    (:func:`~repro.engine.planner.projection_pass`).  Every pass that
+    rewrote something is followed by a re-derivation: the plan's output
+    schema (names + dtypes), delivery, and source set must equal the
+    pre-rewrite plan's (see
+    :func:`~repro.analysis.schema_check.plan_fingerprint`), else
+    :class:`PlanValidationError` ``unsound-rewrite`` is raised.  The
+    last derivation is left in :attr:`OptimizerTrace.infos`.
     """
-    if strict is None:
-        strict = _strict_rewrite_env()
-    trace = OptimizerTrace()
+    if infos is None:
+        infos = infer_plan(graph, output)
+    trace = OptimizerTrace(infos)
     if pushdown:
-        expected = _fingerprint(graph, output)
-        for name, run_pass in (
-            ("predicate-pushdown", pruning_pass),
-            ("projection-pushdown", projection_pass),
-        ):
-            rewrites = run_pass(graph, output)
-            if rewrites:
-                trace.rewrites[name] = rewrites
-                if expected is not None:
-                    _check(trace, name, expected, graph, output, strict)
+        expected = plan_fingerprint(graph, output, infos)
+        _checked(trace, "predicate-pushdown", pruning_pass(graph, output),
+                 expected, graph, output)
+        _checked(trace, "projection-pushdown",
+                 projection_pass(graph, output, trace.infos),
+                 expected, graph, output)
     trace.plan_hash = plan_hash(graph, output)
     return trace
 
 
-def _fingerprint(graph: QueryGraph, output: int):
-    try:
-        return plan_fingerprint(graph, output)
-    except ReproError:
-        # A plan the derivation itself rejects is not checkable;
-        # submit-time validation owns that failure.
-        return None
-
-
-def _check(
-    trace: OptimizerTrace,
-    rule: str,
-    expected,
-    graph: QueryGraph,
-    output: int,
-    strict: bool,
+def _checked(
+    trace: OptimizerTrace, rule: str, rewrites: int, expected,
+    graph: QueryGraph, output: int,
 ) -> None:
+    """Record that pass ``rule`` rewrote ``rewrites`` nodes; if any,
+    re-derive the plan into :attr:`OptimizerTrace.infos`, checked
+    against the fingerprint it had before the passes."""
+    if not rewrites:
+        return
+    trace.rewrites[rule] = rewrites
     try:
-        got = plan_fingerprint(graph, output)
-        detail = "" if got == expected else (
-            f"plan invariant drifted: expected {expected!r}, "
-            f"got {got!r}"
-        )
+        infos = infer_plan(graph, output)
     except ReproError as exc:
         detail = f"rewritten plan fails inference: {exc}"
-    ok = not detail
-    trace.checks.append(RewriteCheck(rule, ok, detail))
-    if not ok and strict:
-        raise PlanValidationError(
-            "unsound-rewrite",
-            f"optimizer pass {rule!r} produced an unsound rewrite: "
-            f"{detail}",
-            operator=rule,
-        )
+    else:
+        got = plan_fingerprint(graph, output, infos)
+        if got == expected:
+            trace.infos = infos
+            return
+        detail = (f"plan invariant drifted: expected {expected!r}, "
+                  f"got {got!r}")
+    raise PlanValidationError(
+        "unsound-rewrite",
+        f"optimizer pass {rule!r} produced an unsound rewrite: {detail}",
+        operator=rule,
+    )

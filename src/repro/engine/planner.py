@@ -15,11 +15,15 @@ invisible: projection only removes columns nothing reads, and a pruned
 partition still advances progress by its tuple count via an empty
 partial, so snapshot cadence, growth-inference ``t``, and exact finals
 are byte-identical to the unpushed plan.
+
+The passes derive nothing themselves: :func:`projection_pass` reads the
+derivation :func:`~repro.engine.optimizer.optimize` hands it, and the
+optimizer re-derives only after a pass that rewrote something.
 """
 
 from __future__ import annotations
 
-from repro.analysis.schema_check import infer_plan
+from repro.core.properties import StreamInfo
 from repro.dataframe.expr import Column
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import (
@@ -76,8 +80,15 @@ def _collect_scan_predicates(
     return predicates
 
 
-def projection_pass(graph: QueryGraph, output: int) -> int:
+def projection_pass(
+    graph: QueryGraph, output: int, infos: dict[int, StreamInfo],
+) -> int:
     """Narrow each scan to the columns anything downstream can read.
+
+    ``infos`` is the plan's current derivation
+    (:func:`~repro.analysis.schema_check.infer_plan`): it gives each
+    operator its input schemas and marks the nodes reachable from
+    ``output``.
 
     A select whose sole consumer is an aggregate drops the outputs that
     aggregate does not read, so its own demand — and the scan below it —
@@ -91,7 +102,6 @@ def projection_pass(graph: QueryGraph, output: int) -> int:
     runs before anything binds the graph.  Returns the number of scans
     and selects narrowed.
     """
-    infos = infer_plan(graph, output)
     required: dict[int, set[str] | None] = {
         nid: set() for nid in graph.nodes
     }

@@ -76,7 +76,7 @@ class PlanValidationError(QueryError):
     Raised by an operator's own ``_derive_info`` — at submit time from
     the unbound walk in :mod:`repro.analysis.schema_check`, which adds
     the ``node`` id, or when an executor binds an unvalidated plan —
-    and by the optimizer's rewrite-soundness checker in strict mode.
+    and by the optimizer's rewrite-soundness check.
     Carries enough structure for the snapshot server to return a
     machine-readable error reply: the validation ``code``, the offending
     graph ``node`` id and ``operator`` name, and the ``column`` involved

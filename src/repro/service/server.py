@@ -115,8 +115,8 @@ class QueryService:
       partition, column-superset).
     * ``result_cache`` — submits are keyed by the canonical
       :func:`~repro.engine.plan_node.plan_hash` of their *optimized*
-      plan (plus the option fingerprint that can change result bytes);
-      a key match *attaches* to the in-flight or retained session —
+      plan alone (it holds every option that can change result
+      bytes, such as the aggregates' quantile settings); a key match *attaches* to the in-flight or retained session —
       reading its edf, O(1), zero execution — instead of
       re-executing.  The cache is advisory: entries whose session
       failed, was cancelled or was pruned fall back to a fresh
@@ -159,8 +159,8 @@ class QueryService:
         #: submitted with ``scan_share=True``).
         self.scan_share = ScanShareManager()
         self._cache_lock = threading.Lock()
-        #: (plan hash, *option fingerprint) -> primary session id.
-        self._result_cache: dict[tuple, str] = {}
+        #: Plan hash -> primary session id.
+        self._result_cache: dict[str, str] = {}
         self._cache_hits = 0
         self._cache_misses = 0
         if self.registry is not None:
@@ -264,7 +264,6 @@ class QueryService:
             "enabled": self.registry is not None,
             "scan_share": dict(self.scan_share.stats()),
             "cache": cache,
-            "result_cache_attaches_total": cache["hits"],
             "run_queue_depth": self.scheduler.run_queue_depth(),
             "vclock_skew": self.scheduler.vclock_skew(),
             "sessions": sessions,
@@ -336,12 +335,12 @@ class QueryService:
                 frame = factory(self.ctx, **dict(params or {}))
             executor = self.ctx.executor_for(frame, options=opts,
                                              trace=trace)
-        # The *optimized* graph's hash: pushdown structure is part of
-        # the key, so differently-tuned submits never collide.
+        # The *optimized* graph's hash is the whole key: pushdown
+        # structure and the aggregates' quantile settings are part of
+        # it, so differently-tuned submits never collide.
         digest = executor.plan_hash
         if trace is not None:
             trace.plan_hash = digest
-        cache_key = (digest, *opts.cache_fingerprint())
 
         def register() -> QuerySession | AttachedSession:
             # ``paused`` submits bypass the cache entirely: an attach
@@ -349,7 +348,7 @@ class QueryService:
             # a paused primary would stall its attachers.
             if opts.result_cache and not paused:
                 with maybe_span(trace, "cache_lookup") as span:
-                    attached = self._try_attach(cache_key, name)
+                    attached = self._try_attach(digest, name)
                     if span is not None:
                         span.attrs["hit"] = attached is not None
                 if attached is not None:
@@ -370,19 +369,19 @@ class QueryService:
                 self.tracer.bind(session.session_id, trace)
             if opts.result_cache and not paused:
                 with self._cache_lock:
-                    self._result_cache[cache_key] = session.session_id
+                    self._result_cache[digest] = session.session_id
             return session
 
         return self.scheduler._command(register)
 
     def _try_attach(
-        self, cache_key: tuple, name: str
+        self, digest: str, name: str
     ) -> AttachedSession | None:
-        """Attach to the cached session for ``cache_key`` if it is
+        """Attach to the cached session for plan hash ``digest`` if it is
         still usable; any dead entry (pruned, failed, cancelled) counts
         as a miss and is dropped."""
         with self._cache_lock:
-            primary_id = self._result_cache.get(cache_key)
+            primary_id = self._result_cache.get(digest)
         attached = None
         if primary_id is not None:
             try:
@@ -399,9 +398,8 @@ class QueryService:
             if attached is None:
                 self._cache_misses += 1
                 if (primary_id is not None
-                        and self._result_cache.get(cache_key)
-                        == primary_id):
-                    del self._result_cache[cache_key]
+                        and self._result_cache.get(digest) == primary_id):
+                    del self._result_cache[digest]
             else:
                 self._cache_hits += 1
         return attached

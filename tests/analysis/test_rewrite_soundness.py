@@ -2,17 +2,17 @@
 inferred output schema, delivery, and source set must be exactly what
 they were before the rewrite.
 
-Checked three ways: every TPC-H plan through the optimizer (strict
-mode — any drift raises), each pass in isolation, and a hypothesis
-sweep over randomly composed filter/select/join/aggregate chains.  A
-sabotaged pass shows the check itself fires."""
+Checked three ways: every TPC-H plan through the optimizer (any drift
+raises), each pass in isolation, and a hypothesis sweep over randomly
+composed filter/select/join/aggregate chains.  A sabotaged pass shows
+the check itself fires."""
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import F, WakeContext, col
-from repro.analysis import plan_fingerprint
+from repro.analysis import infer_plan, plan_fingerprint
 from repro.engine.graph import QueryGraph
 from repro.engine import optimizer
 from repro.engine.planner import projection_pass, pruning_pass
@@ -32,14 +32,14 @@ OVERRIDES = {11: {"fraction": 0.005}, 18: {"threshold": 200}}
 
 def _materialize(frame):
     graph = QueryGraph()
-    output = frame.plan.materialize(graph, {})
+    output = frame.plan.materialize(graph, {}, frame.context.options)
     return graph, output
 
 
-def _optimize_strict(frame):
+def _optimize(frame):
     graph, output = _materialize(frame)
     before = plan_fingerprint(graph, output)
-    trace = optimizer.optimize(graph, output, strict=True)
+    trace = optimizer.optimize(graph, output)
     after = plan_fingerprint(graph, output)
     return before, after, trace
 
@@ -51,17 +51,14 @@ def test_tpch_rewrites_sound(tpch, number):
     catalog, _tables = tpch
     ctx = WakeContext(catalog)
     frame = QUERIES[number].build_plan(ctx, **OVERRIDES.get(number, {}))
-    before, after, trace = _optimize_strict(frame)
-    assert before is not None, f"q{number} not statically inferable"
+    before, after, _trace = _optimize(frame)
     assert after == before
-    assert trace.rewrites_sound
-    for check in trace.checks:
-        assert check.ok, f"{check.rule}: {check.detail}"
 
 
 #: Each pass by the name the trace records it under.
 PASSES = {
-    "predicate-pushdown": pruning_pass,
+    "predicate-pushdown": lambda graph, output, _infos: pruning_pass(
+        graph, output),
     "projection-pushdown": projection_pass,
 }
 
@@ -79,23 +76,30 @@ def test_each_rule_in_isolation(tpch, rule):
             ctx, **OVERRIDES.get(number, {})
         )
         graph, output = _materialize(frame)
-        before = plan_fingerprint(graph, output)
-        fired_anywhere += PASSES[rule](graph, output)
+        infos = infer_plan(graph, output)
+        before = plan_fingerprint(graph, output, infos)
+        fired_anywhere += PASSES[rule](graph, output, infos)
         after = plan_fingerprint(graph, output)
         assert after == before, f"q{number}: {rule} drifted the plan"
     assert fired_anywhere > 0, f"{rule} never fired on any plan"
 
 
-def test_checks_recorded_in_trace(tpch):
+def test_trace_holds_the_rederived_plan(tpch):
+    """After a pass rewrote the plan, the trace holds its re-derivation,
+    which the executor binds from: the narrowed scan's schema."""
     catalog, _tables = tpch
     ctx = WakeContext(catalog)
     frame = QUERIES[3].build_plan(ctx)
-    _before, _after, trace = _optimize_strict(frame)
-    assert trace.checks, "no rewrite checks recorded"
-    assert any("rewrite checks:" in line for line in trace.render())
+    graph, output = _materialize(frame)
+    trace = optimizer.optimize(graph, output)
+    assert "projection-pushdown" in trace.rewrites
+    assert trace.infos == infer_plan(graph, output)
+    for nid in graph.source_ids():
+        scan = graph.node(nid).operator
+        assert trace.infos[nid].schema.names == scan.columns
 
 
-def _narrow_below_output(graph, output):
+def _narrow_below_output(graph, output, infos):
     """A sabotaged projection pass: narrows the scan to one column the
     output does not read, starving the output of the rest."""
     (read_id,) = graph.source_ids()
@@ -110,36 +114,19 @@ def _sales_filter(catalog):
     )
 
 
-def test_unsound_rewrite_raises_in_strict_mode(catalog, monkeypatch):
-    """Sabotage a pass so it fires but corrupts the plan: strict mode
-    must refuse the rewrite with a structured error."""
+def test_unsound_rewrite_always_raises(catalog, monkeypatch):
+    """Sabotage a pass so it fires but corrupts the plan: every submit
+    refuses the rewrite with a structured error, before any run."""
     monkeypatch.setattr(optimizer, "projection_pass", _narrow_below_output)
-    graph, output = _materialize(_sales_filter(catalog))
-    with pytest.raises(PlanValidationError) as info:
-        optimizer.optimize(graph, output, strict=True)
-    assert info.value.code == "unsound-rewrite"
-    assert "projection-pushdown" in str(info.value)
-
-    # Non-strict: same corruption is recorded, not raised.
-    graph, output = _materialize(_sales_filter(catalog))
-    trace = optimizer.optimize(graph, output, strict=False)
-    assert not trace.rewrites_sound
-    (bad,) = [check for check in trace.checks if not check.ok]
-    assert bad.rule == "projection-pushdown"
-    assert any("UNSOUND projection-pushdown" in line
-               for line in trace.render())
-
-
-def test_env_var_enables_strict(catalog, monkeypatch):
-    monkeypatch.setattr(optimizer, "projection_pass", _narrow_below_output)
-    monkeypatch.setenv("REPRO_CHECK_REWRITES", "1")
     graph, output = _materialize(_sales_filter(catalog))
     with pytest.raises(PlanValidationError) as info:
         optimizer.optimize(graph, output)
     assert info.value.code == "unsound-rewrite"
-    monkeypatch.setenv("REPRO_CHECK_REWRITES", "0")
-    graph, output = _materialize(_sales_filter(catalog))
-    assert not optimizer.optimize(graph, output).rewrites_sound
+    assert "projection-pushdown" in str(info.value)
+
+    with pytest.raises(PlanValidationError) as info:
+        _sales_filter(catalog).run()
+    assert info.value.code == "unsound-rewrite"
 
 
 # -- hypothesis sweep over composed plans -----------------------------------
@@ -194,7 +181,5 @@ def test_random_chains_sound(catalog, pred_indexes, project_first,
         qty = "qty_right"
     if agg_index is not None:
         frame = frame.agg(_AGGS[agg_index](qty), by=["okey"])
-    before, after, trace = _optimize_strict(frame)
-    assert before is not None
+    before, after, _trace = _optimize(frame)
     assert after == before
-    assert trace.rewrites_sound

@@ -8,7 +8,7 @@ import socket
 import pytest
 
 from repro import ExecutionOptions, F, WakeContext, col
-from repro.analysis import plan_fingerprint, validate_plan
+from repro.analysis import infer_plan, plan_fingerprint
 from repro.engine.graph import QueryGraph
 from repro.errors import PlanValidationError, QueryError
 from repro.service import QueryService, ServiceClient, SnapshotServer
@@ -123,14 +123,16 @@ class TestValidationErrors:
         assert detail["operator"]
         assert "nope" in detail["message"]
 
-    def test_validate_false_escape_hatch(self, catalog):
+    def test_validate_false_escape_hatch(self, catalog, no_reads):
         ctx = WakeContext(catalog,
                           options=ExecutionOptions(validate=False))
         frame = ctx.table("sales").filter(col("nope") > 1)
-        # Submit-time validation off: the error surfaces at bind
-        # instead (still a QueryError, just later and less precise).
-        with pytest.raises(QueryError):
+        # ``validate`` is accepted and inert: the submit's one
+        # derivation is the validation, so the plan is still rejected
+        # with the same coded error, before any partition is read.
+        with pytest.raises(PlanValidationError) as info:
             ctx.run(frame)
+        assert info.value.code == "undefined-column"
 
 
 class TestUnboundWalk:
@@ -152,7 +154,7 @@ class TestUnboundWalk:
     def test_fingerprint_is_deterministic(self, ctx):
         frame = self._plans(ctx)[2]
         graph = QueryGraph()
-        output = frame.plan.materialize(graph, {})
+        output = frame.plan.materialize(graph, {}, ctx.options)
         assert plan_fingerprint(graph, output) == plan_fingerprint(
             graph, output
         )
@@ -160,8 +162,8 @@ class TestUnboundWalk:
     def test_validate_plan_returns_streams(self, ctx):
         frame = self._plans(ctx)[0]
         graph = QueryGraph()
-        output = frame.plan.materialize(graph, {})
-        streams = validate_plan(graph, output)
+        output = frame.plan.materialize(graph, {}, ctx.options)
+        streams = infer_plan(graph, output)
         assert streams[output] is not None
         names = [f.name for f in streams[output].schema.fields]
         assert names == ["okey", "qty", "cust", "region"]

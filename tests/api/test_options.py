@@ -13,7 +13,7 @@ import pytest
 
 from repro import ExecutionOptions, F, QueryError, WakeContext
 from repro.core.orderstat import DEFAULT_SKETCH_SIZE
-from repro.service import QueryService
+from repro.service import AttachedSession, QueryService, QuerySession
 
 
 class TestValidation:
@@ -83,15 +83,6 @@ class TestMerged:
         with pytest.raises(QueryError, match="pushdown must be a boolean"):
             ExecutionOptions().merged(pushdown="false")
 
-    def test_cache_fingerprint_covers_result_bytes_knobs(self):
-        a = ExecutionOptions(quantile_mode="sketch", sketch_size=64)
-        b = ExecutionOptions(quantile_mode="sketch", sketch_size=128)
-        assert a.cache_fingerprint() != b.cache_fingerprint()
-        # Plan-structure knobs are the plan hash's job, not the
-        # fingerprint's.
-        c = ExecutionOptions(pushdown=False)
-        assert c.cache_fingerprint() == \
-            ExecutionOptions().cache_fingerprint()
 
 
 #: The one loose keyword left beside ``options=``: the frozen
@@ -203,3 +194,74 @@ class TestWakeContextIntegration:
             plan2, options=ExecutionOptions(pushdown=False)
         )
         assert "read(" in text
+
+    def test_plan_hash_covers_result_bytes_knobs(self, catalog):
+        """The plan hash is the whole result-cache key: the quantile
+        knobs change it, the observational ones do not."""
+        ctx = WakeContext(catalog)
+        plan = ctx.table("sales").median("qty", by=["region"])
+
+        def digest(**overrides):
+            executor = ctx.executor_for(
+                plan, options=ExecutionOptions(**overrides))
+            executor.close()
+            return executor.plan_hash
+
+        exact = digest()
+        assert digest(quantile_mode="sketch", sketch_size=64) != exact
+        assert (digest(quantile_mode="sketch", sketch_size=64)
+                != digest(quantile_mode="sketch", sketch_size=128))
+        assert digest(scan_share=True, result_cache=True,
+                      telemetry=True, validate=False) == exact
+
+
+#: Two values per group: far from exact on 30 rows a group.
+SKETCH = ExecutionOptions(quantile_mode="sketch", sketch_size=2)
+
+
+def medians(catalog, session=None, per_call=None):
+    """Every snapshot of a grouped median, as bytes, plus its plan
+    hash; ``session`` tunes the context, ``per_call`` the run."""
+    ctx = WakeContext(catalog, options=session)
+    edf = ctx.run(ctx.table("sales").median("qty", by=["region"]),
+                  options=per_call)
+    return ([s.frame.column("median_qty").tobytes()
+             for s in edf.snapshots], ctx.last_executor.plan_hash)
+
+
+class TestPerCallOptions:
+    def test_per_call_quantile_options_take_effect(self, catalog):
+        """A run's ``options=`` reaches the aggregate: same bytes and
+        hash as a context built with them, unlike the exact run's."""
+        per_call = medians(catalog, per_call=SKETCH)
+        assert per_call == medians(catalog, session=SKETCH)
+        exact = medians(catalog)
+        assert per_call[0] != exact[0]
+        assert per_call[1] != exact[1]
+
+    def test_per_submit_quantile_options_take_effect(self, catalog):
+        """The same through ``QueryService.submit(options=)``, and with
+        the result cache on an exact and a sketch submit of one plan
+        never attach to each other."""
+        plans = {"median": lambda ctx, **p: ctx.table("sales").median(
+            "qty", by=["region"])}
+        service = QueryService(
+            WakeContext(catalog), plans=plans,
+            options=ExecutionOptions(result_cache=True))
+        exact = service.submit("median")
+        sketch = service.submit(
+            "median", options=SKETCH.merged(result_cache=True))
+        again = service.submit("median")
+        service.scheduler.run_until_idle()
+        assert isinstance(exact, QuerySession)
+        assert isinstance(sketch, QuerySession)
+        assert isinstance(again, AttachedSession)  # to ``exact``
+
+        def frames(session):
+            return [s.frame.column("median_qty").tobytes()
+                    for s in session.executor.edf.snapshots]
+
+        assert (frames(sketch), sketch.plan_hash) == medians(
+            catalog, session=SKETCH)
+        assert (frames(exact), exact.plan_hash) == medians(catalog)
+        assert frames(sketch) != frames(exact)

@@ -22,7 +22,6 @@ from repro.dataframe.groupby import (
     group_nunique,
     group_sum,
     group_var_components,
-    merge_var_components,
 )
 from repro.dataframe.schema import AttributeKind, DType, Field, Schema
 from repro.engine.message import Message
@@ -162,20 +161,6 @@ class TestKernels:
         np.testing.assert_allclose(
             m2[1], np.var(vals[3:]) * 2, rtol=1e-12
         )
-
-    def test_merge_var_components_equals_direct(self):
-        rng = np.random.default_rng(0)
-        a_vals = rng.normal(size=50)
-        b_vals = rng.normal(size=70)
-        a = group_var_components(np.zeros(50, dtype=np.int64), 1, a_vals)
-        b = group_var_components(np.zeros(70, dtype=np.int64), 1, b_vals)
-        n, s, m2 = merge_var_components(a, b)
-        direct = group_var_components(
-            np.zeros(120, dtype=np.int64), 1, np.concatenate([a_vals, b_vals])
-        )
-        np.testing.assert_allclose(n, direct[0])
-        np.testing.assert_allclose(s, direct[1])
-        np.testing.assert_allclose(m2, direct[2], rtol=1e-9)
 
 
 class TestGroupAggregate:

@@ -76,13 +76,14 @@ class BareClampOperator(ClampOperator):
 def _clamp(frame, column="qty", cls=ClampOperator):
     return EdfFrame(
         frame.context,
-        PlanNode(lambda: cls("clamp", column, 5.0, 40.0), (frame.plan,)),
+        PlanNode(lambda _: cls("clamp", column, 5.0, 40.0), (frame.plan,)),
     )
 
 
 def _graph(frame):
     graph = QueryGraph()
-    return graph, frame.plan.materialize(graph, {})
+    output = frame.plan.materialize(graph, {}, frame.context.options)
+    return graph, output
 
 
 def _scan(graph):

@@ -67,7 +67,7 @@ def test_aggregate_projection_prunes_unused_outputs(catalog):
         .agg(F.sum("qty").alias("s"), by=["region"])
     )
     graph = QueryGraph()
-    output = q.plan.materialize(graph, {})
+    output = q.plan.materialize(graph, {}, q.context.options)
     trace = optimize(graph, output)
     assert trace.rewrites["projection-pushdown"] == 2
     (select,) = [
@@ -113,8 +113,8 @@ def test_self_join_scan_keeps_collision_column(catalog):
     _assert_parity(catalog, build, "projection-pushdown")
     ctx = WakeContext(catalog)
     graph = QueryGraph()
-    output = build(ctx).plan.materialize(graph, {})
-    optimize(graph, output, strict=True)
+    output = build(ctx).plan.materialize(graph, {}, ctx.options)
+    optimize(graph, output)
     scans = [graph.node(nid).operator for nid in graph.source_ids()]
     assert [scan.columns for scan in scans] == [("okey", "qty")] * 2
 
@@ -139,7 +139,7 @@ def test_ci_select_demands_sigma_companions(catalog):
         .select(d=col("s") * 2.0)
     )
     graph = QueryGraph()
-    output = frame.plan.materialize(graph, {})
+    output = frame.plan.materialize(graph, {}, frame.context.options)
     infos = infer_plan(graph, output)
     node = graph.node(output)
     schemas = tuple(infos[i].schema for i in node.inputs)
@@ -181,7 +181,8 @@ def test_optimizer_fixed_point_is_idempotent(catalog):
     """Optimizing an already-optimized plan changes nothing."""
     ctx = WakeContext(catalog)
     graph = QueryGraph()
-    output = _duplicated_chain_query(ctx).plan.materialize(graph, {})
+    output = _duplicated_chain_query(ctx).plan.materialize(graph, {},
+                                                           ctx.options)
     first = optimize(graph, output)
     assert first.total_rewrites > 0
     scans = [graph.node(nid).operator for nid in graph.source_ids()]

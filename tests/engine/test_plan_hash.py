@@ -29,7 +29,7 @@ from repro.engine.plan_node import canon_expr, plan_hash
 
 def _graph(frame):
     graph = QueryGraph()
-    output = frame.plan.materialize(graph, {})
+    output = frame.plan.materialize(graph, {}, frame.context.options)
     return graph, output
 
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ExecutionOptions, F, WakeContext, col
+from repro.analysis.schema_check import infer_plan
 from repro.dataframe import DataFrame
 from repro.engine.graph import QueryGraph
 from repro.engine.ops import ReadOperator
@@ -32,9 +33,9 @@ from repro.storage.zonemap import (
 def _pushed_reads(plan):
     """Materialize a plan, run the pushdown pass, return its scans."""
     graph = QueryGraph()
-    output = plan.plan.materialize(graph, {})
+    output = plan.plan.materialize(graph, {}, plan.context.options)
     pruning_pass(graph, output)
-    projection_pass(graph, output)
+    projection_pass(graph, output, infer_plan(graph, output))
     return {
         graph.node(nid).operator.meta.name: graph.node(nid).operator
         for nid in graph.source_ids()
@@ -90,8 +91,8 @@ class TestProjectionCollection:
         ctx = WakeContext(catalog)
         plan = ctx.table("sales").agg(F.sum("qty").alias("s"))
         graph = QueryGraph()
-        output = plan.plan.materialize(graph, {})
-        projection_pass(graph, output)
+        output = plan.plan.materialize(graph, {}, plan.context.options)
+        projection_pass(graph, output, infer_plan(graph, output))
         infos = graph.resolve()
         read_id = graph.source_ids()[0]
         # okey (the clustering+primary key) is not read, so the scan

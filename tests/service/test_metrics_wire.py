@@ -85,7 +85,7 @@ class TestMetricsOp:
         assert reply["scan_bytes_total"] > 0
         assert reply["snapshots_published_total"] >= 1
         assert reply["buffer_drops_total"] == 0
-        assert reply["result_cache_attaches_total"] == 0
+        assert reply["cache"]["hits"] == 0
         assert "physical_reads" in reply["scan_share"]
         assert "hits" in reply["cache"]
         assert reply["run_queue_depth"] == 0
@@ -118,7 +118,7 @@ class TestMetricsOp:
         second = client.submit("total", result_cache=True)
         assert second.cache_hit is True
         reply = client.metrics()
-        assert reply["result_cache_attaches_total"] == 1
+        assert reply["cache"]["hits"] == 1
 
     def test_prometheus_format_over_ndjson(self, server, client):
         _run_to_end(client, "total")

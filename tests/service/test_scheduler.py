@@ -310,11 +310,10 @@ class TestBackgroundThread:
 
     @pytest.mark.parametrize("attempt", range(5))
     def test_control_call_waits_at_most_one_step(self, catalog, attempt):
-        """A control call that starts waiting for the lock during a step
-        gets it before the loop starts the next one.  A plain lock let
-        the loop take it straight back step after step, so a
-        ``subscribe`` waited for the whole query; whether the waiter
-        got in first depended on how fast its thread woke, hence the
+        """A control call made from another thread during a step is
+        queued as a command, and the loop applies it before it starts
+        the next step, so the caller waits at most one step.  How fast
+        the caller's thread gets to queue it varies, hence the
         repeats."""
         scheduler = FairShareScheduler()
         executor = _executor(catalog)
@@ -326,9 +325,11 @@ class TestBackgroundThread:
             if not callers:
                 caller = threading.Thread(
                     target=scheduler.pause, args=(session.session_id,))
-                callers.append(caller)
+                # Start, then publish: the polling thread below joins
+                # whatever it finds in ``callers``.
                 caller.start()
-                time.sleep(0.1)  # the caller is now waiting for the lock
+                callers.append(caller)
+                time.sleep(0.1)  # the caller's command is now queued
             return original_step()
 
         executor.step = step

@@ -12,7 +12,7 @@ from repro.tpch.queries import QUERIES
 def materialize(tpch_ctx, number, **overrides):
     plan = QUERIES[number].build_plan(tpch_ctx, **overrides)
     graph = QueryGraph()
-    output = plan.plan.materialize(graph, {})
+    output = plan.plan.materialize(graph, {}, plan.context.options)
     graph.resolve()
     return graph, output
 
