@@ -9,7 +9,7 @@ Paper's claims to reproduce in *shape*:
 * subquery-heavy queries (Q2, Q17) have first ≈ final (negligible gains).
 """
 
-from conftest import BENCH_OVERRIDES
+from conftest import BENCH_OVERRIDES, BENCH_PARTITIONS, BENCH_SF
 
 from repro.baselines import ExactEngine
 from repro.bench import median_or_nan, run_wake
@@ -55,6 +55,7 @@ def test_fig7_latency_all_queries(bench_data, bench_ctx, benchmark,
     )
     emit(banner("Fig 7 — query latency: Wake first/final vs exact "
                 "engines (seconds)"))
+    emit(f"TPC-H SF {BENCH_SF:g}, {BENCH_PARTITIONS} fact partitions")
     emit(format_table(
         ["query", "wake-first", "wake-final", "exact-mem",
          "exact-scan", "first-MAPE%", "first-speedup", "slowdown"],

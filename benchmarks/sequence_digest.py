@@ -6,6 +6,13 @@ One sha256 per sequence, over each snapshot's sequence number, progress
 * all 22 TPC-H queries, named ``tpch/qNN/k1`` so they match the
   digests of trees that also ran a ``k4`` arm,
 * the §8.6 deep chain at depths 0-8, named ``deep/depthN``,
+* the 22 TPC-H queries again under a ``CIConfig`` session, named
+  ``ci/tpch/qNN``, so every σ column is digested too,
+* one ``agg`` over ``lineitem`` carrying all 14 aggregates (quantile
+  q = 0.9), named ``aggs/<shape>/<quantile_mode>/<ci|noci>``: grouped by
+  ``l_suppkey`` (shuffle mode), global, and ``level2`` — a second level
+  over the REPLACE output of a first, grouped one — each with exact and
+  sketch (64-value reservoir) order statistics, with CI off and on,
 
 each twice: with ``capture_all=True`` (every snapshot) and, under the
 same name plus ``/ff``, with ``capture_all=False`` (the first estimate
@@ -35,11 +42,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro import WakeContext  # noqa: E402
+from repro import F, WakeContext  # noqa: E402
+from repro.api.functions import AggExpr  # noqa: E402
+from repro.api.options import ExecutionOptions  # noqa: E402
 from repro.bench.workloads import (  # noqa: E402
     build_deep_query,
     generate_deep_dataset,
 )
+from repro.core.ci import CIConfig  # noqa: E402
+from repro.dataframe.groupby import AGG_FUNCTIONS  # noqa: E402
 from repro.tpch import generate_and_load  # noqa: E402
 from repro.tpch.queries import QUERIES  # noqa: E402
 
@@ -49,6 +60,10 @@ FACT_PARTITIONS = 32
 DEEP_ROWS = 1_000_000
 DEEP_PARTITIONS = 128
 DEEP_DEPTHS = range(9)
+QUANTILE = 0.9
+#: Reservoir size of the sketch arm: below every group's row count, so
+#: the sketch samples rather than holding each group whole.
+SKETCH_SIZE = 64
 
 
 def digest(edf) -> str:
@@ -75,14 +90,51 @@ def tpch_digests(workdir: Path) -> dict[str, str]:
     # (a fixed fraction selects nothing at SF 0.1), q18 a lower bar.
     overrides = {11: {"fraction": 0.0001 / SCALE_FACTOR},
                  18: {"threshold": 200}}
+    out = {}
+    for prefix, suffix, ci in (("", "/k1", None), ("ci/", "", CIConfig())):
+        ctx = WakeContext(catalog, ci=ci)
+        out.update(both_arms(ctx, {
+            f"{prefix}tpch/q{number:02d}{suffix}": (
+                lambda ctx=ctx, number=number: QUERIES[number].build_plan(
+                    ctx, **overrides.get(number, {}))
+            )
+            for number in sorted(QUERIES)
+        }))
+    return {**out, **aggregate_digests(catalog)}
+
+
+def every_aggregate(column: str) -> list[AggExpr]:
+    return [AggExpr(name, column,
+                    param=QUANTILE if name == "quantile" else None)
+            for name in AGG_FUNCTIONS]
+
+
+def aggregate_digests(catalog) -> dict[str, str]:
+    """All 14 aggregates in three shapes, each under both quantile
+    modes and with CI off and on."""
     ctx = WakeContext(catalog)
-    return both_arms(ctx, {
-        f"tpch/q{number:02d}/k1": (
-            lambda number=number: QUERIES[number].build_plan(
-                ctx, **overrides.get(number, {}))
-        )
-        for number in sorted(QUERIES)
-    })
+    shapes = {
+        "grouped": lambda ci: ctx.table("lineitem").agg(
+            *every_aggregate("l_quantity"), by=["l_suppkey"], ci=ci),
+        "global": lambda ci: ctx.table("lineitem").agg(
+            *every_aggregate("l_quantity"), ci=ci),
+        "level2": lambda ci: ctx.table("lineitem").agg(
+            F.sum("l_quantity").alias("qty"),
+            by=["l_suppkey", "l_linestatus"], ci=False,
+        ).agg(*every_aggregate("qty"), by=["l_linestatus"], ci=ci),
+    }
+    out = {}
+    for shape, build in shapes.items():
+        for mode in ("exact", "sketch"):
+            options = ExecutionOptions(quantile_mode=mode,
+                                       sketch_size=SKETCH_SIZE)
+            for label, ci in (("noci", False), ("ci", True)):
+                out.update(both_arms(
+                    ctx, {f"aggs/{shape}/{mode}/{label}":
+                          lambda build=build, ci=ci: build(ci)},
+                    options=options,
+                ))
+    return out
 
 
 def deep_digests(workdir: Path) -> dict[str, str]:
@@ -99,13 +151,14 @@ def deep_digests(workdir: Path) -> dict[str, str]:
     })
 
 
-def both_arms(ctx, builds: dict) -> dict[str, str]:
+def both_arms(ctx, builds: dict, options=None) -> dict[str, str]:
     """Digest every plan run with ``capture_all=True`` (under its name)
     and with ``capture_all=False`` (under its name plus ``/ff``)."""
     out = {}
     for base, build in builds.items():
         for name, capture_all in ((base, True), (base + "/ff", False)):
-            out[name] = digest(ctx.run(build(), capture_all=capture_all))
+            out[name] = digest(ctx.run(build(), capture_all=capture_all,
+                                       options=options))
             print(out[name], name, flush=True)
     return out
 

@@ -28,11 +28,7 @@ from repro.core.growth import (
     StreamingLogLogRegression,
 )
 from repro.core.inference import AggregateInference
-from repro.core.mergeable import (
-    CARDINALITY_COLUMN,
-    MergeableAggregate,
-    StateColumn,
-)
+from repro.core.mergeable import CARDINALITY_COLUMN
 from repro.core.orderstat import (
     DEFAULT_SKETCH_SIZE,
     OrderStatState,
@@ -55,12 +51,10 @@ __all__ = [
     "GroupedAggregateState",
     "GrowthModel",
     "GrowthSnapshot",
-    "MergeableAggregate",
     "OrderStatState",
     "Progress",
     "QUANTILE_MODES",
     "SIGMA_SUFFIX",
-    "StateColumn",
     "StreamInfo",
     "StreamingLogLogRegression",
     "SYNTHETIC_KEY",

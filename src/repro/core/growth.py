@@ -142,10 +142,6 @@ class GrowthModel:
         """A growth model with an analytically known power."""
         return cls(fixed_w=w)
 
-    @property
-    def is_pinned(self) -> bool:
-        return self._fixed_w is not None
-
     def observe(self, t: float, mean_cardinality: float) -> None:
         """Record the mean group cardinality observed at progress ``t``."""
         if self._fixed_w is not None:

@@ -14,21 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.groupby import AggSpec
 from repro.dataframe.schema import AttributeKind, Field, Schema, dtype_of
 from repro.core import ci as ci_mod
 from repro.core.ci import CIConfig
-from repro.core.estimators import (
-    estimate_avg,
-    estimate_count,
-    estimate_count_distinct,
-    estimate_order_statistic,
-    estimate_sem,
-    estimate_sum,
-    estimate_variance,
-)
-from repro.core.growth import GrowthModel, GrowthSnapshot
-from repro.core.mergeable import CARDINALITY_COLUMN, MergeableAggregate
+from repro.core.growth import GrowthModel
+from repro.core.mergeable import AGGREGATES, CARDINALITY_COLUMN, Reading
 from repro.core.state import GroupedAggregateState
 
 
@@ -74,148 +64,21 @@ class AggregateInference:
             if self.ci is not None
             else None
         )
-        for mergeable in state.mergeables:
-            estimate, sigma = self._estimate_one(
-                mergeable, state, intrinsic, card, x_hat, t, snap, var_x_hat
-            )
-            alias = mergeable.spec.alias
-            data[alias] = estimate
-            fields.append(Field(alias, dtype_of(estimate),
-                                AttributeKind.MUTABLE))
-            if sigma is not None:
-                name = ci_mod.sigma_column(alias)
-                data[name] = sigma
-                fields.append(Field(name, dtype_of(sigma),
-                                    AttributeKind.MUTABLE))
-        return DataFrame(data, schema=Schema(fields))
-
-    def _estimate_one(
-        self,
-        mergeable: MergeableAggregate,
-        state: GroupedAggregateState,
-        intrinsic: DataFrame,
-        card: np.ndarray,
-        x_hat: np.ndarray,
-        t: float,
-        snap: GrowthSnapshot,
-        var_x_hat: np.ndarray | None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(estimate, sigma-or-None) for one aggregate spec."""
-        spec: AggSpec = mergeable.spec
-        agg = spec.agg
-        want_ci = self.ci is not None
-
-        if agg == "count":
-            raw = mergeable.read(intrinsic, "count")
-            if spec.column is None:
-                estimate = estimate_count(x_hat)
-            else:
-                estimate = estimate_sum(raw, card, x_hat)
-            sigma = np.sqrt(var_x_hat) if want_ci else None
-            return estimate, sigma
-
-        # Finite-population correction: the observed rows are a sample
-        # *without replacement* of the final data, so sampling variance
-        # shrinks by (1 − t) and vanishes at completion (Fig 10a: the CI
-        # converges onto the exact answer).
         fpc = max(0.0, 1.0 - t)
-
-        if agg == "sum":
-            raw = mergeable.read(intrinsic, "sum")
-            estimate = estimate_sum(raw, card, x_hat)
-            if not want_ci:
-                return estimate, None
-            if mergeable.track_moments:
-                s2 = ci_mod.value_variance(
-                    mergeable.read(intrinsic, "count"),
-                    raw,
-                    mergeable.read(intrinsic, "sumsq"),
-                )
-                var_y = ci_mod.var_partial_sum(card, s2) * fpc
-            else:
-                var_y = np.zeros_like(estimate)
-            sigma = np.sqrt(
-                ci_mod.var_sum(raw, card, x_hat, var_y, var_x_hat)
-            )
-            return estimate, sigma
-
-        if agg == "avg":
-            total = mergeable.read(intrinsic, "sum")
-            count = mergeable.read(intrinsic, "count")
-            estimate = estimate_avg(total, count)
-            if not want_ci:
-                return estimate, None
-            if mergeable.track_moments:
-                s2 = ci_mod.value_variance(
-                    count, total, mergeable.read(intrinsic, "sumsq")
-                )
-            else:
-                s2 = np.zeros_like(estimate)
-            sigma = np.sqrt(ci_mod.var_avg(s2, count) * fpc)
-            return estimate, sigma
-
-        if agg in ("min", "max"):
-            raw = mergeable.read(intrinsic, agg)
-            estimate = estimate_order_statistic(raw)
-            # GEV-based initial variance is out of scope (see ci module
-            # docstring); CIs for extreme order statistics are "unstable".
-            sigma = np.full_like(estimate, np.nan) if want_ci else None
-            return estimate, sigma
-
-        if agg in ("var", "stddev"):
-            count = mergeable.read(intrinsic, "count")
-            total = mergeable.read(intrinsic, "sum")
-            sumsq = mergeable.read(intrinsic, "sumsq")
-            estimate = estimate_variance(count, total, sumsq)
-            if agg == "stddev":
-                with np.errstate(invalid="ignore"):
-                    estimate = np.sqrt(estimate)
-            sigma = np.full_like(estimate, np.nan) if want_ci else None
-            return estimate, sigma
-
-        if agg == "sem":
-            count = mergeable.read(intrinsic, "count")
-            total = mergeable.read(intrinsic, "sum")
-            sumsq = mergeable.read(intrinsic, "sumsq")
-            estimate = estimate_sem(count, total, sumsq)
-            # Interval estimation for a dispersion statistic is out of
-            # scope (same stance as var/stddev).
-            sigma = np.full_like(estimate, np.nan) if want_ci else None
-            return estimate, sigma
-
-        if agg in ("prod", "first", "last"):
-            # Raw merged values, no growth scaling: scaling a running
-            # product by a cardinality ratio has no unbiasedness story
-            # (the estimate would grow exponentially in group size), and
-            # first/last are point observations that only settle/track —
-            # all three converge to the exact answer at t = 1.
-            raw = mergeable.read(intrinsic, agg)
-            estimate = np.asarray(raw, dtype=np.float64)
-            sigma = np.full_like(estimate, np.nan) if want_ci else None
-            return estimate, sigma
-
-        if agg in ("median", "quantile"):
-            # Incremental read: the state answers from slot-aligned merged
-            # runs (exact mode) or a bounded reservoir (sketch mode) —
-            # never by re-grouping the consumed history.
-            estimate = state.sample_quantiles(spec)
-            # Sample quantiles are asymptotically unbiased (§5.4, van der
-            # Vaart 21.2); interval estimation (bootstrap) is out of
-            # scope, like min/max.
-            sigma = np.full_like(estimate, np.nan) if want_ci else None
-            return estimate, sigma
-
-        if agg == "count_distinct":
-            observed = state.distinct_counts(spec)
-            estimate = estimate_count_distinct(observed, card, x_hat)
-            if not want_ci:
-                return estimate, None
-            var_y = ci_mod.proxy_var_distinct_count(observed, estimate)
-            sigma = np.sqrt(
-                ci_mod.var_count_distinct(
-                    observed, card, x_hat, estimate, var_y, var_x_hat
-                )
-            )
-            return estimate, sigma
-
-        raise AssertionError(f"unhandled aggregate {agg!r}")
+        for spec in state.specs:
+            row = AGGREGATES[spec.agg]
+            reading = Reading(spec, state.parts(spec), card, x_hat, fpc,
+                              var_x_hat)
+            estimate = row.estimate(reading)
+            data[spec.alias] = estimate
+            fields.append(Field(spec.alias, dtype_of(estimate),
+                                AttributeKind.MUTABLE))
+            if self.ci is None:
+                continue
+            sigma = (row.sigma(reading, estimate) if row.sigma is not None
+                     else np.full_like(estimate, np.nan))
+            name = ci_mod.sigma_column(spec.alias)
+            data[name] = sigma
+            fields.append(Field(name, dtype_of(sigma),
+                                AttributeKind.MUTABLE))
+        return DataFrame(data, schema=Schema(fields))

@@ -99,17 +99,6 @@ class Progress:
         return min(incomplete) if incomplete else 1.0
 
     @property
-    def weighted_fraction(self) -> float:
-        """Tuple-weighted overall fraction (reported alongside ``fraction``)."""
-        total = sum(self.total.values())
-        if total <= 0:
-            return 1.0
-        done = sum(
-            min(self.done.get(s, 0), t) for s, t in self.total.items()
-        )
-        return min(1.0, done / total)
-
-    @property
     def is_complete(self) -> bool:
         return all(
             self.done.get(source, 0) >= total

@@ -34,6 +34,7 @@ never the data consumed so far):
 
 from __future__ import annotations
 
+import zlib
 from typing import Sequence
 
 import numpy as np
@@ -42,9 +43,11 @@ from repro.errors import QueryError
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.groupby import AggSpec, Grouper
 from repro.core.mergeable import (
+    AGGREGATES,
     CARDINALITY_COLUMN,
-    MergeableAggregate,
-    StateColumn,
+    PARTS,
+    kept_parts,
+    part_column,
 )
 from repro.core.orderstat import DEFAULT_SKETCH_SIZE, OrderStatState
 
@@ -53,22 +56,14 @@ from repro.core.orderstat import DEFAULT_SKETCH_SIZE, OrderStatState
 SYNTHETIC_KEY = "__group__"
 
 
-#: Merge-identity value of a freshly-allocated (or reset) state slot;
-#: min/max/first/last start at NaN, "no value seen yet".
-_IDENTITY = {"sum": 0.0, "prod": 1.0}
-
-
-def _distinct_column(alias: str) -> str:
-    return f"__{alias}__distinct"
-
-
 class GroupedAggregateState:
     """The aggregate operator's intrinsic state (paper §4.2–§4.3).
 
     Maintains, per group slot:
 
     * ``__card__`` — the group input cardinality x_i(t),
-    * the mergeable state columns of every :class:`AggSpec`,
+    * the slot parts every :class:`AggSpec` keeps (its row of
+      :data:`~repro.core.mergeable.AGGREGATES`), one column each,
     * for count-distinct specs, an incrementally-maintained distinct
       (key, value)-pair counter, and
     * for order-statistic specs, a per-slot
@@ -88,6 +83,8 @@ class GroupedAggregateState:
 
     ``version`` counts complete refreshes; ``rows_consumed`` counts input
     tuples folded into the *current* version (the basis of growth fitting).
+    ``track_moments`` additionally keeps the count/sum-of-squares moments
+    of ``sum``/``avg`` for the CI extension (§6).
     """
 
     def __init__(
@@ -104,22 +101,31 @@ class GroupedAggregateState:
         # begin_version whenever an order-statistic spec is present).
         self.by = tuple(by)
         self.specs = tuple(specs)
+        self.track_moments = track_moments
         self.quantile_mode = quantile_mode
         self.sketch_size = sketch_size
-        self.mergeables = tuple(
-            MergeableAggregate(spec, track_moments) for spec in specs
+        # (spec, state column, part) of every kept part, in column order.
+        self._columns = tuple(
+            (spec, part_column(spec.alias, name), PARTS[name])
+            for spec in self.specs
+            for name in kept_parts(spec, track_moments)
+        )
+        self._pair_specs = tuple(
+            spec for spec in self.specs
+            if AGGREGATES[spec.agg].distinct_pairs
+        )
+        self._orderstat_specs = tuple(
+            spec for spec in self.specs
+            if AGGREGATES[spec.agg].order_stats
         )
         self._grouper = Grouper(self.by) if self.by else None
         # Accumulators are views over capacity-doubling buffers whose
         # unused tail always holds the merge identity.
         self._fill: dict[str, float] = {CARDINALITY_COLUMN: 0.0}
-        for mergeable in self.mergeables:
-            for column in mergeable.state_columns:
-                self._fill[column.name] = _IDENTITY.get(
-                    column.merge, np.nan
-                )
-            if mergeable.needs_distinct_pairs:
-                self._fill[_distinct_column(mergeable.spec.alias)] = 0.0
+        for _spec, column, part in self._columns:
+            self._fill[column] = part.identity
+        for spec in self._pair_specs:
+            self._fill[part_column(spec.alias, "distinct")] = 0.0
         self._buffers = {
             name: np.full(0, fill) for name, fill in self._fill.items()
         }
@@ -154,13 +160,15 @@ class GroupedAggregateState:
         self._pairs: dict[str, Grouper] = {}
         # median/quantile: per-spec incremental order-statistic state,
         # slot-aligned with the main Grouper (no key re-encoding on read).
-        self._orderstats: dict[str, OrderStatState] = {}
-        for mergeable in self.mergeables:
-            stats = mergeable.make_order_stat(
-                self.quantile_mode, self.sketch_size
+        # Sketch randomness is seeded from the alias so repeated runs are
+        # reproducible.
+        self._orderstats = {
+            spec.alias: OrderStatState(
+                mode=self.quantile_mode, sketch_size=self.sketch_size,
+                seed=zlib.crc32(spec.alias.encode()),
             )
-            if stats is not None:
-                self._orderstats[mergeable.spec.alias] = stats
+            for spec in self._orderstat_specs
+        }
         self._live = 0
         # Key dtypes a reader must present: a REPLACE version shows its
         # snapshot's (the persistent key frame may hold wider strings
@@ -233,60 +241,21 @@ class GroupedAggregateState:
         card += partial_card
         self._live = int(np.count_nonzero(card))
         present = seen & (partial_card > 0)
-        for mergeable in self.mergeables:
-            partial = mergeable.partial_state(frame, codes, n_slots)
-            for column in mergeable.state_columns:
-                self._merge_column(column, partial[column.name], seen,
-                                   present)
-        for mergeable in self.mergeables:
-            if mergeable.needs_distinct_pairs:
-                self._consume_pairs(mergeable.spec, frame)
-            if mergeable.needs_order_stats:
-                assert mergeable.spec.column is not None
-                self._orderstats[mergeable.spec.alias].consume(
-                    codes, frame.column(mergeable.spec.column)
-                )
+        for spec, column, part in self._columns:
+            values = (None if spec.column is None
+                      else frame.column(spec.column))
+            part.merge(self._column(column),
+                       part.kernel(codes, n_slots, values), seen, present)
+        for spec in self._pair_specs:
+            self._consume_pairs(spec, frame)
+        for spec in self._orderstat_specs:
+            assert spec.column is not None
+            self._orderstats[spec.alias].consume(
+                codes, frame.column(spec.column)
+            )
         self.rows_consumed += frame.n_rows
         self._frame_cache = None
         self._perm = None
-
-    def _merge_column(
-        self,
-        column: StateColumn,
-        part: np.ndarray,
-        seen: np.ndarray,
-        present: np.ndarray,
-    ) -> None:
-        """Fold one per-slot partial array into the accumulator in place.
-
-        ``sum``/``prod`` columns combine elementwise (absent slots carry
-        the identity 0 / 1); ``min``/``max`` columns take the partial's
-        value on slots with no rows yet in this version (``~seen``) and
-        reduce only over slots ``present`` on both sides (NaN from
-        genuine NaN input values still propagates, as the
-        concat-and-regroup strategy did);
-        ``first`` keeps the accumulator once it holds a non-NaN value,
-        ``last`` overwrites with the partial's value wherever the partial
-        saw one — both in message-arrival order, matching pandas
-        first/last over rows in encounter order."""
-        acc = self._column(column.name)
-        if column.merge == "sum":
-            acc += part
-            return
-        if column.merge == "prod":
-            acc *= part
-            return
-        if column.merge == "first":
-            take = np.isnan(acc) & ~np.isnan(part)
-            acc[take] = part[take]
-            return
-        if column.merge == "last":
-            take = ~np.isnan(part)
-            acc[take] = part[take]
-            return
-        reducer = np.minimum if column.merge == "min" else np.maximum
-        np.copyto(acc, part, where=~seen)
-        acc[present] = reducer(acc[present], part[present])
 
     def _consume_pairs(self, spec: AggSpec, frame: DataFrame) -> None:
         """Register this partial's (key, value) pairs, counting only pairs
@@ -306,7 +275,7 @@ class GroupedAggregateState:
         # Every key of a new pair was registered with the main grouper when
         # this partial was encoded, so this lookup allocates no slots.
         slots = self._encode(new_pairs)
-        counts = self._column(_distinct_column(spec.alias))
+        counts = self._column(part_column(spec.alias, "distinct"))
         counts += np.bincount(slots, minlength=len(counts))
 
     # -- readers ----------------------------------------------------------------
@@ -345,9 +314,8 @@ class GroupedAggregateState:
                     if data[name].dtype != dtype:
                         data[name] = data[name].astype(dtype)
             data[CARDINALITY_COLUMN] = self._column(CARDINALITY_COLUMN)[perm]
-            for mergeable in self.mergeables:
-                for column in mergeable.state_columns:
-                    data[column.name] = self._column(column.name)[perm]
+            for _spec, column, _part in self._columns:
+                data[column] = self._column(column)[perm]
             self._frame_cache = DataFrame(data)
         return self._frame_cache
 
@@ -357,7 +325,7 @@ class GroupedAggregateState:
         perm = self._sort_perm()
         if spec.alias not in self._pairs:
             return np.zeros(len(perm), dtype=np.float64)
-        return self._column(_distinct_column(spec.alias))[perm]
+        return self._column(part_column(spec.alias, "distinct"))[perm]
 
     def sample_quantiles(self, spec: AggSpec) -> np.ndarray:
         """Per-group sample quantiles from the incremental order-statistic
@@ -373,6 +341,23 @@ class GroupedAggregateState:
             return np.full(len(perm), np.nan)
         per_slot = stats.quantiles(spec.quantile_fraction, self._n_slots)
         return per_slot[perm]
+
+    def parts(self, spec: AggSpec) -> dict[str, np.ndarray]:
+        """The ``y`` of :class:`~repro.core.mergeable.Reading`: ``spec``'s
+        kept parts by name — plus ``"distinct"`` or ``"quantile"`` when
+        it keeps distinct pairs or an order-statistic state — aligned
+        with :meth:`state_frame` row order."""
+        frame = self.state_frame()
+        row = AGGREGATES[spec.agg]
+        y = {
+            part: frame.column(part_column(spec.alias, part))
+            for part in kept_parts(spec, self.track_moments)
+        }
+        if row.distinct_pairs:
+            y["distinct"] = self.distinct_counts(spec)
+        if row.order_stats:
+            y["quantile"] = self.sample_quantiles(spec)
+        return y
 
     def output_keys(self) -> tuple[str, ...]:
         """Key columns that appear in user-facing output frames."""

@@ -612,6 +612,15 @@ def group_count(codes: np.ndarray, n_groups: int,
     ).astype(np.int64)
 
 
+def counted_rows(values: np.ndarray | None) -> np.ndarray | None:
+    """The rows a ``count`` counts, as a ``group_count`` mask: only a
+    float column can hold NaN, so its non-NaN rows; every row (``None``)
+    of any other column, or of ``count(*)``."""
+    if values is None or values.dtype.kind != "f":
+        return None
+    return ~np.isnan(values)
+
+
 def group_sum(codes: np.ndarray, n_groups: int,
               values: np.ndarray) -> np.ndarray:
     """Per-group sums as float64 (NaN values are skipped, SQL-style)."""
@@ -800,10 +809,8 @@ def _evaluate_spec(
     spec: AggSpec, frame: DataFrame, codes: np.ndarray, n_groups: int
 ) -> np.ndarray:
     if spec.agg == "count":
-        if spec.column is None:
-            return group_count(codes, n_groups)
-        values = frame.column(spec.column).astype(np.float64, copy=False)
-        return group_count(codes, n_groups, valid=~np.isnan(values))
+        values = None if spec.column is None else frame.column(spec.column)
+        return group_count(codes, n_groups, counted_rows(values))
     values = frame.column(spec.column)  # type: ignore[arg-type]
     if spec.agg == "sum":
         return group_sum(codes, n_groups, values)

@@ -135,10 +135,6 @@ class Schema:
             f.name for f in self._fields if f.kind == AttributeKind.MUTABLE
         )
 
-    @property
-    def has_mutable(self) -> bool:
-        return any(f.kind == AttributeKind.MUTABLE for f in self._fields)
-
     # -- transformations ---------------------------------------------------
     def select(self, names: Iterable[str]) -> "Schema":
         return Schema(self.field(n) for n in names)
@@ -162,12 +158,6 @@ class Schema:
         if missing:
             raise ColumnNotFoundError(sorted(missing)[0], self.names)
         return Schema(f for f in self._fields if f.name not in gone)
-
-    def mark_mutable(self, names: Iterable[str]) -> "Schema":
-        target = set(names)
-        return Schema(
-            f.as_mutable() if f.name in target else f for f in self._fields
-        )
 
     # -- comparisons ---------------------------------------------------------
     def same_layout(self, other: "Schema") -> bool:

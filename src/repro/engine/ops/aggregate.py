@@ -33,29 +33,12 @@ from repro.dataframe.schema import AttributeKind, DType, Field, Schema
 from repro.core.ci import CIConfig, sigma_column
 from repro.core.growth import GrowthModel
 from repro.core.inference import AggregateInference
+from repro.core.mergeable import AGGREGATES
 from repro.core.orderstat import DEFAULT_SKETCH_SIZE, QUANTILE_MODES
 from repro.core.properties import Delivery, StreamInfo
 from repro.core.state import GroupedAggregateState
 from repro.engine.message import Message
 from repro.engine.ops.base import Operator
-
-#: Plan-time dtype of every aggregate output column.
-_AGG_DTYPE = {
-    "sum": DType.FLOAT64,
-    "count": DType.FLOAT64,
-    "avg": DType.FLOAT64,
-    "min": DType.FLOAT64,
-    "max": DType.FLOAT64,
-    "var": DType.FLOAT64,
-    "stddev": DType.FLOAT64,
-    "sem": DType.FLOAT64,
-    "prod": DType.FLOAT64,
-    "first": DType.FLOAT64,
-    "last": DType.FLOAT64,
-    "count_distinct": DType.FLOAT64,
-    "median": DType.FLOAT64,
-    "quantile": DType.FLOAT64,
-}
 
 #: Aggregates whose input may be any dtype (they only count rows/values).
 _ANY_DTYPE_AGGS = ("count", "count_distinct")
@@ -163,7 +146,8 @@ class AggregateOperator(Operator):
             else AttributeKind.MUTABLE
         )
         for spec in self.specs:
-            fields.append(Field(spec.alias, _AGG_DTYPE[spec.agg], out_kind))
+            # Every estimate (and every local-mode exact value) is float64.
+            fields.append(Field(spec.alias, DType.FLOAT64, out_kind))
             if self.ci is not None and not local_mode:
                 fields.append(
                     Field(sigma_column(spec.alias), DType.FLOAT64,
@@ -208,7 +192,7 @@ class AggregateOperator(Operator):
         # unread output version needs no input version — except for a
         # sketch quantile, whose reservoir RNG runs across versions.
         sketch = self.quantile_mode == "sketch" and any(
-            spec.agg in ("median", "quantile") for spec in self.specs
+            AGGREGATES[spec.agg].order_stats for spec in self.specs
         )
         if (self.local_mode or sketch
                 or self.input_infos[0].delivery != Delivery.REPLACE):

@@ -218,7 +218,3 @@ class SourceOperator(Operator):
 
     def _handle_message(self, port: int, message: Message) -> list[Message]:
         raise ExecutionError(f"source {self.name!r} cannot receive messages")
-
-    def bind_source(self) -> StreamInfo:
-        """Sources bind with no inputs."""
-        return self.bind(())

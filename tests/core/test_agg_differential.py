@@ -12,6 +12,11 @@ frames including NaNs and empty groups.  Two paths are exercised:
   delta and read back through ``AggregateInference`` at t = 1 — which
   must agree with the one-shot answer (mergeability, paper Table 2).
 
+The same chunked state, built again with the CI moments and read with a
+``CIConfig`` at some t in (0, 1), must leave every one of the 14
+estimates byte-identical and report a NaN σ exactly for the aggregates
+without an interval rule.
+
 When a real pandas is importable the oracle itself is cross-checked;
 the container image ships without pandas, so that test usually skips.
 """
@@ -22,9 +27,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe.frame import DataFrame
-from repro.dataframe.groupby import AggSpec
+from repro.dataframe.groupby import AGG_FUNCTIONS, AggSpec
+from repro.core.ci import CIConfig, sigma_column
 from repro.core.growth import GrowthModel
 from repro.core.inference import AggregateInference
+from repro.core.mergeable import AGGREGATES
 from repro.core.state import GroupedAggregateState
 
 try:
@@ -146,18 +153,25 @@ def chunked_data(draw):
     return keys, values, [0, *cuts, n]
 
 
+def chunked_state(data, specs, track_moments=False):
+    keys, values, bounds = data
+    state = GroupedAggregateState(("k",), specs,
+                                  track_moments=track_moments)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi > lo:
+            state.consume_delta(
+                DataFrame({"k": keys[lo:hi], "v": values[lo:hi]})
+            )
+    return state
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=chunked_data())
 def test_merged_state_matches_oracle(data):
     """Arbitrary delta boundaries must not change any final value."""
     keys, values, bounds = data
     specs = [AggSpec(agg, "v", f"{agg}_v") for agg in AGGS]
-    state = GroupedAggregateState(("k",), specs)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > lo:
-            state.consume_delta(
-                DataFrame({"k": keys[lo:hi], "v": values[lo:hi]})
-            )
+    state = chunked_state(data, specs)
     inference = AggregateInference(GrowthModel(prior_w=1.0))
     out = inference.infer(state, 1.0)
     for i, k in enumerate(out.column("k")):
@@ -167,6 +181,38 @@ def test_merged_state_matches_oracle(data):
                 out.column(f"{agg}_v")[i], oracle(agg, group),
                 f"merged {agg} of group {k} (chunks {bounds})",
             )
+
+
+def test_aggregate_table_covers_the_grammar():
+    assert tuple(AGGREGATES) == AGG_FUNCTIONS
+
+
+#: Aggregates with a §6 interval rule; every other σ is NaN.
+INTERVAL_AGGS = ("count", "sum", "avg", "count_distinct")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=chunked_data(),
+       t=st.floats(min_value=0.01, max_value=0.99))
+def test_ci_never_moves_an_estimate(data, t):
+    """CI adds moments to the state and σ columns to the output; every
+    estimate stays byte for byte what the CI-off run reads."""
+    specs = [AggSpec(agg, "v", f"{agg}_v",
+                     param=0.9 if agg == "quantile" else None)
+             for agg in AGG_FUNCTIONS]
+    off = AggregateInference(GrowthModel(prior_w=1.0)).infer(
+        chunked_state(data, specs), t)
+    on = AggregateInference(GrowthModel(prior_w=1.0), ci=CIConfig()).infer(
+        chunked_state(data, specs, track_moments=True), t)
+    for spec in specs:
+        estimate = on.column(spec.alias)
+        assert estimate.tobytes() == off.column(spec.alias).tobytes(), (
+            spec.agg)
+        sigma = np.isnan(on.column(sigma_column(spec.alias)))
+        if spec.agg in INTERVAL_AGGS:
+            assert not (sigma & ~np.isnan(estimate)).any(), spec.agg
+        else:
+            assert sigma.all(), spec.agg
 
 
 # ---------------------------------------------------------------------------

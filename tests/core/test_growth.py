@@ -88,7 +88,6 @@ class TestGrowthModel:
         snap = model.snapshot()
         assert snap.w == 0.0
         assert snap.var_w == 0.0
-        assert model.is_pinned
 
     def test_pinned_outside_bounds_rejected(self):
         with pytest.raises(InferenceError):

@@ -43,12 +43,6 @@ class TestProgress:
     def test_fraction_empty(self):
         assert Progress().fraction == 1.0
 
-    def test_weighted_fraction(self):
-        p = Progress(
-            done={"a": 50, "b": 10}, total={"a": 50, "b": 100}
-        )
-        assert p.weighted_fraction == pytest.approx(60 / 150)
-
     def test_merged_takes_max_done(self):
         a = Progress(done={"t": 30}, total={"t": 100})
         b = Progress(done={"t": 50}, total={"t": 100})

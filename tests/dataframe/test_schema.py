@@ -92,8 +92,6 @@ class TestSchema:
     def test_mutable_names(self):
         s = make_schema()
         assert s.mutable_names == ("total",)
-        assert s.has_mutable
-        assert not Schema([Field("a", DType.INT64)]).has_mutable
 
     def test_select_preserves_order(self):
         s = make_schema().select(["total", "k"])
@@ -117,13 +115,12 @@ class TestSchema:
         with pytest.raises(ColumnNotFoundError):
             make_schema().drop(["nope"])
 
-    def test_mark_mutable(self):
-        s = make_schema().mark_mutable(["k"])
-        assert s.field("k").kind == AttributeKind.MUTABLE
-
     def test_same_layout_ignores_kind(self):
         a = make_schema()
-        b = make_schema().mark_mutable(["k", "name"])
+        b = Schema(
+            f.as_mutable() if f.name in ("k", "name") else f
+            for f in make_schema().fields
+        )
         assert a.same_layout(b)
         assert a != b
         assert a == make_schema()

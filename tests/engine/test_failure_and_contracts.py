@@ -99,7 +99,7 @@ class TestOperatorContracts:
 
     def test_source_rejects_messages(self, catalog):
         op = ReadOperator(catalog.table("sales"))
-        op.bind_source()
+        op.bind(())
         with pytest.raises(ExecutionError, match="invalid port"):
             op.on_message(0, self.message())
 

@@ -57,7 +57,7 @@ class TestReadOperator:
 
     def test_stream_info(self, catalog):
         op = ReadOperator(catalog.table("sales"))
-        info = op.bind_source()
+        info = op.bind(())
         assert info.delivery == Delivery.DELTA
         assert info.clustering_key == ("okey",)
 

@@ -17,7 +17,7 @@ def rebuild_on_snapshot(self, frame):
     version = self.version
     self.__init__(
         self.by, self.specs,
-        track_moments=self.mergeables[0].track_moments,
+        track_moments=self.track_moments,
         quantile_mode=self.quantile_mode, sketch_size=self.sketch_size,
     )
     self.version = version + 1
