@@ -1,7 +1,9 @@
 """Static analysis: plan-level schema checking and the codebase linter.
 
-Layer 1 (:mod:`repro.analysis.schema_check`) validates plan graphs at
-submit time and powers the optimizer's rewrite-soundness checker; layer
+Layer 1 (:mod:`repro.analysis.schema_check`) types expressions for the
+operators' derivations (which validate each fluent-API node as it is
+built) and walks whole graphs for the optimizer's rewrite-soundness
+checker and for graphs built by hand; layer
 2 (:mod:`repro.analysis.lint`) is the AST-based invariant linter behind
 ``python -m repro lint``.
 """

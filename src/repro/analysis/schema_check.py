@@ -20,12 +20,12 @@ dtypes, attribute kinds, keys, clustering, delivery — in
 This module holds the two pieces that are not per-operator:
 :func:`expr_dtype`, the dtype an ``Expr`` tree evaluates to over a
 schema (what the operators call instead of evaluating expressions on
-probe frames), and the graph walk that runs every reachable operator's
-derivation output→sources *without binding*, so a bad plan is rejected
-at submit before any partition is read.  A submit derives its plan once
-here and once more after each pushdown pass that rewrote something (the
-optimizer's soundness check); the executor binds from the last
-derivation, within the < 5 ms planning budget
+probe frames), and :func:`infer_plan`, the graph walk that runs every
+reachable operator's derivation *without binding*.  A fluent-API plan
+never needs the walk to be validated: each ``PlanNode`` derives itself
+when built.  A submit runs it only after a pushdown pass that rewrote
+something (the optimizer's soundness check); the executor binds from
+the last derivation, within the < 5 ms planning budget
 (``benchmarks/bench_optimizer.py``).
 
 Nothing here imports ``repro.engine``: the operators import
@@ -280,8 +280,9 @@ def reachable_nodes(graph: QueryGraph, output: int) -> list[int]:
 
 def infer_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
     """Every reachable node's output stream, derived by the operators
-    themselves without binding them.  This is submit-time validation:
-    raises :class:`PlanValidationError` on the first malformed node,
+    themselves without binding them: the optimizer's re-derivation
+    after a rewrite, and the validation of a graph built by hand.
+    Raises :class:`PlanValidationError` on the first malformed node,
     pinned to that node's id, before any partition is read."""
     infos: dict[int, StreamInfo] = {}
     for nid in reachable_nodes(graph, output):
@@ -291,9 +292,7 @@ def infer_plan(graph: QueryGraph, output: int) -> dict[int, StreamInfo]:
                 tuple(infos[i] for i in node.inputs)
             )
         except PlanValidationError as exc:
-            if exc.node is None:
-                exc.node = nid
-                exc.args = (f"node {nid}: {exc}",)
+            exc.pin(nid)
             raise
     return infos
 

@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import QueryError
-from repro.analysis.schema_check import infer_plan
 from repro.core.ci import CIConfig
 from repro.core.properties import StreamInfo
 from repro.core.edf import EvolvingDataFrame
@@ -123,21 +122,18 @@ class WakeContext:
         trace=None,
     ) -> tuple[QueryGraph, int, OptimizerTrace]:
         """Instantiate the plan under ``options`` (``None``: the
-        session's :attr:`options`), derive it once — the submit-time
-        validation — and run the optimizer's scan pushdowns over it.
-        Returns the graph, its output node and this plan's optimizer
-        trace (also left in :attr:`last_trace`), whose ``infos`` is the
-        derivation the graph binds from.  ``trace`` (a
+        session's :attr:`options`), collecting each node's stream from
+        the plan nodes that derived it when they were built (a
+        malformed plan never got this far), and run the optimizer's scan
+        pushdowns over it.  Returns the graph, its output node and this
+        plan's optimizer trace (also left in :attr:`last_trace`), whose
+        ``infos`` is the derivation the graph binds from.  ``trace`` (a
         :class:`~repro.obs.SessionTrace`, or ``None``) records the
-        validate/optimize phases as lifecycle spans."""
+        optimize phase as a lifecycle span."""
         opts = options if options is not None else self.options
         graph = QueryGraph()
-        output = frame.plan.materialize(graph, {}, opts)
-        # Submit-time chokepoint: run/stream/executor_for/explain (and
-        # the service on top of them) all reject malformed plans here,
-        # before any partition is read.
-        with maybe_span(trace, "validate"):
-            infos = infer_plan(graph, output)
+        infos: dict[int, StreamInfo] = {}
+        output = frame.plan.materialize(graph, {}, opts, infos)
         with maybe_span(trace, "optimize"):
             optimized = self.last_trace = optimize(graph, output, infos,
                                                    opts.pushdown)
@@ -170,9 +166,9 @@ class WakeContext:
 
         This is the paper's downstream-application mode (§7.1: "the query
         output ... can be consumed by downstream applications (e.g.,
-        progressive visualization)").  The plan is validated and
-        optimized here; no partition is read before the first
-        ``next()``.  Each pull steps the executor until a snapshot
+        progressive visualization)").  The plan is optimized here (it
+        was validated as it was built); no partition is read before the
+        first ``next()``.  Each pull steps the executor until a snapshot
         appears, so the sequence is exactly :meth:`run`'s and ends with
         the exact final snapshot.  Closing or abandoning the generator
         closes the executor and with it every open read stream.
@@ -196,8 +192,8 @@ class WakeContext:
         schedules (see :mod:`repro.service`).  Each ``step()`` consumes
         one source partition; stepping to completion yields snapshot
         sequences byte-identical to :meth:`run`.  ``trace`` (a
-        :class:`~repro.obs.SessionTrace`) records the validate/optimize
-        lifecycle spans when the service has telemetry enabled.
+        :class:`~repro.obs.SessionTrace`) records the optimize
+        lifecycle span when the service has telemetry enabled.
 
         ``pushdown`` overrides the scan-pushdown setting of ``options``
         for this call.  It is kept only because the frozen end-to-end

@@ -1,10 +1,11 @@
 """The fluent edf frame API (the paper's user-facing surface, §1/§3.2).
 
 An :class:`EdfFrame` is a *declarative plan node*: a factory for an
-operator plus references to its input plans.  Nothing executes until
-``WakeContext.run``; each run materializes a fresh operator graph, so the
-same plan can be executed repeatedly (different options, shuffled
-partition orders, partition-size sweeps) without state leakage.
+operator, references to its input plans, and the stream it derived when
+it was built.  Nothing executes until ``WakeContext.run``; each run
+materializes a fresh operator graph, so the same plan can be executed
+repeatedly (different options, shuffled partition orders,
+partition-size sweeps) without state leakage.
 """
 
 from __future__ import annotations
@@ -13,14 +14,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from repro.errors import QueryError
-from repro.analysis.schema_check import infer_plan
+from repro.errors import PlanValidationError, QueryError
 from repro.dataframe.expr import Expr, col as col_
 from repro.dataframe.frame import DataFrame
 from repro.dataframe.schema import Schema
 from repro.core.ci import CIConfig
-from repro.core.properties import Delivery, StreamInfo
-from repro.engine.graph import QueryGraph
+from repro.core.properties import StreamInfo
 from repro.engine.ops import (
     AggregateOperator,
     CrossJoinOperator,
@@ -39,25 +38,59 @@ from repro.api.options import ExecutionOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.api.context import WakeContext
+    from repro.engine.graph import QueryGraph
 
 _plan_ids = itertools.count()
+
+#: What a node's operator is built under to derive its stream.  The
+#: stream depends on the builder's arguments, the tables' ``TableMeta``
+#: and the context's ``ci`` only: ``quantile_mode`` / ``sketch_size``
+#: (the options a factory reads) and materialize's scan labels
+#: (``t@2``) never enter a derivation.
+_DERIVE_OPTIONS = ExecutionOptions()
 
 
 @dataclass(frozen=True)
 class PlanNode:
     """One declarative node: builds a fresh Operator when materialized,
-    from the :class:`ExecutionOptions` that execution runs under."""
+    from the :class:`ExecutionOptions` that execution runs under.
+
+    It derives its :attr:`stream` once, when built, from its inputs'
+    streams, so a malformed node fails in the API call that built it,
+    pinned to the id it gets when its own plan is materialized (the
+    number of distinct nodes beneath it)."""
 
     factory: Callable[[ExecutionOptions], Operator]
     inputs: tuple["PlanNode", ...] = ()
     plan_id: int = field(default_factory=lambda: next(_plan_ids))
+    stream: StreamInfo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        operator = self.factory(_DERIVE_OPTIONS)
+        try:
+            stream = operator.derive(
+                tuple(child.stream for child in self.inputs)
+            )
+        except PlanValidationError as exc:
+            exc.pin(len(self._beneath(set())))
+            raise
+        object.__setattr__(self, "stream", stream)
+
+    def _beneath(self, seen: set[int]) -> set[int]:
+        for child in self.inputs:
+            if child.plan_id not in seen:
+                seen.add(child.plan_id)
+                child._beneath(seen)
+        return seen
 
     def materialize(
         self, graph: QueryGraph, memo: dict[int, int],
         options: ExecutionOptions,
+        streams: dict[int, StreamInfo] | None = None,
     ) -> int:
         """Instantiate this plan (and its ancestors) into ``graph`` under
-        ``options`` and label its scans.
+        ``options`` and label its scans; ``streams``, when given,
+        collects each added node's stream (the plan's derivation).
 
         Scans the caller did not name are numbered per table in the
         order they were created — ``t``, ``t@2``, ``t@3``... — so two
@@ -65,7 +98,7 @@ class PlanNode:
         label would let the faster one mark the source complete), and
         a plan's labels depend on the plan alone, not on what else its
         context has built."""
-        output = self._instantiate(graph, memo, options)
+        output = self._instantiate(graph, memo, options, streams)
         seen: dict[str, int] = {}
         for _plan_id, node_id in sorted(memo.items()):
             scan = graph.node(node_id).operator
@@ -80,15 +113,18 @@ class PlanNode:
     def _instantiate(
         self, graph: QueryGraph, memo: dict[int, int],
         options: ExecutionOptions,
+        streams: dict[int, StreamInfo] | None,
     ) -> int:
         if self.plan_id in memo:
             return memo[self.plan_id]
         input_ids = tuple(
-            child._instantiate(graph, memo, options)
+            child._instantiate(graph, memo, options, streams)
             for child in self.inputs
         )
         node_id = graph.add(self.factory(options), input_ids)
         memo[self.plan_id] = node_id
+        if streams is not None:
+            streams[node_id] = self.stream
         return node_id
 
 
@@ -131,9 +167,7 @@ class EdfFrame:
 
     def stream_info(self) -> StreamInfo:
         """Plan-time stream description (schema, keys, delivery)."""
-        graph = QueryGraph()
-        node_id = self._plan.materialize(graph, {}, self._context.options)
-        return infer_plan(graph, node_id)[node_id]
+        return self._plan.stream
 
     @property
     def schema(self) -> Schema:
@@ -216,8 +250,8 @@ class EdfFrame:
 
         ``on`` is a list of (left, right) column pairs, or one column name
         shared by both sides.  ``method`` is ``auto`` (merge join when both
-        sides stream clustered on a single numeric key, else hash),
-        ``hash``, or ``merge``.
+        sides meet the merge requirement, else hash), ``hash``, or
+        ``merge``.
         """
         if isinstance(on, str):
             pairs = [(on, on)]
@@ -257,17 +291,16 @@ class EdfFrame:
         how: str,
     ) -> str:
         """Merge join when both sides are DELTA streams clustered on the
-        (single) join key — the paper's physical-plan rule (§3.2)."""
+        (single, numeric) join key — the paper's physical-plan rule
+        (§3.2), as :meth:`MergeJoinOperator.side_fault` states it."""
         if how != "inner" or len(pairs) != 1:
             return "hash"
-        left_info = self.stream_info()
-        right_info = other.stream_info()
         left_key, right_key = pairs[0]
         if (
-            left_info.delivery == Delivery.DELTA
-            and right_info.delivery == Delivery.DELTA
-            and left_info.clustered_on((left_key,))
-            and right_info.clustered_on((right_key,))
+            MergeJoinOperator.side_fault(self._plan.stream, left_key,
+                                         "left") is None
+            and MergeJoinOperator.side_fault(other._plan.stream,
+                                             right_key, "right") is None
         ):
             return "merge"
         return "hash"

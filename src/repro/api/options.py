@@ -28,14 +28,15 @@ class ExecutionOptions:
 
     * ``pushdown`` — the optimizer's two passes, scan projection and
       zone-map partition pruning; off, a plan runs as written.
-    * ``validate`` — accepted and ignored: every submit derives its
-      plan once, and that derivation is the validation.  The field stays
-      only because the frozen end-to-end benchmark passes
+    * ``validate`` — accepted and ignored: every plan node derives its
+      stream when it is built, and that is the validation.  The field
+      stays only because the frozen end-to-end benchmark passes
       ``validate=False``; ROADMAP item 6(a) deletes it.
     * ``quantile_mode`` / ``sketch_size`` — exact vs reservoir-sketch
       order statistics.  They reach the plan's aggregates when it is
       materialized, so a per-call bundle takes effect, and they are part
-      of the plan hash (the result cache's key).
+      of the plan hash (the result cache's key), but never of a
+      node's stream.
     * ``scan_share`` — service-level shared scans: one partition read
       per (table, partition, column-superset) fans out to every
       subscribed query (semantically invisible; snapshot sequences stay

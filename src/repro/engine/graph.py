@@ -102,8 +102,8 @@ class QueryGraph:
     ) -> dict[int, StreamInfo]:
         """Bind all operators (insertion order = topological order).
 
-        ``infos`` is the plan's derivation
-        (:func:`~repro.analysis.schema_check.infer_plan`): a node it
+        ``infos`` is the plan's derivation (the plan nodes' streams,
+        or :func:`~repro.analysis.schema_check.infer_plan`): a node it
         covers binds from it without deriving again; any other node (a
         graph built by hand) derives on this first call."""
         if self._resolved is not None:

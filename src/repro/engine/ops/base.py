@@ -8,7 +8,7 @@ clustering / delivery, raising coded :class:`PlanValidationError` errors),
 ``signature`` (canonical form, default: opaque) — so validation,
 ``explain``, projection pushdown and plan hashing all read the class
 and nothing else.  ``bind`` fixes the derived
-:class:`StreamInfo` once per execution (taking it from the submit's
+:class:`StreamInfo` once per execution (taking it from the plan's
 derivation rather than deriving again) and lets ``_on_bound`` pick
 runtime modes from it.  At run time the executor feeds the operator
 messages (``on_message``) and EOF markers (``on_eof``); the operator

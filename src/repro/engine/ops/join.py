@@ -307,27 +307,10 @@ class MergeJoinOperator(_JoinOperator):
             (left, self.left_on, "left"),
             (right, self.right_on, "right"),
         ):
-            if info.delivery != Delivery.DELTA:
-                raise self.fail(
-                    "delivery-misuse",
-                    f"{side} input must stream DELTA messages (got "
-                    f"{info.delivery.value}); use a hash join for "
-                    f"REPLACE inputs",
-                )
-            if not info.clustered_on((key,)):
-                raise self.fail(
-                    "delivery-misuse",
-                    f"{side} input is not clustered on {key!r}; use a "
-                    f"hash join instead",
-                    column=key,
-                )
-            if info.schema.dtype(key) is DType.STRING:
-                raise self.fail(
-                    "type-mismatch",
-                    f"{side} key {key!r} is a string; watermark merging "
-                    f"requires a numeric key",
-                    column=key,
-                )
+            fault = self.side_fault(info, key, side)
+            if fault is not None:
+                code, message, column = fault
+                raise self.fail(code, message, column=column)
         schema = self._joined_schema(
             left.schema, right.schema, (self.right_on,)
         )
@@ -337,6 +320,29 @@ class MergeJoinOperator(_JoinOperator):
             clustering_key=left.clustering_key,
             delivery=Delivery.DELTA,
         )
+
+    @staticmethod
+    def side_fault(
+        info: StreamInfo, key: str, side: str,
+    ) -> tuple[str, str, str | None] | None:
+        """Why ``info`` cannot be the ``side`` input of a merge join on
+        ``key``, as ``(code, message, column)``, or ``None`` when it
+        can: the one statement of the merge requirement, read by this
+        derivation and by ``join(method="auto")``."""
+        if info.delivery != Delivery.DELTA:
+            return ("delivery-misuse",
+                    f"{side} input must stream DELTA messages (got "
+                    f"{info.delivery.value}); use a hash join for "
+                    f"REPLACE inputs", None)
+        if not info.clustered_on((key,)):
+            return ("delivery-misuse",
+                    f"{side} input is not clustered on {key!r}; use a "
+                    f"hash join instead", key)
+        if info.schema.dtype(key) is DType.STRING:
+            return ("type-mismatch",
+                    f"{side} key {key!r} is a string; watermark merging "
+                    f"requires a numeric key", key)
+        return None
 
     def required_inputs(self, input_schemas, required):
         return self._split_required(

@@ -73,10 +73,11 @@ class QueryError(ReproError):
 class PlanValidationError(QueryError):
     """Static plan validation rejected a plan before execution.
 
-    Raised by an operator's own ``_derive_info`` — at submit time from
-    the unbound walk in :mod:`repro.analysis.schema_check`, which adds
-    the ``node`` id, or when an executor binds an unvalidated plan —
-    and by the optimizer's rewrite-soundness check.
+    Raised by an operator's own ``_derive_info`` — in the API call that
+    built the malformed node (``filter``, ``join``, ``agg``...), or from
+    the unbound walk in :mod:`repro.analysis.schema_check` over a graph
+    built by hand; both add the ``node`` id — and by the optimizer's
+    rewrite-soundness check.
     Carries enough structure for the snapshot server to return a
     machine-readable error reply: the validation ``code``, the offending
     graph ``node`` id and ``operator`` name, and the ``column`` involved
@@ -100,6 +101,12 @@ class PlanValidationError(QueryError):
         self.node = node
         self.operator = operator
         self.column = column
+
+    def pin(self, node: int) -> None:
+        """Name the plan ``node`` that failed, unless one is named."""
+        if self.node is None:
+            self.node = node
+            self.args = (f"node {node}: {self}",)
 
     def to_dict(self) -> dict:
         """JSON-safe detail payload for wire replies."""

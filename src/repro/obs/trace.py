@@ -1,7 +1,7 @@
 """Query-lifecycle tracing: per-session span trees.
 
 One :class:`SessionTrace` records a submitted query's life — submit →
-validate → optimize → per-step execute → snapshot publish — as a tree
+build → optimize → per-step execute → snapshot publish — as a tree
 of :class:`Span` intervals on the injectable monotonic clock, tagged
 with the session id and canonical plan hash for correlation with the
 metrics surface and ``status`` replies.

@@ -24,7 +24,7 @@ directions.  Requests carry an ``op``:
   directly (one-shot, for Prometheus scrapers).
 * ``{"op": "trace"}`` (retained trace summaries) or
   ``{"op": "trace", "session": "s1"}`` (one session's full span tree:
-  submit → validate → optimize → per-step execute → publish).
+  submit → build → optimize → per-step execute → publish).
 * ``{"op": "subscribe", "session": "s1", "start": 0,
   "include_frame": true}`` (``include_frame`` a boolean) → an ack
   line, then one ``{"event": "snapshot", ...}`` line per snapshot *as
@@ -521,10 +521,11 @@ class SnapshotServer:
                 try:
                     await self._dispatch(request, reader, writer)
                 except PlanValidationError as exc:
-                    # Static validation rejected the plan at submit:
-                    # the reply carries the structured detail (code,
-                    # offending node + column) instead of the session
-                    # failing mid-stream with a terminal ``end``.
+                    # Static validation rejected the plan while the
+                    # submit built it: the reply carries the structured
+                    # detail (code, offending node + column) instead of
+                    # the session failing mid-stream with a terminal
+                    # ``end``.
                     writer.write(_encode({
                         "ok": False,
                         "error": str(exc),

@@ -1,6 +1,7 @@
-"""Submit-time plan validation: every malformed-plan class raises a
-structured :class:`PlanValidationError` before any partition is read,
-from the same per-operator derivation ``bind`` uses."""
+"""Build-time plan validation: every malformed-plan class raises a
+structured :class:`PlanValidationError` from the API call that built the
+node, before any partition is read, from the same per-operator
+derivation ``bind`` uses."""
 
 import json
 import socket
@@ -39,43 +40,43 @@ def _submit(ctx, frame):
 
 class TestValidationErrors:
     def test_undefined_column(self, ctx, no_reads):
-        frame = ctx.table("sales").filter(col("nope") > 1)
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").filter(col("nope") > 1)
             _submit(ctx, frame)
         assert info.value.code == "undefined-column"
         assert info.value.column == "nope"
         assert info.value.node is not None
 
     def test_undefined_column_in_projection(self, ctx, no_reads):
-        frame = ctx.table("sales").select(twice=col("missing") * 2)
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").select(twice=col("missing") * 2)
             _submit(ctx, frame)
         assert info.value.code == "undefined-column"
         assert info.value.column == "missing"
 
     def test_type_mismatched_comparison(self, ctx, no_reads):
-        frame = ctx.table("sales").filter(col("qty") > "forty")
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").filter(col("qty") > "forty")
             _submit(ctx, frame)
         assert info.value.code == "type-mismatch"
 
     def test_string_arithmetic(self, ctx, no_reads):
-        frame = ctx.table("sales").select(bad=col("cust") + 1)
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").select(bad=col("cust") + 1)
             _submit(ctx, frame)
         assert info.value.code == "type-mismatch"
 
     def test_non_boolean_filter_predicate(self, ctx, no_reads):
-        frame = ctx.table("sales").filter(col("qty") + 1)
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").filter(col("qty") + 1)
             _submit(ctx, frame)
         assert info.value.code == "type-mismatch"
 
     def test_non_numeric_agg_input(self, ctx, no_reads):
-        frame = ctx.table("sales").agg(
-            F.sum("cust").alias("s"), by=["okey"]
-        )
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").agg(
+                F.sum("cust").alias("s"), by=["okey"]
+            )
             _submit(ctx, frame)
         assert info.value.code == "non-numeric-agg"
         assert info.value.column == "cust"
@@ -90,9 +91,9 @@ class TestValidationErrors:
         left = ctx.table("sales").select(
             okey=col("okey"), qty=col("qty"), qty_right=col("qty")
         )
-        frame = left.join(ctx.table("sales"),
-                          on=[("okey", "okey")])
         with pytest.raises(PlanValidationError) as info:
+            frame = left.join(ctx.table("sales"),
+                              on=[("okey", "okey")])
             _submit(ctx, frame)
         assert info.value.code == "duplicate-output"
 
@@ -102,19 +103,19 @@ class TestValidationErrors:
         inner = ctx.table("sales").agg(
             F.sum("qty").alias("s"), by=["cust"]
         )
-        frame = inner.agg(F.count(None).alias("n"), by=["s"])
         with pytest.raises(PlanValidationError) as info:
+            frame = inner.agg(F.count(None).alias("n"), by=["s"])
             _submit(ctx, frame)
         assert info.value.code == "delivery-misuse"
 
     def test_error_is_a_query_error(self, ctx, no_reads):
-        frame = ctx.table("sales").filter(col("nope") > 1)
         with pytest.raises(QueryError):
+            frame = ctx.table("sales").filter(col("nope") > 1)
             _submit(ctx, frame)
 
     def test_to_dict_is_structured(self, ctx, no_reads):
-        frame = ctx.table("sales").filter(col("nope") > 1)
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").filter(col("nope") > 1)
             _submit(ctx, frame)
         detail = info.value.to_dict()
         assert detail["code"] == "undefined-column"
@@ -126,11 +127,12 @@ class TestValidationErrors:
     def test_validate_false_escape_hatch(self, catalog, no_reads):
         ctx = WakeContext(catalog,
                           options=ExecutionOptions(validate=False))
-        frame = ctx.table("sales").filter(col("nope") > 1)
-        # ``validate`` is accepted and inert: the submit's one
-        # derivation is the validation, so the plan is still rejected
-        # with the same coded error, before any partition is read.
+        # ``validate`` is accepted and inert: the node's one derivation,
+        # when it is built, is the validation, so the plan is still
+        # rejected with the same coded error, before any partition is
+        # read.
         with pytest.raises(PlanValidationError) as info:
+            frame = ctx.table("sales").filter(col("nope") > 1)
             ctx.run(frame)
         assert info.value.code == "undefined-column"
 

@@ -83,8 +83,8 @@ class TestLaziness:
 
     def test_malformed_plan_is_rejected_at_the_call(self, catalog):
         ctx = WakeContext(catalog)
-        plan = ctx.table("sales").filter(col("nope") > 1)
         with pytest.raises(PlanValidationError, match="nope"):
+            plan = ctx.table("sales").filter(col("nope") > 1)
             ctx.stream(plan)
 
     def test_operator_error_surfaces_unwrapped(self, catalog):

@@ -69,8 +69,8 @@ class TestGrowthModeBehaviour:
 
     def test_api_rejects_unknown_growth(self, catalog):
         ctx = WakeContext(catalog)
-        plan = ctx.table("sales").agg(
-            F.sum("qty").alias("s"), growth="bogus"
-        )
         with pytest.raises(QueryError):
+            plan = ctx.table("sales").agg(
+                F.sum("qty").alias("s"), growth="bogus"
+            )
             ctx.run(plan)

@@ -193,7 +193,7 @@ class TestTraceOp:
         assert "submit" in names
         submit = trace["spans"]["children"][names.index("submit")]
         inner = [c["name"] for c in submit["children"]]
-        assert "validate" in inner
+        assert "build" in inner
         assert "optimize" in inner
 
     def test_trace_listing(self, server, client):
